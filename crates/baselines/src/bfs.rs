@@ -1,20 +1,13 @@
-//! Breadth-first search: the paper's unweighted baseline.
+//! Sequential breadth-first search: the hop-distance oracle.
 //!
-//! Tables 4–5 compare radius stepping's round counts against "a
-//! conventional BFS implementation"; [`bfs_par`] is the level-synchronous
-//! parallel BFS (one round per level, via `edge_map`), [`bfs_seq`] the
-//! queue-based sequential reference.
-//!
-//! [`bfs_par`] returns the workspace-uniform [`SsspResult`]: each level is
-//! one *step* of one substep (`stats.steps` = rounds = the "BFS rounds"
-//! denominator of Table 5).
+//! The parallel, level-synchronous BFS of the paper's Tables 4–5 is the
+//! unweighted radius-stepping engine at `r ≡ 0` (`Algorithm::Bfs`), one
+//! level per step; [`bfs_seq`] is the queue-based reference it is tested
+//! against.
 
 use std::collections::VecDeque;
 
-use rs_core::stats::{SsspResult, StepStats};
-use rs_core::{Goals, SolverScratch};
-use rs_graph::{edge_map, CsrGraph, Dist, VertexId, INF};
-use rs_par::VertexSubset;
+use rs_graph::{CsrGraph, Dist, VertexId, INF};
 
 /// Sequential BFS; returns hop distances (`INF` if unreachable).
 pub fn bfs_seq(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
@@ -33,103 +26,36 @@ pub fn bfs_seq(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
     dist
 }
 
-/// Level-synchronous parallel BFS, optionally stopping once `goal` has its
-/// level assigned (levels settle in order, so the value is final).
-pub fn bfs_par_to_goal(g: &CsrGraph, s: VertexId, goal: Option<VertexId>) -> SsspResult {
-    bfs_scratch(g, s, Goals::from_option(goal), &mut SolverScratch::new())
-}
-
-/// The full BFS worker on reusable scratch state (the visited set comes
-/// from `scratch`; the level array doubles as the result and is the one
-/// per-solve output allocation).
-pub fn bfs_scratch(
-    g: &CsrGraph,
-    s: VertexId,
-    goals: Goals<'_>,
-    scratch: &mut SolverScratch,
-) -> SsspResult {
-    let n = g.num_vertices();
-    scratch.begin(n);
-    let mut dist = vec![INF; n];
-    let mut rounds = 0;
-    let mut relaxations = 0u64;
-    {
-        // Lean accessor: a BFS-only scratch materialises just the visited
-        // bitset, not the 16-bytes-per-vertex distance structures.
-        let visited = scratch.visited_set();
-        visited.set(s as usize);
-        dist[s as usize] = 0;
-        let mut frontier = VertexSubset::single(n, s);
-        let mut level: Dist = 0;
-        while !frontier.is_empty() {
-            if goals.all_done(|t| dist[t as usize] != INF) {
-                break;
-            }
-            rounds += 1;
-            level += 1;
-            for u in frontier.to_ids() {
-                relaxations += g.degree(u) as u64;
-            }
-            frontier = edge_map(
-                g,
-                &frontier,
-                |_, v, _| visited.set(v as usize),
-                |v| !visited.get(v as usize),
-            );
-            for v in frontier.to_ids() {
-                dist[v as usize] = level;
-            }
-        }
-    }
-    let settled = dist.iter().filter(|&&d| d != INF).count();
-    let stats = StepStats {
-        steps: rounds,
-        substeps: rounds,
-        max_substeps_in_step: rounds.min(1),
-        relaxations,
-        relaxed_edges: relaxations,
-        settled,
-        scratch_reused: scratch.finish(),
-        trace: None,
-    };
-    SsspResult::new(dist, stats)
-}
-
-/// Level-synchronous parallel BFS; hop distances plus the number of rounds
-/// (levels processed, the "BFS rounds" denominator of Table 5) in
-/// `stats.steps`.
-pub fn bfs_par(g: &CsrGraph, s: VertexId) -> SsspResult {
-    bfs_par_to_goal(g, s, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BuildSolver;
+    use rs_core::solver::{Algorithm, SolverBuilder};
     use rs_graph::gen;
 
     #[test]
     fn seq_and_par_agree_on_suite() {
         for g in [gen::grid2d(9, 11), gen::scale_free(400, 3, 7), gen::path(30)] {
-            let a = bfs_seq(&g, 0);
-            let b = bfs_par(&g, 0);
-            assert_eq!(a, b.dist);
+            let par = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
+            assert_eq!(bfs_seq(&g, 0), par.solve(0).dist);
         }
     }
 
     #[test]
-    fn rounds_equal_eccentricity_plus_one() {
-        // The last round discovers nothing, so rounds = eccentricity + 1.
+    fn engine_levels_equal_eccentricity() {
+        // One step per BFS level; the source is settled before the first.
         let g = gen::path(10);
-        let out = bfs_par(&g, 0);
-        assert_eq!(out.dist[9], 9);
-        assert_eq!(out.stats.steps, 10);
+        let out = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build().solve(0);
+        assert_eq!(out.dist, bfs_seq(&g, 0));
+        assert_eq!((out.stats.steps, out.stats.substeps), (9, 9));
     }
 
     #[test]
     fn goal_bounded_stops_early_with_exact_goal() {
         let g = gen::path(30);
-        let full = bfs_par(&g, 0);
-        let bounded = bfs_par_to_goal(&g, 0, Some(5));
+        let solver = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
+        let full = solver.solve(0);
+        let bounded = solver.solve_to_goal(0, 5);
         assert_eq!(bounded.dist[5], full.dist[5]);
         assert!(bounded.stats.steps < full.stats.steps);
         assert_eq!(bounded.dist[29], INF, "tail never reached");

@@ -40,17 +40,7 @@ pub struct DeltaSteppingResult {
 
 /// Runs ∆-stepping from `source` with bucket width `delta`.
 pub fn delta_stepping(g: &CsrGraph, source: VertexId, delta: Dist) -> DeltaSteppingResult {
-    delta_stepping_to_goal(g, source, delta, None)
-}
-
-/// [`delta_stepping`], optionally stopping once `goal` is settled.
-pub fn delta_stepping_to_goal(
-    g: &CsrGraph,
-    source: VertexId,
-    delta: Dist,
-    goal: Option<VertexId>,
-) -> DeltaSteppingResult {
-    delta_stepping_scratch(g, source, delta, Goals::from_option(goal), &mut SolverScratch::new())
+    delta_stepping_scratch(g, source, delta, Goals::None, &mut SolverScratch::new())
 }
 
 /// The full ∆-stepping worker on reusable scratch state: the tentative

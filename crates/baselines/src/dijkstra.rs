@@ -9,10 +9,9 @@ use rs_core::Goals;
 use rs_ds::{DaryHeap, DecreaseKeyHeap};
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
 
-/// The one relaxation loop behind every public variant (the same
-/// worker-plus-wrappers shape as `bfs_par_to_goal` and
-/// `delta_stepping_to_goal`): optionally stops once every goal in the
-/// bound has been popped (one-to-many fan-out in a single solve), and
+/// The one relaxation loop behind every public variant: optionally
+/// stops once every goal in the bound has been popped (one-to-many
+/// fan-out in a single solve), and
 /// reports the pops (settled count) and attempted edge relaxations. The
 /// heap is caller-provided (and must arrive empty with capacity ≥ `n`) so
 /// batch workloads can reuse one heap across sources — see
@@ -75,29 +74,11 @@ pub fn dijkstra_into_heap_with_parents<H: DecreaseKeyHeap>(
     (dist, settled, relaxations)
 }
 
-/// [`dijkstra_into_heap_with_parents`] without parent recording.
-pub fn dijkstra_into_heap<H: DecreaseKeyHeap>(
-    g: &CsrGraph,
-    s: VertexId,
-    goal: Option<VertexId>,
-    heap: &mut H,
-) -> (Vec<Dist>, usize, u64) {
-    dijkstra_into_heap_with_parents(g, s, Goals::from_option(goal), heap, None)
-}
-
-/// [`dijkstra_into_heap`] with a freshly allocated heap.
-pub fn dijkstra_with_goal<H: DecreaseKeyHeap>(
-    g: &CsrGraph,
-    s: VertexId,
-    goal: Option<VertexId>,
-) -> (Vec<Dist>, usize, u64) {
-    dijkstra_into_heap(g, s, goal, &mut H::with_capacity(g.num_vertices()))
-}
-
 /// Single-source shortest paths with heap `H`; `dist[v] = INF` if
 /// unreachable.
 pub fn dijkstra<H: DecreaseKeyHeap>(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
-    dijkstra_with_goal::<H>(g, s, None).0
+    let mut heap = H::with_capacity(g.num_vertices());
+    dijkstra_into_heap_with_parents(g, s, Goals::None, &mut heap, None).0
 }
 
 /// [`dijkstra`] with the default 4-ary heap.
@@ -105,39 +86,15 @@ pub fn dijkstra_default(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
     dijkstra::<DaryHeap>(g, s)
 }
 
-/// [`dijkstra`] stopping as soon as `goal` is popped (its distance is then
-/// final); also returns the number of pops (the settled count). Remaining
-/// entries are tentative upper bounds or [`INF`].
-pub fn dijkstra_to_goal<H: DecreaseKeyHeap>(
-    g: &CsrGraph,
-    s: VertexId,
-    goal: VertexId,
-) -> (Vec<Dist>, usize) {
-    let (dist, settled, _) = dijkstra_with_goal::<H>(g, s, Some(goal));
-    (dist, settled)
-}
-
 /// Dijkstra that also returns the shortest-path tree: `parent[v]` is the
 /// predecessor of `v` on a shortest `s → v` path (`parent[s] = s`,
 /// `u32::MAX` if unreachable).
 pub fn dijkstra_with_parents(g: &CsrGraph, s: VertexId) -> (Vec<Dist>, Vec<VertexId>) {
     let n = g.num_vertices();
-    let mut dist = vec![INF; n];
     let mut parent = vec![u32::MAX; n];
     let mut heap = DaryHeap::with_capacity(n);
-    dist[s as usize] = 0;
-    parent[s as usize] = s;
-    heap.push_or_decrease(s, 0);
-    while let Some((u, du)) = heap.pop_min() {
-        for (v, w) in g.edges(u) {
-            let cand = du + w as Dist;
-            if cand < dist[v as usize] {
-                dist[v as usize] = cand;
-                parent[v as usize] = u;
-                heap.push_or_decrease(v, cand);
-            }
-        }
-    }
+    let (dist, ..) =
+        dijkstra_into_heap_with_parents(g, s, Goals::None, &mut heap, Some(&mut parent));
     (dist, parent)
 }
 

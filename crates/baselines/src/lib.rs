@@ -4,30 +4,28 @@
 //! * [`dijkstra`] — the sequential reference (§1), generic over the
 //!   decrease-key heap so the Fibonacci/pairing/d-ary trade-off can be
 //!   measured.
-//! * [`bfs`] — standard sequential BFS and level-synchronous parallel BFS;
-//!   the unweighted baseline of Tables 4–5.
-//! * [`bellman_ford`] — round-synchronous parallel Bellman–Ford, the
-//!   `r(v) = ∞` extreme of radius stepping.
+//! * [`bfs`] — standard sequential BFS, the hop-distance oracle for
+//!   unit-weight tests.
 //! * [`delta_stepping`] — Meyer–Sanders ∆-stepping with the light/heavy
 //!   edge split, the algorithm radius stepping refines.
 //!
+//! Bellman–Ford and parallel BFS are points on the radius spectrum, not
+//! separate code: `Algorithm::BellmanFord` is the frontier engine at
+//! `r ≡ ∞` and `Algorithm::Bfs` the unweighted engine at `r ≡ 0`.
+//!
 //! Every solver returns exact distances (tested against each other), plus
-//! the step/phase counters used in the experiment harness. All four are
-//! also available behind the unified [`rs_core::solver::SsspSolver`] trait
-//! through the adapters in [`solver`], which additionally supplies the
-//! [`solver::BuildSolver`] extension completing `rs_core`'s
-//! `SolverBuilder`.
+//! the step/phase counters used in the experiment harness. Dijkstra and
+//! ∆-stepping are also available behind the unified
+//! [`rs_core::solver::SsspSolver`] trait through the adapters in
+//! [`solver`], which additionally supplies the [`solver::BuildSolver`]
+//! extension completing `rs_core`'s `SolverBuilder`.
 
-pub mod bellman_ford;
 pub mod bfs;
 pub mod delta_stepping;
 pub mod dijkstra;
 pub mod solver;
 
-pub use bellman_ford::{bellman_ford, bellman_ford_to_goal};
-pub use bfs::{bfs_par, bfs_par_to_goal, bfs_seq};
-pub use delta_stepping::{delta_stepping, delta_stepping_to_goal, DeltaSteppingResult};
-pub use dijkstra::{
-    dijkstra, dijkstra_default, dijkstra_to_goal, dijkstra_with_goal, dijkstra_with_parents,
-};
-pub use solver::{BellmanFordSolver, BfsSolver, BuildSolver, DeltaSteppingSolver, DijkstraSolver};
+pub use bfs::bfs_seq;
+pub use delta_stepping::{delta_stepping, DeltaSteppingResult};
+pub use dijkstra::{dijkstra, dijkstra_default, dijkstra_with_parents};
+pub use solver::{BuildSolver, DeltaSteppingSolver, DijkstraSolver};

@@ -1,4 +1,4 @@
-//! [`SsspSolver`] adapters for the four baselines, plus the
+//! [`SsspSolver`] adapters for the two independent baselines, plus the
 //! [`BuildSolver`] extension that completes `rs_core::solver`'s builder.
 //!
 //! `rs_core` defines the trait, the [`Algorithm`] selector and the
@@ -6,16 +6,18 @@
 //! the adapters for its own algorithms — and therefore the `build()` that
 //! can construct *every* algorithm — live here. The facade prelude
 //! re-exports [`BuildSolver`], making `SolverBuilder::new(&g).build()` the
-//! one entry point applications see.
+//! one entry point applications see. `Algorithm::BellmanFord` and
+//! `Algorithm::Bfs` are points on the radius spectrum, so they build as
+//! [`RadiusSteppingSolver`]s.
 //!
 //! Counter mapping into [`rs_core::StepStats`]:
 //!
-//! | baseline       | `steps`            | `substeps`        |
-//! |----------------|--------------------|-------------------|
-//! | Dijkstra       | settled vertices   | = steps           |
-//! | ∆-stepping     | nonempty buckets   | light phases      |
-//! | Bellman–Ford   | 1 (paper framing)  | relaxation rounds |
-//! | BFS            | levels             | = steps           |
+//! | algorithm                    | `steps`          | `substeps`          |
+//! |------------------------------|------------------|---------------------|
+//! | Dijkstra                     | settled vertices | = steps             |
+//! | ∆-stepping                   | nonempty buckets | light phases        |
+//! | Bellman–Ford (frontier, ∞)   | 1                | relaxation rounds   |
+//! | BFS (unweighted engine, 0)   | levels           | = steps             |
 
 use std::sync::Arc;
 
@@ -23,15 +25,14 @@ use rs_core::engine::p2p;
 use rs_core::scratch::ScratchHeap;
 use rs_core::solver::{
     execute_many_to_many, solve_goals, Algorithm, HeapKind, P2pMode, Query, QueryResponse,
-    QueryShape, RadiusSteppingSolver, SolverBuilder, SolverConfig, SolverGraph, SsspSolver,
+    QueryShape, RadiusSteppingSolver, ResolvedParts, SolverBuilder, SolverConfig, SolverGraph,
+    SsspSolver,
 };
 use rs_core::stats::{SsspResult, StepStats};
 use rs_core::{Landmarks, ShortcutExpander, SolverScratch};
 use rs_ds::{DaryHeap, FibonacciHeap, PairingHeap};
 use rs_graph::{CsrGraph, Dist, INF};
 
-use crate::bellman_ford::bellman_ford_scratch;
-use crate::bfs::bfs_scratch;
 use crate::delta_stepping::{delta_stepping_scratch, DeltaSteppingResult};
 use crate::dijkstra::dijkstra_into_heap_with_parents;
 
@@ -46,38 +47,20 @@ pub trait BuildSolver<'g> {
 impl<'g> BuildSolver<'g> for SolverBuilder<'g> {
     fn build(self) -> Box<dyn SsspSolver + 'g> {
         let parts = self.into_parts();
+        // Baselines run on the (possibly shortcut-augmented) graph;
+        // shortcuts preserve distances, so they stay exact — and carry the
+        // expansion table so extracted paths unroll back to input-graph
+        // edges.
         match parts.algorithm {
-            Algorithm::RadiusStepping { engine, radii } => {
-                Box::new(RadiusSteppingSolver::from_parts(
-                    parts.graph,
-                    engine,
-                    radii,
-                    parts.preprocess,
-                    parts.preprocess_cache.as_deref(),
-                    parts.config,
-                ))
+            Algorithm::Dijkstra { heap } => {
+                let ResolvedParts { graph, expander, landmarks, .. } = parts.resolve();
+                Box::new(DijkstraSolver { graph, heap, config: parts.config, expander, landmarks })
             }
-            ref algorithm => {
-                // Baselines run on the (possibly shortcut-augmented) graph;
-                // shortcuts preserve distances, so they stay exact — and
-                // carry the expansion table so extracted paths unroll back
-                // to input-graph edges.
-                let config = parts.config;
-                let (graph, expander, landmarks) = parts.resolve_graph_expander_landmarks();
-                match *algorithm {
-                    Algorithm::Dijkstra { heap } => {
-                        Box::new(DijkstraSolver { graph, heap, config, expander, landmarks })
-                    }
-                    Algorithm::DeltaStepping { delta } => {
-                        Box::new(DeltaSteppingSolver { graph, delta, config, expander })
-                    }
-                    Algorithm::BellmanFord => {
-                        Box::new(BellmanFordSolver { graph, config, expander })
-                    }
-                    Algorithm::Bfs => Box::new(BfsSolver::new(graph, config)),
-                    Algorithm::RadiusStepping { .. } => unreachable!("handled above"),
-                }
+            Algorithm::DeltaStepping { delta } => {
+                let ResolvedParts { graph, expander, .. } = parts.resolve();
+                Box::new(DeltaSteppingSolver { graph, delta, config: parts.config, expander })
             }
+            _ => Box::new(RadiusSteppingSolver::from_parts(parts)),
         }
     }
 }
@@ -94,17 +77,6 @@ pub struct DijkstraSolver<'g> {
 }
 
 impl DijkstraSolver<'_> {
-    /// The mode `execute` dispatches for a point-to-point query: `Auto`
-    /// resolves to goal-directed when preprocessing supplied landmarks,
-    /// else bidirectional.
-    fn effective_p2p(&self) -> P2pMode {
-        match self.config.p2p_mode {
-            P2pMode::Auto if self.landmarks.is_some() => P2pMode::GoalDirected,
-            P2pMode::Auto => P2pMode::Bidirectional,
-            mode => mode,
-        }
-    }
-
     /// Runs the configured non-forward point-to-point kernel, or `None`
     /// when the forward early-exit path should serve the query.
     fn run_p2p<H: ScratchHeap>(
@@ -115,7 +87,7 @@ impl DijkstraSolver<'_> {
         scratch: &mut SolverScratch,
     ) -> Option<QueryResponse> {
         let want_paths = self.config.wants_paths(query);
-        let out = match self.effective_p2p() {
+        let out = match self.config.effective_p2p(self.landmarks.is_some()) {
             P2pMode::Forward | P2pMode::Auto => return None,
             P2pMode::Bidirectional => {
                 p2p::bidirectional::<H>(&self.graph, source, goal, want_paths, scratch)
@@ -198,7 +170,7 @@ impl SsspSolver for DijkstraSolver<'_> {
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
         scratch.warm_up(&self.graph);
         let n = self.graph.num_vertices();
-        if self.effective_p2p() == P2pMode::Bidirectional {
+        if self.config.effective_p2p(self.landmarks.is_some()) == P2pMode::Bidirectional {
             scratch.warm_up_bidir(&self.graph);
             match self.heap {
                 HeapKind::Dary => scratch.warm_heap_rev::<DaryHeap>(n),
@@ -271,89 +243,6 @@ impl SsspSolver for DeltaSteppingSolver<'_> {
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
         scratch.warm_up(&self.graph);
         scratch.warm_bucket(self.graph.num_vertices(), self.delta, self.graph.max_weight() as u64);
-    }
-}
-
-/// Round-synchronous parallel Bellman–Ford behind the solver interface.
-/// `solve_to_goal` exits once every frontier vertex sits at distance ≥ the
-/// goal's tentative distance (no later round can then lower the goal —
-/// weights are non-negative), bounding the rounds by the goal's hop radius
-/// instead of the graph-wide hop depth.
-pub struct BellmanFordSolver<'g> {
-    pub graph: SolverGraph<'g>,
-    pub config: SolverConfig,
-    pub expander: Option<Arc<ShortcutExpander>>,
-}
-
-impl SsspSolver for BellmanFordSolver<'_> {
-    fn name(&self) -> String {
-        "bellman-ford".into()
-    }
-
-    fn graph(&self) -> &CsrGraph {
-        &self.graph
-    }
-
-    fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
-        if query.is_many_to_many() {
-            return execute_many_to_many(self, query).with_expander(self.expander.clone());
-        }
-        let mut goal_buf = Vec::new();
-        let out = bellman_ford_scratch(
-            &self.graph,
-            query.source(),
-            solve_goals(query, &mut goal_buf),
-            scratch,
-        );
-        let result = self.config.finish_paths(&self.graph, query, out);
-        QueryResponse::single(query.clone(), result).with_expander(self.expander.clone())
-    }
-}
-
-/// Level-synchronous parallel BFS behind the solver interface.
-pub struct BfsSolver<'g> {
-    graph: SolverGraph<'g>,
-    config: SolverConfig,
-}
-
-impl<'g> BfsSolver<'g> {
-    /// BFS distances are hop counts, so the graph must be unit-weighted
-    /// (checked here rather than per solve). Note (k, ρ)-preprocessing
-    /// introduces weighted shortcut edges — attach it to radius stepping,
-    /// not to BFS.
-    pub fn new(graph: SolverGraph<'g>, config: SolverConfig) -> Self {
-        assert!(
-            graph.is_unit_weighted(),
-            "Algorithm::Bfs requires a unit-weighted graph (and no preprocessing)"
-        );
-        BfsSolver { graph, config }
-    }
-}
-
-impl SsspSolver for BfsSolver<'_> {
-    fn name(&self) -> String {
-        "bfs".into()
-    }
-
-    fn graph(&self) -> &CsrGraph {
-        &self.graph
-    }
-
-    fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
-        if query.is_many_to_many() {
-            return execute_many_to_many(self, query);
-        }
-        let mut goal_buf = Vec::new();
-        let out =
-            bfs_scratch(&self.graph, query.source(), solve_goals(query, &mut goal_buf), scratch);
-        let result = self.config.finish_paths(&self.graph, query, out);
-        QueryResponse::single(query.clone(), result)
-    }
-
-    fn warm_scratch(&self, scratch: &mut SolverScratch) {
-        // BFS touches only the visited bitset — skip the 16 B/vertex
-        // distance structures the default warm-up would materialise.
-        scratch.warm_up_lean(&self.graph);
     }
 }
 

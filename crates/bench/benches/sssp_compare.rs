@@ -1,12 +1,13 @@
 //! Wall-clock comparison: radius stepping (after preprocessing) vs
-//! Dijkstra, ∆-stepping and Bellman–Ford — the end-to-end race the paper's
-//! work/depth analysis predicts.
+//! Dijkstra, ∆-stepping and Bellman–Ford (radius stepping at r ≡ ∞) — the
+//! end-to-end race the paper's work/depth analysis predicts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rs_baselines::{bellman_ford, delta_stepping, dijkstra_default};
+use rs_baselines::{delta_stepping, dijkstra_default};
 use rs_core::preprocess::{PreprocessConfig, Preprocessed};
+use rs_core::{radius_stepping, RadiiSpec};
 use rs_graph::{gen, weights, WeightModel};
 
 fn sssp_compare(c: &mut Criterion) {
@@ -38,7 +39,9 @@ fn sssp_compare(c: &mut Criterion) {
             b.iter(|| black_box(delta_stepping(&g, 0, 2_000).dist[g.num_vertices() - 1]))
         });
         group.bench_function(BenchmarkId::from_parameter("bellman_ford"), |b| {
-            b.iter(|| black_box(bellman_ford(&g, 0).dist[g.num_vertices() - 1]))
+            b.iter(|| {
+                black_box(radius_stepping(&g, &RadiiSpec::Infinite, 0).dist[g.num_vertices() - 1])
+            })
         });
         group.finish();
     }

@@ -27,15 +27,6 @@ use crate::EngineConfig;
 
 const SEQ_SUBSTEP: usize = 2048;
 
-pub(crate) fn run(
-    g: &CsrGraph,
-    radii: &RadiiSpec,
-    source: VertexId,
-    config: EngineConfig<'_>,
-) -> SsspResult {
-    run_with(g, radii, source, config, &mut SolverScratch::new())
-}
-
 pub(crate) fn run_with(
     g: &CsrGraph,
     radii: &RadiiSpec,
@@ -325,13 +316,13 @@ fn relax_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::frontier;
+    use crate::{radius_stepping_with, EngineKind};
     use rs_graph::{gen, weights, WeightModel};
 
     fn both(g: &CsrGraph, radii: &RadiiSpec, s: VertexId) -> (SsspResult, SsspResult) {
         (
-            frontier::run(g, radii, s, EngineConfig::with_trace()),
-            run(g, radii, s, EngineConfig::with_trace()),
+            radius_stepping_with(g, radii, s, EngineKind::Frontier, EngineConfig::with_trace()),
+            radius_stepping_with(g, radii, s, EngineKind::Bst, EngineConfig::with_trace()),
         )
     }
 
@@ -374,7 +365,8 @@ mod tests {
         cfgs[2] = EngineConfig::with_goal(60); // early exit leaves Q/R nonempty
         for (i, (s, cfg)) in [0u32, 120, 60, 7].into_iter().zip(cfgs).enumerate() {
             let warm = run_with(&g, &RadiiSpec::Constant(700), s, cfg, &mut scratch);
-            let fresh = run(&g, &RadiiSpec::Constant(700), s, cfg);
+            let fresh =
+                radius_stepping_with(&g, &RadiiSpec::Constant(700), s, EngineKind::Bst, cfg);
             assert_eq!(warm.dist, fresh.dist, "solve {i}");
             assert_eq!(warm.stats.scratch_reused, i > 0, "solve {i}: arena must be warm");
         }
@@ -385,10 +377,11 @@ mod tests {
     fn inline_parents_telescope_on_goal_bounded_solve() {
         let g = weights::reweight(&gen::grid2d(10, 10), WeightModel::paper_weighted(), 7);
         let goal = 99u32;
-        let out = run(
+        let out = radius_stepping_with(
             &g,
             &RadiiSpec::Constant(1_200),
             0,
+            EngineKind::Bst,
             EngineConfig::with_goal(goal).record_parents(true),
         );
         let parent = out.parent.as_ref().expect("inline parents recorded");

@@ -19,29 +19,25 @@
 //! an optimisation; likewise re-relaxing an unchanged vertex can produce no
 //! new updates, which is why change-driven substeps count identically to
 //! the literal "all of `A_i` every substep" of Algorithm 1.
+//!
+//! Goal-bounded solves may also stop *inside* a step (see
+//! `goals_final`): at `r ≡ ∞` the whole solve is one step, so this is
+//! what bounds a Bellman–Ford point-to-point query by the goal's hop
+//! radius instead of the graph's.
 
 use rayon::prelude::*;
 
-use rs_graph::{CsrGraph, Dist, VertexId};
+use rs_graph::{CsrGraph, Dist, VertexId, INF};
 use rs_par::{par_min, AtomicBitset, EpochMinArray};
 
 use crate::radii::RadiiSpec;
 use crate::scratch::{ParentClaim, SolverScratch};
 use crate::stats::{SsspResult, StepStats, StepTrace};
-use crate::EngineConfig;
+use crate::{EngineConfig, Goals};
 
 /// Sequential cutover: below this many dirty vertices a substep relaxes
 /// sequentially (fork-join overhead dominates tiny frontiers).
 const SEQ_SUBSTEP: usize = 2048;
-
-pub(crate) fn run(
-    g: &CsrGraph,
-    radii: &RadiiSpec,
-    source: VertexId,
-    config: EngineConfig<'_>,
-) -> SsspResult {
-    run_with(g, radii, source, config, &mut SolverScratch::new())
-}
 
 pub(crate) fn run_with(
     g: &CsrGraph,
@@ -132,6 +128,9 @@ pub(crate) fn run_with(
             dirty.extend_from_slice(active);
             fringe_adds.clear();
             let mut substeps = 0;
+            // Set when the goals became final mid-step: only vertices up
+            // to this bound are settled, and the solve ends with the step.
+            let mut goal_bound = None;
             loop {
                 substeps += 1;
                 stats.relaxations += dirty.iter().map(|&u| g.degree(u) as u64).sum::<u64>();
@@ -165,25 +164,36 @@ pub(crate) fn run_with(
                 if !any_le {
                     break;
                 }
+                goal_bound = goals_final(&config.goals, dist, di, dirty);
+                if goal_bound.is_some() {
+                    break;
+                }
             }
 
-            // Line 10: S_i ← S_{i-1} ∪ A_i.
+            // Line 10: S_i ← S_{i-1} ∪ A_i (after a mid-step goal exit,
+            // only the part of A_i already final).
+            let mut settled_now = 0;
             for &v in active.iter() {
-                settled.set(v as usize);
                 in_active.clear(v as usize);
                 debug_assert!(dist.load(v as usize) <= di);
+                if goal_bound.is_none_or(|bound| dist.load(v as usize) <= bound) {
+                    settled.set(v as usize);
+                    settled_now += 1;
+                }
+            }
+            stats.record_step(Some(StepTrace {
+                d_i: di,
+                settled: settled_now,
+                substeps,
+                active_size: active.len(),
+            }));
+            if goal_bound.is_some() {
+                break;
             }
 
             // Maintain the fringe: drop settled, add newly reached.
             fringe.retain(|&v| !settled.get(v as usize));
             fringe.extend(fringe_adds.iter().copied().filter(|&v| !settled.get(v as usize)));
-
-            stats.record_step(Some(StepTrace {
-                d_i: di,
-                settled: active.len(),
-                substeps,
-                active_size: active.len(),
-            }));
         }
 
         out_dist = dist.snapshot(n);
@@ -199,6 +209,34 @@ pub(crate) fn run_with(
     let mut result = SsspResult::new(out_dist, stats);
     result.parent = parent;
     result
+}
+
+/// The mid-step goal exit, checked after every substep that continues the
+/// step. Returns the largest goal `δ` when every goal is already final:
+/// each goal holds a finite `δ ≤ d_i`, and no vertex still to relax
+/// (`dirty`, the ones whose `δ` changed in the last substep) sits below
+/// that bound. Any later improvement would have to start at a dirty vertex
+/// or at a fringe vertex (`δ > d_i`), and weights are non-negative, so no
+/// goal can drop any more. Every vertex at or below the bound is final
+/// too. `None` for unbounded solves.
+fn goals_final(
+    goals: &Goals<'_>,
+    dist: &EpochMinArray,
+    di: Dist,
+    dirty: &[VertexId],
+) -> Option<Dist> {
+    if !goals.bounded() {
+        return None;
+    }
+    let mut bound = 0;
+    for &t in goals.as_slice() {
+        let d = dist.load(t as usize);
+        if d == INF || d > di {
+            return None;
+        }
+        bound = bound.max(d);
+    }
+    dirty.iter().all(|&v| dist.load(v as usize) >= bound).then_some(bound)
 }
 
 /// One substep: relax all out-edges of `dirty` (given as `(vertex, δ)`
@@ -288,10 +326,11 @@ fn relax_substep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{radius_stepping_with, EngineKind};
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel, INF};
 
     fn solve(g: &CsrGraph, radii: &RadiiSpec, s: VertexId) -> SsspResult {
-        run(g, radii, s, EngineConfig::with_trace())
+        radius_stepping_with(g, radii, s, EngineKind::Frontier, EngineConfig::with_trace())
     }
 
     #[test]
@@ -322,10 +361,11 @@ mod tests {
     fn inline_parents_telescope_goal_bounded_and_full() {
         let g = weights::reweight(&gen::grid2d(12, 12), WeightModel::paper_weighted(), 9);
         let goal = 143u32;
-        let bounded = run(
+        let bounded = radius_stepping_with(
             &g,
             &RadiiSpec::Constant(900),
             0,
+            EngineKind::Frontier,
             EngineConfig::with_goal(goal).record_parents(true),
         );
         let parent = bounded.parent.as_ref().expect("inline parents recorded");
@@ -340,8 +380,13 @@ mod tests {
 
         // Full solve with inline recording: every reachable vertex's
         // parent telescopes exactly.
-        let full =
-            run(&g, &RadiiSpec::Constant(900), 0, EngineConfig::default().record_parents(true));
+        let full = radius_stepping_with(
+            &g,
+            &RadiiSpec::Constant(900),
+            0,
+            EngineKind::Frontier,
+            EngineConfig::default().record_parents(true),
+        );
         let parent = full.parent.as_ref().unwrap();
         assert_eq!(parent[0], 0);
         for v in 1..g.num_vertices() as u32 {
@@ -381,6 +426,80 @@ mod tests {
         // Vertex 1 starts relaxed; substeps walk the chain to vertex 11
         // (10 productive substeps), plus the final no-update check.
         assert_eq!(out.stats.substeps, 11);
+    }
+
+    #[test]
+    fn infinite_radii_goal_exit_is_exact_and_early() {
+        // On a long path, a goal near the source must stop after roughly
+        // its hop count, not the full 499-substep fixpoint.
+        let g = gen::path(500);
+        let full = solve(&g, &RadiiSpec::Infinite, 0);
+        assert_eq!(full.stats.substeps, 499);
+        let bounded = radius_stepping_with(
+            &g,
+            &RadiiSpec::Infinite,
+            0,
+            EngineKind::Frontier,
+            EngineConfig::with_goal(10),
+        );
+        assert_eq!(bounded.dist[10], full.dist[10], "goal must be exact");
+        assert_eq!(bounded.stats.steps, 1);
+        assert!(
+            bounded.stats.substeps <= 12,
+            "expected ~10 substeps to settle the hop-10 goal, ran {}",
+            bounded.stats.substeps
+        );
+        for (b, f) in bounded.dist.iter().zip(&full.dist) {
+            assert!(b >= f, "bounded entries are upper bounds");
+        }
+    }
+
+    #[test]
+    fn infinite_radii_goal_exit_matches_dijkstra_on_random_graphs() {
+        for seed in [5u64, 9] {
+            let g = weights::reweight(
+                &gen::scale_free(200, 3, seed),
+                WeightModel::paper_weighted(),
+                seed,
+            );
+            let reference = crate::verify::dist_hops(&g, 7);
+            let goals = [0u32, 50, 100, 199];
+            for goal in goals {
+                let out = radius_stepping_with(
+                    &g,
+                    &RadiiSpec::Infinite,
+                    7,
+                    EngineKind::Frontier,
+                    EngineConfig::with_goal(goal),
+                );
+                assert_eq!(out.dist[goal as usize], reference[goal as usize].0, "goal {goal}");
+            }
+            let many = radius_stepping_with(
+                &g,
+                &RadiiSpec::Infinite,
+                7,
+                EngineKind::Frontier,
+                EngineConfig::default().goals(Goals::Many(&goals)),
+            );
+            for goal in goals {
+                assert_eq!(many.dist[goal as usize], reference[goal as usize].0, "goal {goal}");
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_radii_unreachable_goal_terminates() {
+        let mut b = EdgeListBuilder::new(3);
+        b.add_edge(0, 1, 2);
+        let g = b.build();
+        let out = radius_stepping_with(
+            &g,
+            &RadiiSpec::Infinite,
+            0,
+            EngineKind::Frontier,
+            EngineConfig::with_goal(2),
+        );
+        assert_eq!(out.dist, vec![0, 2, INF]);
     }
 
     #[test]

@@ -56,14 +56,6 @@ pub enum Goals<'a> {
 }
 
 impl<'a> Goals<'a> {
-    /// Lifts the legacy single-goal `Option` into a goal bound.
-    pub fn from_option(goal: Option<VertexId>) -> Goals<'static> {
-        match goal {
-            None => Goals::None,
-            Some(g) => Goals::One(g),
-        }
-    }
-
     /// True when the solve may exit before settling every vertex.
     pub fn bounded(&self) -> bool {
         !matches!(self, Goals::None)
@@ -151,12 +143,7 @@ pub fn radius_stepping_with(
     kind: EngineKind,
     config: EngineConfig<'_>,
 ) -> SsspResult {
-    assert!((source as usize) < g.num_vertices(), "source out of range");
-    match kind {
-        EngineKind::Frontier => frontier::run(g, radii, source, config),
-        EngineKind::Bst => bst::run(g, radii, source, config),
-        EngineKind::Unweighted => unweighted::run(g, radii, source, config),
-    }
+    radius_stepping_with_scratch(g, radii, source, kind, config, &mut SolverScratch::new())
 }
 
 /// [`radius_stepping_with`] on reusable scratch state: identical results

@@ -20,15 +20,6 @@ use crate::scratch::SolverScratch;
 use crate::stats::{SsspResult, StepStats, StepTrace};
 use crate::EngineConfig;
 
-pub(crate) fn run(
-    g: &CsrGraph,
-    radii: &RadiiSpec,
-    source: VertexId,
-    config: EngineConfig<'_>,
-) -> SsspResult {
-    run_with(g, radii, source, config, &mut SolverScratch::new())
-}
-
 pub(crate) fn run_with(
     g: &CsrGraph,
     radii: &RadiiSpec,
@@ -65,8 +56,13 @@ pub(crate) fn run_with(
 
         while !frontier.is_empty() {
             // Early exit for goal-bounded solves: a vertex's distance is
-            // final as soon as it is assigned (levels settle in order).
-            if config.goals.all_done(|g| dist[g as usize] != INF) {
+            // final as soon as it is discovered (levels settle in order),
+            // so stop once every goal is, writing the frontier's level.
+            if config.goals.all_done(|g| visited.get(g as usize)) {
+                for &v in &frontier {
+                    dist[v as usize] = level;
+                }
+                stats.settled += frontier.len();
                 break;
             }
             // d_i = ℓ + min r(v) over the frontier (line 4 specialised).
@@ -122,13 +118,15 @@ pub(crate) fn run_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::frontier;
     use crate::preprocess::compute_radii;
+    use crate::{radius_stepping_with, EngineKind};
     use rs_graph::gen;
 
     fn assert_matches_general(g: &CsrGraph, radii: &RadiiSpec, s: VertexId) {
-        let bfs_mode = run(g, radii, s, EngineConfig::with_trace());
-        let general = frontier::run(g, radii, s, EngineConfig::with_trace());
+        let bfs_mode =
+            radius_stepping_with(g, radii, s, EngineKind::Unweighted, EngineConfig::with_trace());
+        let general =
+            radius_stepping_with(g, radii, s, EngineKind::Frontier, EngineConfig::with_trace());
         assert_eq!(bfs_mode.dist, general.dist, "distances differ");
         assert_eq!(bfs_mode.stats.steps, general.stats.steps, "steps differ");
         assert_eq!(bfs_mode.stats.substeps, general.stats.substeps, "substeps differ");
@@ -159,7 +157,13 @@ mod tests {
     #[test]
     fn zero_radii_is_exactly_bfs() {
         let g = gen::grid2d(10, 10);
-        let out = run(&g, &RadiiSpec::Zero, 0, EngineConfig::default());
+        let out = radius_stepping_with(
+            &g,
+            &RadiiSpec::Zero,
+            0,
+            EngineKind::Unweighted,
+            EngineConfig::default(),
+        );
         // steps = eccentricity (one level per step), 1 substep each.
         assert_eq!(out.stats.steps, 18);
         assert_eq!(out.stats.substeps, 18);
@@ -174,6 +178,12 @@ mod tests {
             rs_graph::WeightModel::UniformInt { lo: 2, hi: 9 },
             1,
         );
-        run(&g, &RadiiSpec::Zero, 0, EngineConfig::default());
+        radius_stepping_with(
+            &g,
+            &RadiiSpec::Zero,
+            0,
+            EngineKind::Unweighted,
+            EngineConfig::default(),
+        );
     }
 }

@@ -283,7 +283,7 @@ impl SolverScratch {
     /// ([`SolverScratch::warm_engine_buffers`]), the heap, the bucket
     /// queue, the treap arena — are warmed by the solvers' own
     /// `warm_scratch` overrides (or sized on first use), so a Dijkstra or
-    /// Bellman–Ford worker never pays for buffers only the engines read.
+    /// ∆-stepping worker never pays for buffers only the engines read.
     pub fn warm_up(&mut self, g: &CsrGraph) {
         self.warm_up_n(g.num_vertices());
     }
@@ -297,8 +297,8 @@ impl SolverScratch {
     }
 
     /// The lean counterpart of [`SolverScratch::warm_up`]: pre-sizes only
-    /// the visited bitset — all that BFS-style solvers
-    /// ([`SolverScratch::visited_set`]) ever touch — so their per-worker
+    /// the visited bitset — all that the unweighted engine
+    /// ([`SolverScratch::visited_set`]) ever touches — so its per-worker
     /// scratches skip the 16-bytes-per-vertex distance structures
     /// entirely.
     pub fn warm_up_lean(&mut self, g: &CsrGraph) {
@@ -366,8 +366,8 @@ impl SolverScratch {
     }
 
     /// Materialises and resets only the settled/visited bitset — the lean
-    /// path for solvers that need nothing else (BFS, the unweighted
-    /// engine), so a BFS-only scratch never pays for the 16-bytes-per-
+    /// path for solvers that need nothing else (the unweighted engine,
+    /// i.e. BFS), so a BFS-only scratch never pays for the 16-bytes-per-
     /// vertex distance structures of [`SolverScratch::view`].
     pub fn visited_set(&mut self) -> &AtomicBitset {
         debug_assert!(self.in_solve, "visited_set() outside begin()/finish()");

@@ -955,9 +955,14 @@ pub enum Algorithm {
     Dijkstra { heap: HeapKind },
     /// Meyer–Sanders ∆-stepping with bucket width ∆.
     DeltaStepping { delta: Dist },
-    /// Round-synchronous parallel Bellman–Ford.
+    /// Bellman–Ford as the paper defines it (§3): the frontier engine at
+    /// `r ≡ ∞`, one step whose substeps run to a fixpoint. Radii stay
+    /// infinite even with preprocessing attached (the shortcuts still
+    /// apply).
     BellmanFord,
-    /// Level-synchronous parallel BFS (unit-weight graphs only).
+    /// BFS as the unweighted engine at `r ≡ 0` (§3.4): one level per step.
+    /// Unit-weight graphs only, so no preprocessing (its shortcuts carry
+    /// weights).
     Bfs,
 }
 
@@ -1016,6 +1021,17 @@ impl SolverConfig {
     /// Whether `query` should record a trace (same OR).
     pub fn wants_trace(&self, query: &Query) -> bool {
         self.trace || query.want_trace
+    }
+
+    /// The mode a solver dispatches for a point-to-point query: `Auto`
+    /// resolves to goal-directed when the solver holds a landmark table
+    /// (i.e. one came with preprocessing), else bidirectional.
+    pub fn effective_p2p(&self, has_landmarks: bool) -> P2pMode {
+        match self.p2p_mode {
+            P2pMode::Auto if has_landmarks => P2pMode::GoalDirected,
+            P2pMode::Auto => P2pMode::Bidirectional,
+            mode => mode,
+        }
     }
 
     /// Attaches the shortest-path tree to `result` if `query` asked for
@@ -1167,26 +1183,14 @@ impl<'g> SolverBuilder<'g> {
     }
 
     /// Builds a radius-stepping solver from the current `algorithm`
-    /// selection, applying any attached preprocessing.
+    /// selection (`RadiusStepping`, or one of the points on the radius
+    /// spectrum, `BellmanFord` and `Bfs`), applying any attached
+    /// preprocessing.
     ///
-    /// Panics if the selected algorithm is not `RadiusStepping` — the
-    /// baseline variants are built by `rs_baselines::solver::BuildSolver`.
+    /// Panics on `Dijkstra` and `DeltaStepping` — those baselines are
+    /// built by `rs_baselines::solver::BuildSolver`.
     pub fn radius_stepping_solver_from_algorithm(self) -> RadiusSteppingSolver<'g> {
-        let parts = self.into_parts();
-        let Algorithm::RadiusStepping { engine, radii } = parts.algorithm else {
-            panic!(
-                "radius_stepping_solver_from_algorithm on {:?}; use BuildSolver::build",
-                parts.algorithm
-            )
-        };
-        RadiusSteppingSolver::from_parts(
-            parts.graph,
-            engine,
-            radii,
-            parts.preprocess,
-            parts.preprocess_cache.as_deref(),
-            parts.config,
-        )
+        RadiusSteppingSolver::from_parts(self.into_parts())
     }
 }
 
@@ -1199,29 +1203,33 @@ pub struct BuilderParts<'g> {
     pub config: SolverConfig,
 }
 
-impl<'g> BuilderParts<'g> {
-    /// Resolves the attached preprocessing: returns the graph baselines
-    /// should run on (augmented when preprocessing is attached — distances
-    /// are preserved, so every solver stays exact) plus the shortcut
-    /// expansion table for input-graph-exact path extraction.
-    pub fn resolve_graph_and_expander(&self) -> (SolverGraph<'g>, Option<Arc<ShortcutExpander>>) {
-        let (graph, expander, _) = self.resolve_graph_expander_landmarks();
-        (graph, expander)
-    }
+/// What [`BuilderParts::resolve`] produces: everything the attached
+/// preprocessing and the configured [`P2pMode`] contribute to a solver.
+pub struct ResolvedParts<'g> {
+    /// The graph to run on: the shortcut-augmented (k, ρ)-graph when
+    /// preprocessing is attached (distances are preserved, so every solver
+    /// stays exact), else the caller's graph.
+    pub graph: SolverGraph<'g>,
+    /// Shortcut expansion table for input-graph-exact path extraction.
+    pub expander: Option<Arc<ShortcutExpander>>,
+    /// The ALT landmark table the configured [`P2pMode`] calls for.
+    pub landmarks: Option<Arc<Landmarks>>,
+    /// The preprocessing's `r_ρ(v)` radii.
+    pub radii: Option<Vec<Dist>>,
+}
 
-    /// [`BuilderParts::resolve_graph_and_expander`] plus the ALT landmark
-    /// table the configured [`P2pMode`] calls for: the preprocessing's
-    /// persisted table when one is attached, a build-time election for
-    /// `GoalDirected` without preprocessing, `None` for the modes that
+impl<'g> BuilderParts<'g> {
+    /// Resolves the attached preprocessing (loading from / saving to the
+    /// cache path when one was supplied) and the landmark table: the
+    /// preprocessing's persisted table when one is attached, a build-time
+    /// election for `GoalDirected` without one, `None` for the modes that
     /// never read landmarks.
-    pub fn resolve_graph_expander_landmarks(
-        &self,
-    ) -> (SolverGraph<'g>, Option<Arc<ShortcutExpander>>, Option<Arc<Landmarks>>) {
-        let (graph, expander, mut landmarks) = match &self.preprocess {
-            None => (SolverGraph::Borrowed(self.graph), None, None),
+    pub fn resolve(&self) -> ResolvedParts<'g> {
+        let (graph, expander, mut landmarks, radii) = match &self.preprocess {
+            None => (SolverGraph::Borrowed(self.graph), None, None, None),
             Some(cfg) => {
                 let pre = resolve_preprocessed(self.graph, cfg, self.preprocess_cache.as_deref());
-                (SolverGraph::Owned(pre.graph), Some(pre.expander), pre.landmarks)
+                (SolverGraph::Owned(pre.graph), Some(pre.expander), pre.landmarks, Some(pre.radii))
             }
         };
         match self.config.p2p_mode {
@@ -1233,12 +1241,7 @@ impl<'g> BuilderParts<'g> {
             P2pMode::Forward | P2pMode::Bidirectional => landmarks = None,
             _ => {}
         }
-        (graph, expander, landmarks)
-    }
-
-    /// [`BuilderParts::resolve_graph_and_expander`] dropping the expander.
-    pub fn resolve_graph(&self) -> SolverGraph<'g> {
-        self.resolve_graph_and_expander().0
+        ResolvedParts { graph, expander, landmarks, radii }
     }
 }
 
@@ -1304,62 +1307,34 @@ impl<'g> RadiusSteppingSolver<'g> {
         }
     }
 
-    /// Construction from builder state: preprocessing (when attached)
-    /// replaces both the graph and the radii — and supplies the persisted
-    /// landmark table when the configured [`P2pMode`] reads one — loading
-    /// from / saving to the `cache` path when one was supplied.
-    pub fn from_parts(
-        graph: &'g CsrGraph,
-        engine: EngineKind,
-        radii: Radii,
-        preprocess: Option<PreprocessConfig>,
-        cache: Option<&std::path::Path>,
-        config: SolverConfig,
-    ) -> Self {
-        match preprocess {
-            None => {
-                let landmarks = (config.p2p_mode == P2pMode::GoalDirected)
-                    .then(|| Arc::new(Landmarks::build(graph, DEFAULT_LANDMARKS)));
-                RadiusSteppingSolver {
-                    graph: SolverGraph::Borrowed(graph),
-                    radii,
-                    engine,
-                    config,
-                    expander: None,
-                    landmarks,
-                }
+    /// Construction from builder state. `RadiusStepping` takes its engine
+    /// and radii, with preprocessing (when attached) replacing the radii
+    /// by `r_ρ(v)`; `BellmanFord` is the frontier engine at `r ≡ ∞` and
+    /// `Bfs` the unweighted engine at `r ≡ 0`, whatever is attached.
+    /// Preprocessing replaces the graph in every case.
+    ///
+    /// Panics on `Dijkstra` / `DeltaStepping` (built by
+    /// `rs_baselines::solver::BuildSolver`), and on `Bfs` over a weighted
+    /// (or preprocessed) graph.
+    pub fn from_parts(parts: BuilderParts<'g>) -> Self {
+        let (engine, radii) = match &parts.algorithm {
+            Algorithm::RadiusStepping { engine, radii } => (*engine, radii.clone()),
+            Algorithm::BellmanFord => (EngineKind::Frontier, Radii::Infinite),
+            Algorithm::Bfs => (EngineKind::Unweighted, Radii::Zero),
+            other => panic!("{other:?} is not a radius-stepping point; use BuildSolver::build"),
+        };
+        let ResolvedParts { graph, expander, landmarks, radii: pre_radii } = parts.resolve();
+        assert!(
+            parts.algorithm != Algorithm::Bfs || graph.is_unit_weighted(),
+            "Algorithm::Bfs requires a unit-weighted graph (and no preprocessing)"
+        );
+        let radii = match pre_radii {
+            Some(r) if matches!(parts.algorithm, Algorithm::RadiusStepping { .. }) => {
+                Radii::PerVertex(r)
             }
-            Some(cfg) => {
-                let pre = resolve_preprocessed(graph, &cfg, cache);
-                let landmarks = match config.p2p_mode {
-                    P2pMode::GoalDirected => pre.landmarks.clone().or_else(|| {
-                        Some(Arc::new(Landmarks::build(&pre.graph, DEFAULT_LANDMARKS)))
-                    }),
-                    P2pMode::Auto => pre.landmarks.clone(),
-                    P2pMode::Forward | P2pMode::Bidirectional => None,
-                };
-                RadiusSteppingSolver {
-                    graph: SolverGraph::Owned(pre.graph),
-                    radii: Radii::PerVertex(pre.radii),
-                    engine,
-                    config,
-                    expander: Some(pre.expander),
-                    landmarks,
-                }
-            }
-        }
-    }
-
-    /// The mode [`SsspSolver::execute`] actually dispatches for a
-    /// point-to-point query: `Auto` resolves to goal-directed when a
-    /// landmark table is on hand (i.e. came with preprocessing), else
-    /// bidirectional.
-    fn effective_p2p(&self) -> P2pMode {
-        match self.config.p2p_mode {
-            P2pMode::Auto if self.landmarks.is_some() => P2pMode::GoalDirected,
-            P2pMode::Auto => P2pMode::Bidirectional,
-            mode => mode,
-        }
+            _ => radii,
+        };
+        RadiusSteppingSolver { graph, radii, engine, config: parts.config, expander, landmarks }
     }
 }
 
@@ -1370,10 +1345,16 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
             EngineKind::Bst => "bst",
             EngineKind::Unweighted => "unweighted",
         };
+        let radii = match &self.radii {
+            Radii::Zero => "r=0".to_string(),
+            Radii::Infinite => "r=inf".to_string(),
+            Radii::Constant(d) => format!("r={d}"),
+            Radii::PerVertex(_) => "r_rho".to_string(),
+        };
         if self.expander.is_some() {
-            format!("radius-stepping/{engine} (preprocessed)")
+            format!("radius-stepping/{engine} {radii} (preprocessed)")
         } else {
-            format!("radius-stepping/{engine}")
+            format!("radius-stepping/{engine} {radii}")
         }
     }
 
@@ -1391,7 +1372,7 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
         if let QueryShape::PointToPoint { source, goal } = query.shape {
             if self.engine == EngineKind::Frontier {
                 let want_paths = self.config.wants_paths(query);
-                let out = match self.effective_p2p() {
+                let out = match self.config.effective_p2p(self.landmarks.is_some()) {
                     P2pMode::Forward | P2pMode::Auto => None,
                     P2pMode::Bidirectional => Some(p2p::bidirectional::<rs_ds::DaryHeap>(
                         &self.graph,
@@ -1445,7 +1426,7 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
         warm_for_engine(scratch, &self.graph, self.engine);
         if self.engine == EngineKind::Frontier {
             let n = self.graph.num_vertices();
-            match self.effective_p2p() {
+            match self.config.effective_p2p(self.landmarks.is_some()) {
                 P2pMode::Bidirectional => {
                     scratch.warm_up_bidir(&self.graph);
                     scratch.warm_heap::<rs_ds::DaryHeap>(n);
@@ -1819,6 +1800,44 @@ mod tests {
             SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
         let out = solver.solve_to_goal(0, 3);
         assert_eq!(out.dist[3], INF);
+    }
+
+    #[test]
+    fn infinite_radii_paths_telescope_after_mid_step_exit() {
+        let g = weights::reweight(&gen::grid2d(20, 20), WeightModel::paper_weighted(), 4);
+        let solver =
+            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Infinite);
+        let full = solver.solve(0);
+        let goal = 47u32;
+        let trip =
+            solver.execute(&Query::point_to_point(0, goal).with_paths(), &mut SolverScratch::new());
+        assert_eq!(trip.stats().steps, 1);
+        assert!(trip.stats().substeps < full.stats.substeps, "the exit fires mid-step");
+        assert!(trip.stats().settled < g.num_vertices(), "only the final prefix settles");
+        let path = trip.goal_path().expect("goal settled");
+        assert_eq!((path[0], *path.last().unwrap()), (0, goal));
+        let mut acc = 0u64;
+        for w in path.windows(2) {
+            acc += g.arc_weight(w[0], w[1]).expect("path edge") as u64;
+        }
+        assert_eq!(acc, full.dist[goal as usize], "parents must telescope to the exact goal");
+    }
+
+    #[test]
+    fn spectrum_points_build_as_radius_stepping() {
+        let g = grid();
+        let bf = SolverBuilder::new(&g)
+            .algorithm(Algorithm::BellmanFord)
+            .preprocess(PreprocessConfig::new(1, 8))
+            .radius_stepping_solver_from_algorithm();
+        assert_eq!((bf.engine, &bf.radii), (EngineKind::Frontier, &Radii::Infinite));
+        assert!(bf.expander.is_some(), "shortcuts still apply");
+        assert_eq!(bf.solve(3).stats.steps, 1, "r ≡ ∞ survives preprocessing");
+        let unit = gen::grid2d(6, 6);
+        let bfs = SolverBuilder::new(&unit)
+            .algorithm(Algorithm::Bfs)
+            .radius_stepping_solver_from_algorithm();
+        assert_eq!((bfs.engine, &bfs.radii), (EngineKind::Unweighted, &Radii::Zero));
     }
 
     #[test]

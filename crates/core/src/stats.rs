@@ -115,8 +115,8 @@ pub fn extract_path(parent: &[VertexId], t: VertexId) -> Option<Vec<VertexId>> {
 /// `u32::MAX`. Costs `O(n)` for the array plus `O(path length · degree)`
 /// for the walk — no all-edges post-pass — which is what the goal-bounded
 /// `want_paths` serving path needs from the solvers whose parallel
-/// relaxation has no per-writer claim log (∆-stepping, Bellman–Ford, BFS,
-/// the unweighted engine).
+/// relaxation has no per-writer claim log (∆-stepping, the unweighted
+/// engine).
 pub fn goal_path_parents(g: &CsrGraph, dist: &[Dist], goal: VertexId) -> Vec<VertexId> {
     goals_path_parents(g, dist, std::slice::from_ref(&goal))
 }

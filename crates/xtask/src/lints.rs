@@ -1165,6 +1165,14 @@ mod tests {
     }
 
     #[test]
+    fn unwrap_after_escaped_backslash_char_is_flagged() {
+        // A '\\' char literal once made the lexer swallow the rest of the
+        // file, hiding this unwrap from every lint.
+        let src = include_str!("../tests/fixtures/lexer_probe.rs");
+        assert_eq!(lints_of("crates/serve/src/lexer_probe.rs", src), vec![LINT_SERVE_PANIC]);
+    }
+
+    #[test]
     fn unwrap_or_else_is_not_unwrap() {
         let src = "fn f(o: Option<u32>) -> u32 {\n    o.unwrap_or_else(|| 0) + o.unwrap_or(1)\n}\n";
         assert!(lint_source("crates/serve/src/x.rs", src).is_empty());

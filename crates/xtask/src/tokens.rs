@@ -207,16 +207,25 @@ impl Lexer {
         self.bump(); // opening '
         match self.peek(0) {
             Some('\\') => {
-                // Escaped char literal: skip the backslash + escape body
-                // up to the closing quote ('\n', '\'', '\u{..}').
+                // Escaped char literal: the backslash, exactly one escape
+                // body ('\x41', '\u{..}', or one char as in '\n', '\\',
+                // '\''), then the closing quote.
                 self.bump();
-                while let Some(c) = self.peek(0) {
-                    self.bump();
-                    if c != '\\' && self.peek(0) == Some('\'') {
-                        break;
+                match self.peek(0) {
+                    Some('x') => (0..3).for_each(|_| self.bump()),
+                    Some('u') => {
+                        while let Some(c) = self.peek(0) {
+                            self.bump();
+                            if c == '}' || c == '\n' {
+                                break;
+                            }
+                        }
                     }
+                    _ => self.bump(),
                 }
-                self.bump(); // closing '
+                if self.peek(0) == Some('\'') {
+                    self.bump();
+                }
                 TokenKind::CharLit
             }
             Some(c) if is_ident_start(c) || c.is_ascii_digit() => {
@@ -490,6 +499,18 @@ mod tests {
         assert_eq!(got[3], (TokenKind::CharLit, r"'\''".into()));
         assert_eq!(got[8], (TokenKind::CharLit, r"'\u{1F600}'".into()));
         assert_eq!(got.last().unwrap().1, "next");
+    }
+
+    #[test]
+    fn escaped_backslash_char_literal_ends_at_its_quote() {
+        // '\\' used to run the escape loop past its closing quote and
+        // swallow the rest of the file.
+        let src = r"let a = '\\'; let b = b'\\'; let c = '\x41'; o.unwrap()";
+        let got = kinds(src);
+        let chars: Vec<_> =
+            got.iter().filter(|(k, _)| *k == TokenKind::CharLit).map(|(_, t)| t.as_str()).collect();
+        assert_eq!(chars, vec![r"'\\'", r"b'\\'", r"'\x41'"]);
+        assert!(got.iter().any(|(k, t)| *k == TokenKind::Ident && t == "unwrap"));
     }
 
     #[test]

@@ -25,9 +25,11 @@ fn main() {
     );
 
     let source = 0u32;
+    // Parallel BFS is the unweighted engine at r ≡ 0: one step per level.
     let bfs = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
     let bfs_out = bfs.solve(source);
     let bfs_rounds = bfs_out.stats.steps;
+    assert_eq!(bfs_out.dist, baselines::bfs_seq(&g, source), "BFS must match the oracle");
     println!("\nparallel BFS: {bfs_rounds} rounds (one per level)");
 
     println!("\n rho | steps | reduction vs BFS | relaxations");

@@ -11,8 +11,10 @@
 //! * [`core`] (`rs_core`) — the paper's contribution: radius-stepping
 //!   engines, preprocessing, and the solver trait + builder.
 //! * [`graph`] (`rs_graph`) — CSR graphs, generators, weight models, I/O.
-//! * [`baselines`] (`rs_baselines`) — Dijkstra, BFS, Bellman–Ford,
-//!   ∆-stepping, and their solver adapters.
+//! * [`baselines`] (`rs_baselines`) — Dijkstra, ∆-stepping, and their
+//!   solver adapters, the sequential BFS oracle, and the builder's
+//!   `build()` (Bellman–Ford and BFS build as radius stepping at
+//!   `r ≡ ∞` / `r ≡ 0`).
 //! * [`ds`] (`rs_ds`) — decrease-key heaps, bucket queue, join-based treap.
 //! * [`par`] (`rs_par`) — parallel primitives (scan, pack, write-min,
 //!   frontiers).

@@ -91,15 +91,30 @@ fn zero_radius_step_count_equals_distinct_distances() {
 
 #[test]
 fn bellman_ford_and_infinite_radius_have_same_depth_structure() {
-    // r ≡ ∞ makes radius stepping one step of Bellman–Ford substeps. The
-    // baseline's first round relaxes the source itself (which radius
-    // stepping does during initialisation), so substeps = BF rounds − 1.
-    for (name, g) in graphs() {
-        let bf = baselines::bellman_ford(&g, 2);
-        let out = core::radius_stepping(&g, &RadiiSpec::Infinite, 2);
-        assert_eq!(out.dist, bf.dist, "{name}");
-        assert_eq!(out.stats.steps, 1, "{name}");
-        assert_eq!(bf.stats.steps, 1, "{name}: BF is one paper-step");
-        assert_eq!(out.stats.substeps, bf.stats.substeps - 1, "{name}: substeps vs BF rounds");
+    // `Algorithm::BellmanFord` and `Algorithm::Bfs` are names for points
+    // on the radius spectrum: the frontier engine at r ≡ ∞ (one step of
+    // Bellman–Ford substeps) and the unweighted engine at r ≡ 0.
+    fn assert_alias(name: &str, g: &CsrGraph, alias: Algorithm, engine: EngineKind, radii: Radii) {
+        let a = SolverBuilder::new(g).algorithm(alias).build().solve(2);
+        let b = SolverBuilder::new(g)
+            .algorithm(Algorithm::RadiusStepping { engine, radii })
+            .build()
+            .solve(2);
+        assert_eq!(a.dist, b.dist, "{name}");
+        assert_eq!(
+            (a.stats.steps, a.stats.substeps),
+            (b.stats.steps, b.stats.substeps),
+            "{name}: steps/substeps"
+        );
     }
+    for (name, g) in graphs() {
+        assert_alias(name, &g, Algorithm::BellmanFord, EngineKind::Frontier, Radii::Infinite);
+        let unit = graph::weights::reweight(&g, WeightModel::Unit, 0);
+        assert_alias(name, &unit, Algorithm::Bfs, EngineKind::Unweighted, Radii::Zero);
+    }
+    // One step; vertex 1 starts relaxed, 18 productive substeps reach
+    // vertex 19, plus the final no-update check.
+    let path = graph::gen::path(20);
+    let bf = SolverBuilder::new(&path).algorithm(Algorithm::BellmanFord).build().solve(0);
+    assert_eq!((bf.stats.steps, bf.stats.substeps), (1, 19));
 }

@@ -103,7 +103,7 @@ proptest! {
     fn delta_stepping_and_bf_agree_on_random_graphs(g in arb_connected_graph(), delta in 1u64..200) {
         let reference = baselines::dijkstra_default(&g, 0);
         prop_assert_eq!(baselines::delta_stepping(&g, 0, delta).dist, reference.clone());
-        prop_assert_eq!(baselines::bellman_ford(&g, 0).dist, reference);
+        prop_assert_eq!(core::radius_stepping(&g, &RadiiSpec::Infinite, 0).dist, reference);
     }
 
     // Batch dedup must be observationally invisible: for ANY source

@@ -844,6 +844,10 @@ fn repeated_tables_reuse_pooled_scratches() {
     let query = Query::many_to_many([0, n / 3, n / 2, n - 1], [1, n / 4, n - 2]);
     for solver in weighted_solvers(&g).into_iter().take(4) {
         let pool = core::ScratchPool::new();
+        // How many pool tasks one table spreads over depends on the
+        // schedule (a fast task can claim every row), so fill the pool to
+        // the peak task concurrency first: at most one scratch per thread.
+        drop((0..par::num_threads()).map(|_| pool.checkout()).collect::<Vec<_>>());
         let reference = solver.execute(&query, &mut SolverScratch::new());
         let _first = core::execute_many_to_many_pooled(&*solver, &query, &pool);
         let created_after_first = pool.created();
