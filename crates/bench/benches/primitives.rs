@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use rs_ds::Treap;
 use rs_graph::{edge_map::edge_map_dense, edge_map::edge_map_sparse, gen};
-use rs_par::{atomic_vec, exclusive_scan, pack_indices, par_min, VertexSubset};
+use rs_par::{atomic_vec, exclusive_scan, pack_indices, par_min, EpochMinArray, VertexSubset};
 
 fn primitives(c: &mut Criterion) {
     let n = 1 << 20;
@@ -18,13 +18,55 @@ fn primitives(c: &mut Criterion) {
     group
         .bench_function("pack_1M", |b| b.iter(|| black_box(pack_indices(n, |i| i % 3 == 0).len())));
     group.bench_function("par_min_1M", |b| b.iter(|| black_box(par_min(n, |i| data[i]))));
-    group.bench_function("write_min_1M", |b| {
+    // Priority-writes, split by outcome: a lowering pass where every write
+    // succeeds (the atomic RMW path) and a failing pass where every offer
+    // is at or above the cell (the load-first early return that most
+    // relaxations take).
+    group.bench_function("write_min_1M/lowering", |b| {
         let cells = atomic_vec(n, u64::MAX);
+        // Each pass offers a base 128 below the last one's (data < 97), so
+        // every cell is lowered again, as if fresh.
+        let mut base = u64::MAX / 2;
         b.iter(|| {
-            for i in 0..n {
-                cells[i].write_min(data[i]);
+            base -= 128;
+            for (cell, &x) in cells.iter().zip(&data) {
+                cell.write_min(base + x);
             }
             black_box(cells[0].load())
+        })
+    });
+    group.bench_function("write_min_1M/failing", |b| {
+        let cells = atomic_vec(n, 0);
+        b.iter(|| {
+            for (cell, &x) in cells.iter().zip(&data) {
+                cell.write_min(x);
+            }
+            black_box(cells[0].load())
+        })
+    });
+    group.bench_function("epoch_write_min_1M/lowering", |b| {
+        let mut cells = EpochMinArray::new();
+        cells.ensure(n);
+        b.iter(|| {
+            // O(1) logical reset: every cell reads as infinity again.
+            cells.advance();
+            for (i, &x) in data.iter().enumerate() {
+                cells.write_min(i, x);
+            }
+            black_box(cells.load(0))
+        })
+    });
+    group.bench_function("epoch_write_min_1M/failing", |b| {
+        let mut cells = EpochMinArray::new();
+        cells.ensure(n);
+        for i in 0..n {
+            cells.store(i, 0);
+        }
+        b.iter(|| {
+            for (i, &x) in data.iter().enumerate() {
+                cells.write_min(i, x);
+            }
+            black_box(cells.load(0))
         })
     });
     group.finish();

@@ -14,11 +14,18 @@
 //!    Theorem 3.2's bound of `k + 2` includes it.
 //! 3. `A_i` is settled and removed from the fringe.
 //!
-//! Relaxations of settled vertices can never succeed (their `δ` is final
-//! and any candidate is `≥` it), so settled targets are skipped purely as
-//! an optimisation; likewise re-relaxing an unchanged vertex can produce no
-//! new updates, which is why change-driven substeps count identically to
-//! the literal "all of `A_i` every substep" of Algorithm 1.
+//! Relaxations into settled vertices are not filtered out: they can never
+//! succeed, so the priority-write's load-first check rejects them without
+//! an atomic read-modify-write. A vertex `v` settled in an earlier step has
+//! `δ(v) ≤ d_{i−1}`. A source `u` relaxing in step `i` is unsettled, and
+//! every vertex with `d ≤ d_{i−1}` is settled by then (Theorem 3.1), so
+//! `δ(v) ≤ d_{i−1} < d(u) ≤ δ(u) ≤ δ(u) + w(u, v)`. In step 1 the only
+//! settled vertex is the source, at `δ = 0`, which no candidate strictly
+//! undercuts. `relax_substep` keeps this as a `debug_assert!`.
+//!
+//! Likewise re-relaxing an unchanged vertex can produce no new updates,
+//! which is why change-driven substeps count identically to the literal
+//! "all of `A_i` every substep" of Algorithm 1.
 //!
 //! Goal-bounded solves may also stop *inside* a step (see
 //! `goals_final`): at `r ≡ ∞` the whole solve is one step, so this is
@@ -276,11 +283,9 @@ fn relax_substep(
                      any_le: &mut bool,
                      (u, du): (VertexId, Dist)| {
         for (v, w) in g.edges(u) {
-            if settled.get(v as usize) {
-                continue;
-            }
             let cand = du + w as Dist;
             if dist.write_min(v as usize, cand) {
+                debug_assert!(!settled.get(v as usize), "relaxation lowered settled vertex {v}");
                 if record {
                     claims_out.push((v, cand, u));
                 }
@@ -539,5 +544,38 @@ mod tests {
         let out = solve(&g, &RadiiSpec::Constant(10), 0);
         assert_eq!(out.stats.steps, 1, "all leaves within d_1 = 1 + 10");
         assert!(out.dist[1..].iter().all(|&d| d == 1));
+    }
+
+    /// FNV-1a over a parent array: a compact fingerprint of the whole tree.
+    fn parent_hash(parent: &[VertexId]) -> u64 {
+        parent
+            .iter()
+            .flat_map(|p| p.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn preprocessed_grid_counters_are_pinned() {
+        // Relaxations into settled vertices always fail the priority-write,
+        // so whether `relax_substep` filters them first may move no
+        // counter and no parent: these values must hold either way.
+        let g = weights::reweight(&gen::grid2d(16, 16), WeightModel::paper_weighted(), 1);
+        let pre = crate::Preprocessed::build(&g, &crate::PreprocessConfig::new(1, 8));
+        let pinned = [
+            (0u32, 12, 20, 2472, 0x8c0e_8ba0_68a0_31b6),
+            (135, 9, 15, 2455, 0xb217_76a2_0dd4_07ab),
+        ];
+        for (s, steps, substeps, relaxations, tree) in pinned {
+            let out = pre.sssp_with(
+                s,
+                EngineKind::Frontier,
+                EngineConfig::default().record_parents(true),
+            );
+            assert_eq!(out.stats.steps, steps, "source {s}");
+            assert_eq!(out.stats.substeps, substeps, "source {s}");
+            assert_eq!(out.stats.relaxations, relaxations, "source {s}");
+            let parent = out.parent.as_ref().expect("inline parents recorded");
+            assert_eq!(parent_hash(parent), tree, "source {s}: parent tree moved");
+        }
     }
 }

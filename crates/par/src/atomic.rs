@@ -3,7 +3,10 @@
 //!
 //! Radius stepping relaxes all edges out of the active set concurrently; the
 //! tentative-distance update `δ(v) ← min(δ(v), δ(u) + w(u,v))` is exactly a
-//! priority-write, implemented here with `AtomicU64::fetch_min`.
+//! priority-write. It is implemented here as check-then-write: a plain load
+//! first, and `AtomicU64::fetch_min` only when the candidate could strictly
+//! lower the cell. Most relaxations fail, and a failing one then costs a
+//! load instead of a locked read-modify-write.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,6 +51,15 @@ impl AtomicMinU64 {
     /// this to decide ownership of a vertex within a substep).
     #[inline]
     pub fn write_min(&self, value: u64) -> bool {
+        // ORDERING: see `load`. Between non-racing `store`s the cell only
+        // ever decreases, so a value at or below `value` stays there and
+        // the early `false` is final; a stale read that looks larger falls
+        // through to the RMW.
+        let current = self.0.load(Ordering::Relaxed);
+        crate::model::yield_point();
+        if current <= value {
+            return false;
+        }
         // ORDERING: the RMW totally orders concurrent write_mins on this
         // cell, which is all WriteMin's determinism needs; the value is
         // self-contained (see `load`), so no Acquire/Release edge is owed.

@@ -8,14 +8,20 @@
 //! turning every old entry back into a logical `u64::MAX` without touching
 //! it.
 //!
-//! The trick that keeps the hot path a single `fetch_min` is storing the
-//! epoch *inverted* in the high [`EPOCH_BITS`] bits: newer epochs get
-//! strictly smaller tags, so a priority-write from the current epoch always
-//! beats a stale entry by plain integer comparison — no compare-and-swap
-//! loop, no separate stamp array to race on. Values are therefore limited to
-//! [`MAX_STORABLE`] (48 bits, ≈ 2.8 · 10¹⁴); `u64::MAX` is accepted as the
-//! logical infinity. After [`EPOCHS_PER_FILL`] advances the tag space is
-//! exhausted and one real `O(n)` refill is paid — amortised away entirely.
+//! The trick that keeps the hot path one load plus at most one `fetch_min`
+//! is storing the epoch *inverted* in the high [`EPOCH_BITS`] bits: newer
+//! epochs get strictly smaller tags, so a priority-write from the current
+//! epoch always beats a stale entry by plain integer comparison — no
+//! compare-and-swap loop, no separate stamp array to race on. Values are
+//! therefore limited to [`MAX_STORABLE`] (48 bits, ≈ 2.8 · 10¹⁴);
+//! `u64::MAX` is accepted as the logical infinity. After
+//! [`EPOCHS_PER_FILL`] advances the tag space is exhausted and one real
+//! `O(n)` refill is paid — amortised away entirely.
+//!
+//! The same comparison lets [`EpochMinArray::write_min`] check before it
+//! writes: an offer that cannot strictly lower the loaded word returns
+//! `false` without the read-modify-write. That is the common case in a
+//! relaxation sweep, where most relaxations fail.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -142,14 +148,26 @@ impl EpochMinArray {
             return false;
         }
         let tagged = self.tag | value;
+        let cell = &self.raw[i];
+        // ORDERING: a Relaxed load of the self-contained tag+value word (see
+        // `load`). Within an epoch, between non-racing `store`s, the cell
+        // only ever decreases, so a word at or below `tagged` stays there
+        // and the early `false` below is final; a stale read that looks
+        // larger just falls through to the RMW, which decides against the
+        // cell's latest value.
+        let current = cell.load(Ordering::Relaxed);
         crate::model::yield_point();
-        // A stale entry carries a strictly larger (older-epoch) tag, so the
-        // plain fetch_min both replaces it and reports a strict lowering.
+        if current <= tagged {
+            return false;
+        }
+        // A stale or empty entry carries a strictly larger (older-epoch) tag,
+        // so it always reaches this fetch_min, which both replaces it and
+        // reports a strict lowering.
         // ORDERING: the atomic RMW already totally orders concurrent
         // write_mins on this cell; the tag+distance are one word, so no
         // separate data needs an Acquire/Release edge — the engine reads
         // results only after the join barrier of the parallel step.
-        self.raw[i].fetch_min(tagged, Ordering::Relaxed) > tagged
+        cell.fetch_min(tagged, Ordering::Relaxed) > tagged
     }
 
     /// Materialises the first `n` cells as a plain vector (`u64::MAX` for

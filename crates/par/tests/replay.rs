@@ -36,10 +36,12 @@ fn single_thread_workload() {
     assert_eq!(a.load(0), u64::MAX);
 }
 
-/// A two-thread workload on the `fetch_min` no-retry path: which thread
-/// arrives at each yield point first varies, but the *number* of calls
-/// per thread is schedule-independent, so the total is deterministic
-/// and a replay consumes a recorded trace exactly.
+/// A two-thread `write_min` workload: which thread arrives at each yield
+/// point first varies, and so does whether a call returns early from the
+/// load-first check or goes on to its single `fetch_min`, but each call
+/// takes exactly one yield point either way (no retry loop). The
+/// *number* of calls per thread is therefore schedule-independent, so the
+/// total is deterministic and a replay consumes a recorded trace exactly.
 fn multi_thread_workload() {
     let mut a = EpochMinArray::new();
     a.ensure(4);

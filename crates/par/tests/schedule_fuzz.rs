@@ -133,9 +133,11 @@ fn fuzz_epoch_rollover_under_contention() {
 /// Exactly one racer per strict lowering: both threads offer the same
 /// smaller value; precisely one `write_min` may report success.
 ///
-/// This is also CI's replay-smoke scenario: `write_min` is
-/// `fetch_min`-based (no retry loop), so the yield-point call count is
-/// schedule-independent and a strict replay consumes the trace exactly.
+/// This is also one of CI's replay-smoke scenarios: `write_min` takes
+/// exactly one yield point per call on either branch (the load-first
+/// early `false` or the single `fetch_min`; there is no retry loop), so
+/// the yield-point call count is schedule-independent and a strict replay
+/// consumes the trace exactly.
 #[test]
 fn fuzz_exactly_one_lowering_winner() {
     model::run_scenario(spec("fuzz_exactly_one_lowering_winner"), SEEDS, |seed| {
@@ -152,10 +154,41 @@ fn fuzz_exactly_one_lowering_winner() {
     });
 }
 
+/// The check-then-RMW window: `write_min` loads the cell, yields, and
+/// returns `false` early when the loaded word already undercuts the offer.
+/// Three threads offer 70, 60 and 50 to a cell preloaded at 100; whatever
+/// the others did between its load and its RMW, the writer of 50 offers
+/// the strict minimum and must win. After `advance`, the cell's stale 50
+/// counts as infinity, so a larger offer still lowers it.
+///
+/// CI's second replay-smoke scenario: every call takes exactly one yield
+/// point, so the per-seed decision count is schedule-independent.
+#[test]
+fn fuzz_smallest_offer_always_wins() {
+    model::run_scenario(spec("fuzz_smallest_offer_always_wins"), SEEDS, |seed| {
+        let mut a = EpochMinArray::new();
+        a.ensure(1);
+        a.store(0, 100);
+        let smallest_won = std::thread::scope(|s| {
+            let t70 = s.spawn(|| a.write_min(0, 70));
+            let t60 = s.spawn(|| a.write_min(0, 60));
+            let won = a.write_min(0, 50);
+            t70.join().expect("no panic");
+            t60.join().expect("no panic");
+            won
+        });
+        assert!(smallest_won, "seed {seed}: the smallest offer must always win");
+        assert_eq!(a.load(0), 50, "seed {seed}: the cell must end at the smallest offer");
+        a.advance();
+        assert!(a.write_min(0, 80), "seed {seed}: a stale 50 must read as infinity");
+        assert_eq!(a.load(0), 80);
+    });
+}
+
 /// The same fixpoint property through the real work-stealing pool (the
 /// path production solvers use), honouring `RS_NUM_THREADS`: relaxations
 /// fan out over the pool's workers while the model stream perturbs both
-/// the deque operations and the `fetch_min` sites.
+/// the deque operations and `write_min`'s check-to-RMW windows.
 #[test]
 fn fuzz_pool_contended_relaxation_fixpoint() {
     const N: u64 = 512;
