@@ -1,12 +1,11 @@
-//! Sequential Dijkstra, generic over the decrease-key heap.
+//! Sequential Dijkstra on the 4-ary [`DaryHeap`].
 //!
-//! The correctness reference for every parallel solver in the workspace,
-//! and — with its heap parameter — the ablation subject for the
-//! preprocessing's priority-queue choice (Lemma 4.2 specifies Fibonacci
-//! heaps; the d-ary heap usually wins on constants).
+//! The correctness reference for every parallel solver in the workspace:
+//! the one independent oracle the tests, examples and benchmarks compare
+//! against.
 
 use rs_core::Goals;
-use rs_ds::{DaryHeap, DecreaseKeyHeap};
+use rs_ds::DaryHeap;
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
 
 /// The one relaxation loop behind every public variant: optionally
@@ -19,11 +18,11 @@ use rs_graph::{CsrGraph, Dist, VertexId, INF};
 /// `n`-slice), the shortest-path tree is recorded inline — O(1) per
 /// relaxation, no post-pass — covering every improved vertex (settled
 /// entries telescope exactly).
-pub fn dijkstra_into_heap_with_parents<H: DecreaseKeyHeap>(
+pub fn dijkstra_into_heap_with_parents(
     g: &CsrGraph,
     s: VertexId,
     goals: Goals<'_>,
-    heap: &mut H,
+    heap: &mut DaryHeap,
     mut parent: Option<&mut [VertexId]>,
 ) -> (Vec<Dist>, usize, u64) {
     let n = g.num_vertices();
@@ -74,16 +73,10 @@ pub fn dijkstra_into_heap_with_parents<H: DecreaseKeyHeap>(
     (dist, settled, relaxations)
 }
 
-/// Single-source shortest paths with heap `H`; `dist[v] = INF` if
-/// unreachable.
-pub fn dijkstra<H: DecreaseKeyHeap>(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
-    let mut heap = H::with_capacity(g.num_vertices());
-    dijkstra_into_heap_with_parents(g, s, Goals::None, &mut heap, None).0
-}
-
-/// [`dijkstra`] with the default 4-ary heap.
+/// Single-source shortest paths; `dist[v] = INF` if unreachable.
 pub fn dijkstra_default(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
-    dijkstra::<DaryHeap>(g, s)
+    let mut heap = DaryHeap::with_capacity(g.num_vertices());
+    dijkstra_into_heap_with_parents(g, s, Goals::None, &mut heap, None).0
 }
 
 /// Dijkstra that also returns the shortest-path tree: `parent[v]` is the
@@ -106,7 +99,6 @@ pub use rs_core::stats::extract_path;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rs_ds::{FibonacciHeap, PairingHeap};
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel};
 
     fn diamond() -> CsrGraph {
@@ -131,16 +123,6 @@ mod tests {
         b.add_edge(0, 1, 7);
         let d = dijkstra_default(&b.build(), 0);
         assert_eq!(d, vec![0, 7, INF]);
-    }
-
-    #[test]
-    fn all_heaps_agree() {
-        let g = weights::reweight(&gen::grid2d(12, 13), WeightModel::paper_weighted(), 4);
-        let a = dijkstra::<DaryHeap>(&g, 5);
-        let b = dijkstra::<PairingHeap>(&g, 5);
-        let c = dijkstra::<FibonacciHeap>(&g, 5);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
     }
 
     #[test]

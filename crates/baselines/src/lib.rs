@@ -1,9 +1,8 @@
 //! Baseline shortest-path algorithms the paper builds on and compares
 //! against.
 //!
-//! * [`dijkstra`] — the sequential reference (§1), generic over the
-//!   decrease-key heap so the Fibonacci/pairing/d-ary trade-off can be
-//!   measured.
+//! * [`dijkstra`] — the sequential reference (§1) on a 4-ary heap, the
+//!   one independent oracle every other solver is tested against.
 //! * [`bfs`] — standard sequential BFS, the hop-distance oracle for
 //!   unit-weight tests.
 //! * [`delta_stepping`] — Meyer–Sanders ∆-stepping with the light/heavy
@@ -27,7 +26,7 @@ pub mod solver;
 
 pub use bfs::bfs_seq;
 pub use delta_stepping::{delta_stepping, DeltaSteppingResult};
-pub use dijkstra::{dijkstra, dijkstra_default, dijkstra_with_parents};
+pub use dijkstra::{dijkstra_default, dijkstra_with_parents};
 pub use solver::{BuildSolver, DeltaSteppingSolver, DijkstraSolver};
 
 /// `Algorithm::BellmanFord` as built through [`BuildSolver`]: the frontier

@@ -22,15 +22,12 @@
 use std::sync::Arc;
 
 use rs_core::engine::p2p;
-use rs_core::scratch::ScratchHeap;
 use rs_core::solver::{
-    execute_many_to_many, solve_goals, Algorithm, HeapKind, P2pMode, Query, QueryResponse,
-    QueryShape, RadiusSteppingSolver, ResolvedParts, SolverBuilder, SolverConfig, SolverGraph,
-    SsspSolver,
+    execute_many_to_many, solve_goals, Algorithm, P2pMode, Query, QueryResponse, QueryShape,
+    RadiusSteppingSolver, ResolvedParts, SolverBuilder, SolverConfig, SolverGraph, SsspSolver,
 };
 use rs_core::stats::{SsspResult, StepStats};
 use rs_core::{Landmarks, ShortcutExpander, SolverScratch};
-use rs_ds::{DaryHeap, FibonacciHeap, PairingHeap};
 use rs_graph::{CsrGraph, Dist, INF};
 
 use crate::delta_stepping::{delta_stepping_scratch, DeltaSteppingResult};
@@ -52,9 +49,9 @@ impl<'g> BuildSolver<'g> for SolverBuilder<'g> {
         // expansion table so extracted paths unroll back to input-graph
         // edges.
         match parts.algorithm {
-            Algorithm::Dijkstra { heap } => {
+            Algorithm::Dijkstra => {
                 let ResolvedParts { graph, expander, landmarks, .. } = parts.resolve();
-                Box::new(DijkstraSolver { graph, heap, config: parts.config, expander, landmarks })
+                Box::new(DijkstraSolver { graph, config: parts.config, expander, landmarks })
             }
             Algorithm::DeltaStepping { delta } => {
                 let ResolvedParts { graph, expander, .. } = parts.resolve();
@@ -68,7 +65,6 @@ impl<'g> BuildSolver<'g> for SolverBuilder<'g> {
 /// Sequential Dijkstra behind the solver interface.
 pub struct DijkstraSolver<'g> {
     pub graph: SolverGraph<'g>,
-    pub heap: HeapKind,
     pub config: SolverConfig,
     pub expander: Option<Arc<ShortcutExpander>>,
     /// ALT landmark table when [`SolverConfig::p2p_mode`] reads one
@@ -79,7 +75,7 @@ pub struct DijkstraSolver<'g> {
 impl DijkstraSolver<'_> {
     /// Runs the configured non-forward point-to-point kernel, or `None`
     /// when the forward early-exit path should serve the query.
-    fn run_p2p<H: ScratchHeap>(
+    fn run_p2p(
         &self,
         query: &Query,
         source: u32,
@@ -90,24 +86,20 @@ impl DijkstraSolver<'_> {
         let out = match self.config.effective_p2p(self.landmarks.is_some()) {
             P2pMode::Forward | P2pMode::Auto => return None,
             P2pMode::Bidirectional => {
-                p2p::bidirectional::<H>(&self.graph, source, goal, want_paths, scratch)
+                p2p::bidirectional(&self.graph, source, goal, want_paths, scratch)
             }
             P2pMode::GoalDirected => {
                 let lm = self.landmarks.as_ref().expect("GoalDirected owns landmarks");
-                p2p::goal_directed::<H>(&self.graph, source, goal, lm, want_paths, scratch)
+                p2p::goal_directed(&self.graph, source, goal, lm, want_paths, scratch)
             }
         };
         Some(QueryResponse::single(query.clone(), out).with_expander(self.expander.clone()))
     }
 
-    fn run_scratch<H: ScratchHeap>(
-        &self,
-        query: &Query,
-        scratch: &mut SolverScratch,
-    ) -> QueryResponse {
+    fn run_scratch(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
         let n = self.graph.num_vertices();
         scratch.begin(n);
-        let mut heap: H = scratch.checkout_heap();
+        let mut heap = scratch.checkout_heap();
         let mut goal_buf = Vec::new();
         // Dijkstra is sequential, so parents are always recorded inline
         // (deterministic, O(1) per relaxation) — never by post-pass.
@@ -139,7 +131,7 @@ impl DijkstraSolver<'_> {
 
 impl SsspSolver for DijkstraSolver<'_> {
     fn name(&self) -> String {
-        format!("dijkstra/{:?}", self.heap).to_lowercase()
+        "dijkstra".into()
     }
 
     fn graph(&self) -> &CsrGraph {
@@ -151,20 +143,11 @@ impl SsspSolver for DijkstraSolver<'_> {
             return execute_many_to_many(self, query).with_expander(self.expander.clone());
         }
         if let QueryShape::PointToPoint { source, goal } = query.shape {
-            let kernel = match self.heap {
-                HeapKind::Dary => self.run_p2p::<DaryHeap>(query, source, goal, scratch),
-                HeapKind::Pairing => self.run_p2p::<PairingHeap>(query, source, goal, scratch),
-                HeapKind::Fibonacci => self.run_p2p::<FibonacciHeap>(query, source, goal, scratch),
-            };
-            if let Some(response) = kernel {
+            if let Some(response) = self.run_p2p(query, source, goal, scratch) {
                 return response;
             }
         }
-        match self.heap {
-            HeapKind::Dary => self.run_scratch::<DaryHeap>(query, scratch),
-            HeapKind::Pairing => self.run_scratch::<PairingHeap>(query, scratch),
-            HeapKind::Fibonacci => self.run_scratch::<FibonacciHeap>(query, scratch),
-        }
+        self.run_scratch(query, scratch)
     }
 
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
@@ -172,17 +155,9 @@ impl SsspSolver for DijkstraSolver<'_> {
         let n = self.graph.num_vertices();
         if self.config.effective_p2p(self.landmarks.is_some()) == P2pMode::Bidirectional {
             scratch.warm_up_bidir(&self.graph);
-            match self.heap {
-                HeapKind::Dary => scratch.warm_heap_rev::<DaryHeap>(n),
-                HeapKind::Pairing => scratch.warm_heap_rev::<PairingHeap>(n),
-                HeapKind::Fibonacci => scratch.warm_heap_rev::<FibonacciHeap>(n),
-            }
+            scratch.warm_heap_rev(n);
         }
-        match self.heap {
-            HeapKind::Dary => scratch.warm_heap::<DaryHeap>(n),
-            HeapKind::Pairing => scratch.warm_heap::<PairingHeap>(n),
-            HeapKind::Fibonacci => scratch.warm_heap::<FibonacciHeap>(n),
-        }
+        scratch.warm_heap(n);
     }
 }
 
@@ -265,7 +240,7 @@ mod tests {
         let algorithms = [
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
             Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(900) },
-            Algorithm::Dijkstra { heap: HeapKind::Pairing },
+            Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 2_000 },
             Algorithm::BellmanFord,
         ];
@@ -294,7 +269,7 @@ mod tests {
         let g = weighted();
         let reference = dijkstra_default(&g, 0);
         let solver = SolverBuilder::new(&g)
-            .algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary })
+            .algorithm(Algorithm::Dijkstra)
             .preprocess(PreprocessConfig::new(1, 8))
             .build();
         assert!(solver.graph().num_edges() >= g.num_edges());
@@ -315,7 +290,7 @@ mod tests {
         for _ in 0..2 {
             // First iteration builds + saves, second loads; both exact.
             let solver = SolverBuilder::new(&g)
-                .algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary })
+                .algorithm(Algorithm::Dijkstra)
                 .preprocess_cached(&path, cfg)
                 .build();
             assert!(solver.graph().num_edges() >= g.num_edges());
@@ -329,11 +304,9 @@ mod tests {
     fn goal_bounded_baselines_settle_goal() {
         let g = weighted();
         let reference = dijkstra_default(&g, 0);
-        for algorithm in [
-            Algorithm::Dijkstra { heap: HeapKind::Dary },
-            Algorithm::DeltaStepping { delta: 1_500 },
-            Algorithm::BellmanFord,
-        ] {
+        for algorithm in
+            [Algorithm::Dijkstra, Algorithm::DeltaStepping { delta: 1_500 }, Algorithm::BellmanFord]
+        {
             let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
             let out = solver.solve_to_goal(0, 71);
             assert_eq!(out.dist[71], reference[71], "{}", solver.name());
@@ -343,11 +316,9 @@ mod tests {
     #[test]
     fn parents_recorded_across_algorithms() {
         let g = weighted();
-        for algorithm in [
-            Algorithm::Dijkstra { heap: HeapKind::Fibonacci },
-            Algorithm::DeltaStepping { delta: 3_000 },
-            Algorithm::BellmanFord,
-        ] {
+        for algorithm in
+            [Algorithm::Dijkstra, Algorithm::DeltaStepping { delta: 3_000 }, Algorithm::BellmanFord]
+        {
             let solver = SolverBuilder::new(&g).algorithm(algorithm).record_parents(true).build();
             let out = solver.solve(0);
             let path = out.extract_path(70).expect("connected grid");

@@ -1,4 +1,5 @@
-//! One driver per paper table/figure; see DESIGN.md §6 for the index.
+//! One driver per paper table/figure; README's "Reproducing the paper"
+//! section has the index.
 
 pub mod bounds;
 pub mod fig2;

@@ -6,8 +6,8 @@
 //! sources, counting outer-loop steps. As in the paper, the step count
 //! depends only on ρ (Theorem 3.3) and not on k, so the radii are computed
 //! without materialising shortcut edges — which is also what makes
-//! ρ = 10⁴ feasible (`n·ρ` edges would not fit at paper scale; see
-//! DESIGN.md substitution S3).
+//! ρ = 10⁴ feasible (`n·ρ` edges would not fit at paper scale; README,
+//! "Reproducing the paper", lists this substitution).
 //!
 //! The scale-robust comparison against the paper is the *reduction factor*
 //! (Tables 5 and 7): steps(ρ=1) / steps(ρ), where ρ=1 is standard BFS

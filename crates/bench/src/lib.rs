@@ -1,14 +1,15 @@
 //! Experiment harness reproducing the paper's evaluation (§5 + Appendix A).
 //!
-//! Every table and figure has a driver here (see DESIGN.md §6 for the
-//! index); the `repro` binary runs them and prints paper-style tables plus
-//! CSV files. Graphs are scaled-down stand-ins for the paper's datasets
-//! (DESIGN.md §5): the paper's quantities that are *ratios* (reduction
-//! factors, added-edge factors, steps-vs-ρ slopes) are the reproduction
-//! targets, not absolute step counts at million-vertex scale.
+//! Every table and figure has a driver here (README's "Reproducing the
+//! paper" section has the index); the `repro` binary runs them and prints
+//! paper-style tables plus CSV files. Graphs are scaled-down stand-ins for
+//! the paper's datasets (see [`suite`]): the paper's quantities that are
+//! *ratios* (reduction factors, added-edge factors, steps-vs-ρ slopes) are
+//! the reproduction targets, not absolute step counts at million-vertex
+//! scale.
 //!
 //! ```text
-//! cargo run --release -p rs-bench --bin repro -- --all --scale 16
+//! cargo run --release -p rs_bench --bin repro -- --all --scale 16
 //! ```
 
 pub mod experiments;

@@ -29,7 +29,7 @@
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
 
 use crate::landmarks::Landmarks;
-use crate::scratch::{assert_distance_range, ScratchHeap, SolverScratch};
+use crate::scratch::{assert_distance_range, SolverScratch};
 use crate::stats::{SsspResult, StepStats};
 
 /// Counters shared by both kernels: one "step" per heap extraction (the
@@ -76,7 +76,7 @@ fn trivial_self_query(
 /// lengths, so `μ` is always achievable, and once `top_f + top_r ≥ μ` no
 /// undiscovered path can beat it. Each round expands the side with the
 /// smaller head key (ties forward), which balances the two balls.
-pub fn bidirectional<H: ScratchHeap>(
+pub fn bidirectional(
     g: &CsrGraph,
     source: VertexId,
     goal: VertexId,
@@ -93,8 +93,8 @@ pub fn bidirectional<H: ScratchHeap>(
     }
     let gt = g.transpose();
     // Heaps come out of their slots before the views borrow the scratch.
-    let mut heap_f: H = scratch.checkout_heap();
-    let mut heap_r: H = scratch.checkout_heap_rev();
+    let mut heap_f = scratch.checkout_heap();
+    let mut heap_r = scratch.checkout_heap_rev();
     let (view, rev) = scratch.view_bidir();
     let (dist_f, settled_f) = (view.dist, view.settled);
     let (dist_r, settled_r) = (rev.dist, rev.settled);
@@ -200,7 +200,7 @@ pub fn bidirectional<H: ScratchHeap>(
 /// `cand + h(v)` already exceeds the goal's tentative distance (strict
 /// `>`: equal-length candidates still propagate parents) or when
 /// `h(v) = ∞` proves `v` cannot reach the goal at all.
-pub fn goal_directed<H: ScratchHeap>(
+pub fn goal_directed(
     g: &CsrGraph,
     source: VertexId,
     goal: VertexId,
@@ -230,7 +230,7 @@ pub fn goal_directed<H: ScratchHeap>(
         let stats = kernel_stats(1, 0, scratch.finish());
         return SsspResult { dist, parent, stats };
     }
-    let mut heap: H = scratch.checkout_heap();
+    let mut heap = scratch.checkout_heap();
     let view = scratch.view();
     let (dist, done) = (view.dist, view.settled);
     let parent = view.verts_a;
@@ -285,7 +285,6 @@ pub fn goal_directed<H: ScratchHeap>(
 mod tests {
     use super::*;
     use crate::landmarks::DEFAULT_LANDMARKS;
-    use rs_ds::DaryHeap;
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel};
 
     fn reference(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
@@ -302,7 +301,7 @@ mod tests {
         let truth = reference(&g, 0);
         let mut scratch = SolverScratch::new();
         for goal in [0u32, 1, 90, 181] {
-            let out = bidirectional::<DaryHeap>(&g, 0, goal, true, &mut scratch);
+            let out = bidirectional(&g, 0, goal, true, &mut scratch);
             assert_eq!(out.dist[goal as usize], truth[goal as usize], "goal {goal}");
             // Every finite entry is a true upper bound.
             for (v, &d) in out.dist.iter().enumerate() {
@@ -324,7 +323,7 @@ mod tests {
         let lm = Landmarks::build(&g, DEFAULT_LANDMARKS);
         let truth = reference(&g, 7);
         let mut scratch = SolverScratch::new();
-        let out = goal_directed::<DaryHeap>(&g, 7, 180, &lm, true, &mut scratch);
+        let out = goal_directed(&g, 7, 180, &lm, true, &mut scratch);
         assert_eq!(out.dist[180], truth[180]);
         for (v, &d) in out.dist.iter().enumerate() {
             assert!(d == INF || d >= truth[v], "entry {v} below the true distance");
@@ -342,11 +341,11 @@ mod tests {
         b.add_edge(3, 4, 9); // separate component
         let g = b.build();
         let mut scratch = SolverScratch::new();
-        let out = bidirectional::<DaryHeap>(&g, 0, 4, true, &mut scratch);
+        let out = bidirectional(&g, 0, 4, true, &mut scratch);
         assert_eq!(out.dist[4], INF);
         assert!(out.extract_path(4).is_none());
         let lm = Landmarks::build(&g, 2);
-        let alt = goal_directed::<DaryHeap>(&g, 0, 4, &lm, true, &mut scratch);
+        let alt = goal_directed(&g, 0, 4, &lm, true, &mut scratch);
         assert_eq!(alt.dist[4], INF);
         assert_eq!(alt.stats.relaxed_edges, 0, "landmark proof skips the search");
     }
@@ -357,8 +356,8 @@ mod tests {
         let lm = Landmarks::build(&g, 2);
         let mut scratch = SolverScratch::new();
         for out in [
-            bidirectional::<DaryHeap>(&g, 9, 9, true, &mut scratch),
-            goal_directed::<DaryHeap>(&g, 9, 9, &lm, true, &mut scratch),
+            bidirectional(&g, 9, 9, true, &mut scratch),
+            goal_directed(&g, 9, 9, &lm, true, &mut scratch),
         ] {
             assert_eq!(out.dist[9], 0);
             assert_eq!(out.extract_path(9), Some(vec![9]));
@@ -371,11 +370,11 @@ mod tests {
         let g = weighted(8);
         let mut scratch = SolverScratch::new();
         scratch.warm_up_bidir(&g);
-        scratch.warm_heap::<DaryHeap>(g.num_vertices());
-        scratch.warm_heap_rev::<DaryHeap>(g.num_vertices());
-        let out = bidirectional::<DaryHeap>(&g, 0, 170, false, &mut scratch);
+        scratch.warm_heap(g.num_vertices());
+        scratch.warm_heap_rev(g.num_vertices());
+        let out = bidirectional(&g, 0, 170, false, &mut scratch);
         assert!(out.stats.scratch_reused, "warmed first solve must not allocate");
-        let again = bidirectional::<DaryHeap>(&g, 170, 0, false, &mut scratch);
+        let again = bidirectional(&g, 170, 0, false, &mut scratch);
         assert!(again.stats.scratch_reused);
         assert_eq!(out.dist[170], again.dist[0], "symmetric graph: d(s,t) = d(t,s)");
     }

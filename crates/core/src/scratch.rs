@@ -36,7 +36,7 @@
 //! shortest paths of ~65 000 maximum-weight hops, far beyond every graph
 //! in the workspace, and debug builds assert the cap.
 
-use rs_ds::{BucketQueue, DaryHeap, DecreaseKeyHeap, FibonacciHeap, PairingHeap, TreapArena};
+use rs_ds::{BucketQueue, DaryHeap, TreapArena};
 use rs_graph::{CsrGraph, Dist, VertexId};
 use rs_par::{AtomicBitset, EpochMinArray};
 
@@ -94,51 +94,6 @@ pub fn assert_distance_range(g: &CsrGraph) {
         rs_par::epoch::MAX_STORABLE,
     );
 }
-
-/// The heap slot: at most one decrease-key heap is cached, of whichever
-/// kind the last checkout used. Switching kinds on the same scratch simply
-/// reallocates once.
-#[derive(Debug, Default)]
-pub enum HeapSlot {
-    #[default]
-    Empty,
-    Dary(DaryHeap),
-    Pairing(PairingHeap),
-    Fibonacci(FibonacciHeap),
-}
-
-/// Heaps that can live in a [`SolverScratch`]'s [`HeapSlot`].
-pub trait ScratchHeap: DecreaseKeyHeap + Sized {
-    /// Takes the cached heap out of the slot if it is of this type.
-    fn take(slot: &mut HeapSlot) -> Option<Self>;
-
-    /// Stores this heap back into the slot for the next solve.
-    fn put(self, slot: &mut HeapSlot);
-}
-
-macro_rules! impl_scratch_heap {
-    ($heap:ty, $variant:ident) => {
-        impl ScratchHeap for $heap {
-            fn take(slot: &mut HeapSlot) -> Option<Self> {
-                match std::mem::take(slot) {
-                    HeapSlot::$variant(h) => Some(h),
-                    other => {
-                        *slot = other;
-                        None
-                    }
-                }
-            }
-
-            fn put(self, slot: &mut HeapSlot) {
-                *slot = HeapSlot::$variant(self);
-            }
-        }
-    };
-}
-
-impl_scratch_heap!(DaryHeap, Dary);
-impl_scratch_heap!(PairingHeap, Pairing);
-impl_scratch_heap!(FibonacciHeap, Fibonacci);
 
 /// Borrowed per-solve working state, produced by [`SolverScratch::view`].
 ///
@@ -244,8 +199,8 @@ pub struct SolverScratch {
     dists: Vec<Dist>,
     dist_rev: EpochMinArray,
     mark_d: AtomicBitset,
-    heap: HeapSlot,
-    heap_rev: HeapSlot,
+    heap: Option<DaryHeap>,
+    heap_rev: Option<DaryHeap>,
     bucket: Option<BucketQueue>,
     treap: TreapArena,
     treap_mark: u64,
@@ -489,51 +444,31 @@ impl SolverScratch {
         self.solves -= 1;
     }
 
-    /// Checks out a cleared decrease-key heap covering the current vertex
-    /// count, reusing the cached one when type and capacity match. Return
-    /// it with [`SolverScratch::return_heap`] so the next solve can reuse
-    /// it.
-    pub fn checkout_heap<H: ScratchHeap>(&mut self) -> H {
+    /// Checks out a cleared heap covering the current vertex count,
+    /// reusing the cached one when its capacity fits. Return it with
+    /// [`SolverScratch::return_heap`] so the next solve can reuse it.
+    pub fn checkout_heap(&mut self) -> DaryHeap {
         debug_assert!(self.in_solve, "checkout_heap() outside begin()/finish()");
-        match H::take(&mut self.heap) {
-            Some(mut h) if h.capacity() >= self.n => {
-                h.clear();
-                h
-            }
-            _ => {
-                self.allocated = true;
-                H::with_capacity(self.n)
-            }
-        }
+        checkout_slot(&mut self.heap, self.n, &mut self.allocated)
     }
 
     /// Returns a heap checked out with [`SolverScratch::checkout_heap`].
-    pub fn return_heap<H: ScratchHeap>(&mut self, heap: H) {
-        heap.put(&mut self.heap);
+    pub fn return_heap(&mut self, heap: DaryHeap) {
+        self.heap = Some(heap);
     }
 
-    /// Checks out the second cleared decrease-key heap — the reverse
-    /// frontier of a bidirectional solve, cached in its own slot so both
-    /// directions run warm. Return it with
-    /// [`SolverScratch::return_heap_rev`].
-    pub fn checkout_heap_rev<H: ScratchHeap>(&mut self) -> H {
+    /// Checks out the second cleared heap — the reverse frontier of a
+    /// bidirectional solve, cached in its own slot so both directions run
+    /// warm. Return it with [`SolverScratch::return_heap_rev`].
+    pub fn checkout_heap_rev(&mut self) -> DaryHeap {
         debug_assert!(self.in_solve, "checkout_heap_rev() outside begin()/finish()");
-        match H::take(&mut self.heap_rev) {
-            Some(mut h) if h.capacity() >= self.n => {
-                h.clear();
-                h
-            }
-            _ => {
-                self.allocated = true;
-                H::with_capacity(self.n)
-            }
-        }
+        checkout_slot(&mut self.heap_rev, self.n, &mut self.allocated)
     }
 
     /// Returns a heap checked out with
     /// [`SolverScratch::checkout_heap_rev`].
-    pub fn return_heap_rev<H: ScratchHeap>(&mut self, heap: H) {
-        heap.put(&mut self.heap_rev);
+    pub fn return_heap_rev(&mut self, heap: DaryHeap) {
+        self.heap_rev = Some(heap);
     }
 
     /// Checks out a cleared ∆-stepping bucket queue compatible with
@@ -581,24 +516,16 @@ impl SolverScratch {
 
     /// Pre-sizes the cached heap slot for graphs of `n` vertices without
     /// opening a solve — the heap half of [`SolverScratch::warm_up`],
-    /// called by the Dijkstra solver's `warm_scratch` (only the solver
-    /// knows its heap kind).
-    pub fn warm_heap<H: ScratchHeap>(&mut self, n: usize) {
-        let heap = match H::take(&mut self.heap) {
-            Some(h) if h.capacity() >= n => h,
-            _ => H::with_capacity(n),
-        };
-        heap.put(&mut self.heap);
+    /// called by the `warm_scratch` of solvers that run a heap-based
+    /// kernel (Dijkstra, and the point-to-point kernels).
+    pub fn warm_heap(&mut self, n: usize) {
+        warm_slot(&mut self.heap, n);
     }
 
     /// Pre-sizes the reverse heap slot — the bidirectional counterpart of
     /// [`SolverScratch::warm_heap`].
-    pub fn warm_heap_rev<H: ScratchHeap>(&mut self, n: usize) {
-        let heap = match H::take(&mut self.heap_rev) {
-            Some(h) if h.capacity() >= n => h,
-            _ => H::with_capacity(n),
-        };
-        heap.put(&mut self.heap_rev);
+    pub fn warm_heap_rev(&mut self, n: usize) {
+        warm_slot(&mut self.heap_rev, n);
     }
 
     /// Pre-sizes the cached bucket queue without opening a solve — the
@@ -615,6 +542,28 @@ impl SolverScratch {
     /// BST-engine half of [`SolverScratch::warm_up`].
     pub fn warm_treap_arena(&mut self, nodes: usize) {
         self.treap.reserve_nodes(nodes);
+    }
+}
+
+/// Takes the heap out of `slot`, cleared, if it covers `n` items; else
+/// allocates a fresh one and flags the solve cold.
+fn checkout_slot(slot: &mut Option<DaryHeap>, n: usize, allocated: &mut bool) -> DaryHeap {
+    match slot.take() {
+        Some(mut h) if h.capacity() >= n => {
+            h.clear();
+            h
+        }
+        _ => {
+            *allocated = true;
+            DaryHeap::with_capacity(n)
+        }
+    }
+}
+
+/// Leaves a heap covering `n` items in `slot`.
+fn warm_slot(slot: &mut Option<DaryHeap>, n: usize) {
+    if slot.as_ref().is_none_or(|h| h.capacity() < n) {
+        *slot = Some(DaryHeap::with_capacity(n));
     }
 }
 
@@ -842,12 +791,12 @@ mod tests {
         let g = rs_graph::gen::grid2d(8, 8);
         let mut s = SolverScratch::new();
         s.warm_up_bidir(&g);
-        s.warm_heap::<DaryHeap>(g.num_vertices());
-        s.warm_heap_rev::<DaryHeap>(g.num_vertices());
+        s.warm_heap(g.num_vertices());
+        s.warm_heap_rev(g.num_vertices());
         assert_eq!(s.solves(), 0, "warming is not a solve");
         s.begin(g.num_vertices());
-        let hf: DaryHeap = s.checkout_heap();
-        let hr: DaryHeap = s.checkout_heap_rev();
+        let hf = s.checkout_heap();
+        let hr = s.checkout_heap_rev();
         s.return_heap(hf);
         s.return_heap_rev(hr);
         let _ = s.view_bidir();
@@ -881,30 +830,20 @@ mod tests {
     }
 
     #[test]
-    fn heap_slot_reuse_and_type_switch() {
+    fn heap_slot_reuse() {
         let mut s = SolverScratch::new();
         s.begin(50);
-        let mut h: DaryHeap = s.checkout_heap();
+        let mut h = s.checkout_heap();
         h.push_or_decrease(1, 10);
         s.return_heap(h);
         assert!(!s.finish(), "cold: heap allocated");
 
         s.begin(50);
-        let h: DaryHeap = s.checkout_heap();
+        let h = s.checkout_heap();
         assert!(h.is_empty(), "checked-out heap is cleared");
         assert_eq!(h.capacity(), 50);
         s.return_heap(h);
         assert!(s.finish(), "warm: heap reused");
-
-        s.begin(50);
-        let h: PairingHeap = s.checkout_heap();
-        s.return_heap(h);
-        assert!(!s.finish(), "switching heap kinds reallocates once");
-
-        s.begin(50);
-        let h: PairingHeap = s.checkout_heap();
-        s.return_heap(h);
-        assert!(s.finish());
     }
 
     #[test]
@@ -954,9 +893,9 @@ mod tests {
     #[test]
     fn warm_heap_and_bucket_prewarm_slots() {
         let mut s = SolverScratch::new();
-        s.warm_heap::<DaryHeap>(64);
+        s.warm_heap(64);
         s.begin(64);
-        let h: DaryHeap = s.checkout_heap();
+        let h = s.checkout_heap();
         s.return_heap(h);
         assert!(s.finish(), "prewarmed heap checkout is warm");
 

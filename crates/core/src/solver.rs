@@ -18,7 +18,7 @@
 //!   `solve_to_goal` / `solve_with_scratch` / `solve_batch` methods are
 //!   thin default wrappers over it.
 //! * [`Algorithm`] — the algorithm selector (`RadiusStepping { engine,
-//!   radii }`, `Dijkstra { heap }`, `DeltaStepping { delta }`,
+//!   radii }`, `Dijkstra`, `DeltaStepping { delta }`,
 //!   `BellmanFord`, `Bfs`).
 //! * [`SolverBuilder`] — picks the algorithm, optionally attaches
 //!   (k, ρ)-preprocessing, and toggles tracing / parent recording.
@@ -932,18 +932,6 @@ impl Radii {
     }
 }
 
-/// Decrease-key heap selector for the Dijkstra baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HeapKind {
-    /// 4-ary array heap (usually fastest in practice).
-    #[default]
-    Dary,
-    /// Pairing heap.
-    Pairing,
-    /// Fibonacci heap (the Lemma 4.2 choice).
-    Fibonacci,
-}
-
 /// Algorithm selector: the five families of the paper's evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Algorithm {
@@ -951,8 +939,8 @@ pub enum Algorithm {
     /// [`SolverBuilder::preprocess`] to derive `r_ρ(v)` radii and shortcut
     /// edges instead of passing radii here.
     RadiusStepping { engine: EngineKind, radii: Radii },
-    /// Sequential Dijkstra, generic over the decrease-key heap.
-    Dijkstra { heap: HeapKind },
+    /// Sequential Dijkstra on a 4-ary decrease-key heap.
+    Dijkstra,
     /// Meyer–Sanders ∆-stepping with bucket width ∆.
     DeltaStepping { delta: Dist },
     /// Bellman–Ford as the paper defines it (§3): the frontier engine at
@@ -1374,23 +1362,12 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
                 let want_paths = self.config.wants_paths(query);
                 let out = match self.config.effective_p2p(self.landmarks.is_some()) {
                     P2pMode::Forward | P2pMode::Auto => None,
-                    P2pMode::Bidirectional => Some(p2p::bidirectional::<rs_ds::DaryHeap>(
-                        &self.graph,
-                        source,
-                        goal,
-                        want_paths,
-                        scratch,
-                    )),
+                    P2pMode::Bidirectional => {
+                        Some(p2p::bidirectional(&self.graph, source, goal, want_paths, scratch))
+                    }
                     P2pMode::GoalDirected => {
                         let lm = self.landmarks.as_ref().expect("GoalDirected owns landmarks");
-                        Some(p2p::goal_directed::<rs_ds::DaryHeap>(
-                            &self.graph,
-                            source,
-                            goal,
-                            lm,
-                            want_paths,
-                            scratch,
-                        ))
+                        Some(p2p::goal_directed(&self.graph, source, goal, lm, want_paths, scratch))
                     }
                 };
                 if let Some(out) = out {
@@ -1429,10 +1406,10 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
             match self.config.effective_p2p(self.landmarks.is_some()) {
                 P2pMode::Bidirectional => {
                     scratch.warm_up_bidir(&self.graph);
-                    scratch.warm_heap::<rs_ds::DaryHeap>(n);
-                    scratch.warm_heap_rev::<rs_ds::DaryHeap>(n);
+                    scratch.warm_heap(n);
+                    scratch.warm_heap_rev(n);
                 }
-                P2pMode::GoalDirected => scratch.warm_heap::<rs_ds::DaryHeap>(n),
+                P2pMode::GoalDirected => scratch.warm_heap(n),
                 P2pMode::Forward | P2pMode::Auto => {}
             }
         }

@@ -2,11 +2,11 @@
 //!
 //! The paper leans on two families of structures:
 //!
-//! * **Decrease-key heaps** for the truncated-Dijkstra preprocessing
-//!   (Lemma 4.2 specifies Fibonacci heaps): [`FibonacciHeap`],
-//!   [`PairingHeap`] and the cache-friendly [`DaryHeap`] all implement the
-//!   common [`DecreaseKeyHeap`] trait so the preprocessing and the Dijkstra
-//!   baseline are generic over the choice (ablated in the benches).
+//! * **A decrease-key heap** for sequential Dijkstra: [`DaryHeap`], the
+//!   4-ary indexed heap behind the Dijkstra oracle and its point-to-point
+//!   kernels. (The truncated-Dijkstra preprocessing, for which Lemma 4.2
+//!   specifies a Fibonacci heap, runs on `std::collections::BinaryHeap`
+//!   instead; see README's "Reproducing the paper".)
 //! * **Ordered sets with split / union / difference** for the efficient
 //!   Algorithm-2 engine (§3.3 maintains the fringe in two balanced BSTs
 //!   `Q` and `R`): [`Treap`] is a join-based treap with size augmentation
@@ -21,213 +21,10 @@
 
 pub mod bucket;
 pub mod dary;
-pub mod fibonacci;
 pub mod histogram;
-pub mod pairing;
 pub mod treap;
 
 pub use bucket::BucketQueue;
 pub use dary::DaryHeap;
-pub use fibonacci::FibonacciHeap;
 pub use histogram::LatencyHistogram;
-pub use pairing::PairingHeap;
 pub use treap::{Treap, TreapArena};
-
-/// A min-priority queue over items `0..capacity` with `u64` keys and
-/// decrease-key, the interface Dijkstra-style searches need.
-///
-/// Each item may appear at most once; [`DecreaseKeyHeap::push_or_decrease`]
-/// merges insert and decrease-key the way relaxation uses them.
-pub trait DecreaseKeyHeap {
-    /// Creates a heap for items `0..capacity`.
-    fn with_capacity(capacity: usize) -> Self;
-
-    /// The item universe the heap was created for (`0..capacity`).
-    /// Preserved by [`DecreaseKeyHeap::clear`], so a cleared heap can be
-    /// reused for any graph with at most this many vertices without
-    /// reallocating.
-    fn capacity(&self) -> usize;
-
-    /// Number of items currently queued.
-    fn len(&self) -> usize;
-
-    /// True when no items are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Inserts `item` with `key`, or lowers its key if already queued with a
-    /// larger one. Returns `true` iff the heap changed (inserted or
-    /// decreased) — exactly "the relaxation succeeded".
-    fn push_or_decrease(&mut self, item: u32, key: u64) -> bool;
-
-    /// Removes and returns the minimum-key item (ties broken arbitrarily).
-    fn pop_min(&mut self) -> Option<(u32, u64)>;
-
-    /// The minimum-key item without removing it — what a bidirectional
-    /// search's stopping rule reads each round. Ties match
-    /// [`DecreaseKeyHeap::pop_min`]'s arbitrary choice only in key, not
-    /// necessarily in item.
-    fn peek_min(&self) -> Option<(u32, u64)>;
-
-    /// Current key of `item`, if queued.
-    fn key_of(&self, item: u32) -> Option<u64>;
-
-    /// Removes all items, keeping capacity: after `clear()` the heap
-    /// behaves exactly like `with_capacity(self.capacity())` but performs
-    /// no allocation on reuse (asserted by the shared clear-reuse battery).
-    fn clear(&mut self);
-}
-
-#[cfg(test)]
-pub(crate) mod heap_test_support {
-    //! Model-based test battery shared by all three heap implementations.
-    use super::DecreaseKeyHeap;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-
-    /// Drives `H` against a simple model; panics on divergence.
-    pub fn run_model_battery<H: DecreaseKeyHeap>(seed: u64, ops: usize, universe: u32) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut heap = H::with_capacity(universe as usize);
-        let mut model: std::collections::BTreeMap<u32, u64> = Default::default();
-        for _ in 0..ops {
-            match rng.random_range(0..10) {
-                0..=5 => {
-                    let item = rng.random_range(0..universe);
-                    let key = rng.random_range(0..1000u64);
-                    let model_changed = match model.get(&item) {
-                        Some(&old) if old <= key => false,
-                        _ => {
-                            model.insert(item, key);
-                            true
-                        }
-                    };
-                    let heap_changed = heap.push_or_decrease(item, key);
-                    assert_eq!(heap_changed, model_changed, "push_or_decrease({item},{key})");
-                }
-                6..=8 => {
-                    let expect_min = model.values().copied().min();
-                    assert_eq!(
-                        heap.peek_min().map(|(_, k)| k),
-                        expect_min,
-                        "peek_min key must match the model minimum"
-                    );
-                    if let Some((item, key)) = heap.peek_min() {
-                        assert_eq!(heap.key_of(item), Some(key), "peek_min item/key mismatch");
-                    }
-                    match heap.pop_min() {
-                        None => assert!(model.is_empty()),
-                        Some((item, key)) => {
-                            assert_eq!(Some(key), expect_min, "pop_min returned non-minimal key");
-                            assert_eq!(model.remove(&item), Some(key), "pop_min item/key mismatch");
-                        }
-                    }
-                }
-                _ => {
-                    let item = rng.random_range(0..universe);
-                    assert_eq!(heap.key_of(item), model.get(&item).copied(), "key_of({item})");
-                }
-            }
-            assert_eq!(heap.len(), model.len());
-            assert_eq!(heap.is_empty(), model.is_empty());
-        }
-        // Drain: must come out in nondecreasing key order.
-        let mut last = 0u64;
-        while let Some((item, key)) = heap.pop_min() {
-            assert!(key >= last, "heap order violated");
-            last = key;
-            assert_eq!(model.remove(&item), Some(key));
-        }
-        assert!(model.is_empty());
-    }
-
-    /// Heapsort check: n random keys drain in sorted order.
-    pub fn run_heapsort<H: DecreaseKeyHeap>(seed: u64, n: u32) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut heap = H::with_capacity(n as usize);
-        let mut keys: Vec<u64> = (0..n).map(|_| rng.random_range(0..1_000_000)).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            assert!(heap.push_or_decrease(i as u32, k));
-        }
-        keys.sort_unstable();
-        let mut drained = Vec::with_capacity(n as usize);
-        while let Some((_, k)) = heap.pop_min() {
-            drained.push(k);
-        }
-        assert_eq!(drained, keys);
-    }
-
-    /// Clear-reuse battery: after `clear()` a heap must behave exactly
-    /// like a freshly constructed one of the same capacity — same drain
-    /// sequence (up to arbitrary tie order), `key_of` misses everywhere,
-    /// and the capacity preserved — across several fill/clear cycles,
-    /// including a clear of a half-drained (dirty) heap.
-    pub fn run_clear_reuse<H: DecreaseKeyHeap>(seed: u64, universe: u32) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut reused = H::with_capacity(universe as usize);
-        for cycle in 0..4 {
-            // Dirty the heap (leave it half-drained on odd cycles).
-            for i in 0..universe {
-                reused.push_or_decrease(i, rng.random_range(0..10_000));
-            }
-            if cycle % 2 == 1 {
-                for _ in 0..universe / 2 {
-                    reused.pop_min();
-                }
-            }
-            reused.clear();
-            assert_eq!(reused.len(), 0);
-            assert!(reused.is_empty());
-            assert_eq!(reused.capacity(), universe as usize, "clear must keep capacity");
-            for i in 0..universe {
-                assert_eq!(reused.key_of(i), None, "cycle {cycle}: item {i} leaked");
-            }
-            // The cleared heap and a fresh heap must drain identically.
-            let mut fresh = H::with_capacity(universe as usize);
-            let keys: Vec<u64> = (0..universe).map(|_| rng.random_range(0..1_000u64)).collect();
-            for (i, &k) in keys.iter().enumerate() {
-                assert_eq!(
-                    reused.push_or_decrease(i as u32, k),
-                    fresh.push_or_decrease(i as u32, k)
-                );
-            }
-            let mut a: Vec<(u64, u32)> =
-                std::iter::from_fn(|| reused.pop_min()).map(|(i, k)| (k, i)).collect();
-            let mut b: Vec<(u64, u32)> =
-                std::iter::from_fn(|| fresh.pop_min()).map(|(i, k)| (k, i)).collect();
-            assert!(a.windows(2).all(|w| w[0].0 <= w[1].0), "drain must be key-sorted");
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "cycle {cycle}: cleared heap diverged from fresh heap");
-        }
-    }
-
-    /// Exercises decrease-key cascades: keys only ever decrease.
-    pub fn run_decrease_storm<H: DecreaseKeyHeap>(seed: u64, n: u32, rounds: usize) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut heap = H::with_capacity(n as usize);
-        let mut best = vec![u64::MAX; n as usize];
-        for i in 0..n {
-            let k = 1_000_000 + rng.random_range(0..1000u64);
-            heap.push_or_decrease(i, k);
-            best[i as usize] = k;
-        }
-        for _ in 0..rounds {
-            let i = rng.random_range(0..n);
-            let k = rng.random_range(0..1_000_000u64);
-            if k < best[i as usize] {
-                assert!(heap.push_or_decrease(i, k));
-                best[i as usize] = k;
-            } else {
-                assert!(!heap.push_or_decrease(i, k));
-            }
-        }
-        let mut last = 0;
-        while let Some((i, k)) = heap.pop_min() {
-            assert_eq!(k, best[i as usize]);
-            assert!(k >= last);
-            last = k;
-        }
-    }
-}

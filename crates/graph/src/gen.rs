@@ -3,8 +3,9 @@
 //! These supply the paper's six-graph evaluation suite (§5.1). The grids are
 //! the paper's own constructions; the road networks and webgraphs are
 //! structural stand-ins for the SNAP datasets, chosen to reproduce the
-//! properties the paper credits for its results (see DESIGN.md §5):
-//! constant-degree near-planarity for roads, power-law hubs for webgraphs.
+//! properties the paper credits for its results (see README, "Reproducing
+//! the paper"): constant-degree near-planarity for roads, power-law hubs
+//! for webgraphs.
 //!
 //! All generators return unit-weighted topologies; apply
 //! [`crate::weights::reweight`] for the weighted experiments.

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use rs_baselines::solver::BuildSolver;
 use rs_core::{
-    Algorithm, EngineKind, HeapKind, PreprocessConfig, Query, QueryResponse, Radii, SolverBuilder,
+    Algorithm, EngineKind, PreprocessConfig, Query, QueryResponse, Radii, SolverBuilder,
     SolverScratch, SsspSolver,
 };
 use rs_graph::{CsrGraph, WeightModel};
@@ -41,7 +41,7 @@ fn solvers(g: &CsrGraph) -> Vec<Box<dyn SsspSolver + '_>> {
                 radii: Radii::Constant(3_000),
             })
             .build(),
-        SolverBuilder::new(g).algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary }).build(),
+        SolverBuilder::new(g).algorithm(Algorithm::Dijkstra).build(),
         SolverBuilder::new(g).algorithm(Algorithm::DeltaStepping { delta: 2_500 }).build(),
         SolverBuilder::new(g).algorithm(Algorithm::BellmanFord).build(),
         SolverBuilder::new(g).preprocess(PreprocessConfig::new(1, 12)).build(),

@@ -230,3 +230,42 @@ fn run_replay(args: &[String]) -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tokens::{lex, TokenKind};
+
+    /// The lexer's whole-workspace invariant: on every file the lints
+    /// scan, tokens are ordered and disjoint, only whitespace falls
+    /// between them, and every char literal is one short line. A
+    /// mis-lexed escape that swallows the rest of a file as one char
+    /// literal fails the last check.
+    #[test]
+    fn lexer_covers_every_source_file_exactly() {
+        let root = workspace_root();
+        let files = collect_sources(&root);
+        assert!(!files.is_empty(), "no sources under {}", root.display());
+        for path in &files {
+            let src = fs::read_to_string(path).expect("readable source");
+            let file = path.display();
+            let mut prev_end = 0;
+            for t in lex(&src) {
+                assert!(prev_end <= t.start && t.start < t.end, "{file}: token {t:?} out of order");
+                let gap = &src[prev_end..t.start];
+                assert!(gap.trim().is_empty(), "{file}:{}: non-whitespace {gap:?}", t.line);
+                if t.kind == TokenKind::CharLit {
+                    assert!(
+                        t.end_line == t.line && t.len() <= 12,
+                        "{file}:{}: char literal runs to line {}, {} bytes",
+                        t.line,
+                        t.end_line,
+                        t.len()
+                    );
+                }
+                prev_end = t.end;
+            }
+            assert!(src[prev_end..].trim().is_empty(), "{file}: non-whitespace after last token");
+        }
+    }
+}

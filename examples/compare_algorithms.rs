@@ -23,9 +23,7 @@ fn main() {
     // Bellman–Ford — `Algorithm::BellmanFord` builds exactly that frontier
     // engine; preprocessed r_rho(v) gives the paper's bounds.)
     let spectrum: Vec<(Algorithm, Option<PreprocessConfig>)> = vec![
-        (Algorithm::Dijkstra { heap: HeapKind::Dary }, None),
-        (Algorithm::Dijkstra { heap: HeapKind::Pairing }, None),
-        (Algorithm::Dijkstra { heap: HeapKind::Fibonacci }, None),
+        (Algorithm::Dijkstra, None),
         (Algorithm::DeltaStepping { delta: 2_000 }, None),
         (Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero }, None),
         (Algorithm::BellmanFord, None),
@@ -39,11 +37,7 @@ fn main() {
         ),
     ];
 
-    let reference = SolverBuilder::new(&g)
-        .algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary })
-        .build()
-        .solve(s)
-        .dist;
+    let reference = SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build().solve(s).dist;
 
     println!("{:<46} {:>9}   shape", "solver", "time");
     for (algorithm, preprocess) in spectrum {

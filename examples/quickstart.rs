@@ -56,8 +56,7 @@ fn main() {
     assert_eq!(bounded.dist[mid as usize], out.dist[mid as usize]);
 
     // Cross-check against the sequential baseline, same interface.
-    let dijkstra =
-        SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary }).build();
+    let dijkstra = SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build();
     assert_eq!(out.dist, dijkstra.solve(source).dist, "must match Dijkstra exactly");
     println!("verified: distances identical to Dijkstra");
 }

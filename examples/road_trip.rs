@@ -61,8 +61,7 @@ fn main() {
     );
 
     // Compare against per-source sequential Dijkstra via the same trait.
-    let dijkstra =
-        SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary }).build();
+    let dijkstra = SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build();
     let t = Instant::now();
     for &depot in &depots {
         let _ = dijkstra.solve(depot);

@@ -15,7 +15,8 @@
 //!   solver adapters, the sequential BFS oracle, and the builder's
 //!   `build()` (Bellman–Ford and BFS build as radius stepping at
 //!   `r ≡ ∞` / `r ≡ 0`).
-//! * [`ds`] (`rs_ds`) — decrease-key heaps, bucket queue, join-based treap.
+//! * [`ds`] (`rs_ds`) — the 4-ary decrease-key heap behind Dijkstra, bucket
+//!   queue, join-based treap.
 //! * [`par`] (`rs_par`) — parallel primitives (scan, pack, write-min,
 //!   frontiers).
 //!
@@ -83,7 +84,7 @@
 //!
 //! // Same answer as the sequential baseline, through the same interface.
 //! let dijkstra = SolverBuilder::new(&g)
-//!     .algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary })
+//!     .algorithm(Algorithm::Dijkstra)
 //!     .build();
 //! assert_eq!(full.dist(), dijkstra.solve(0).dist);
 //! ```
@@ -102,8 +103,8 @@ pub mod prelude {
         PreprocessConfig, Preprocessed, ShortcutExpander, ShortcutHeuristic,
     };
     pub use rs_core::solver::{
-        Algorithm, BatchOutcome, BatchStats, HeapKind, P2pMode, Query, QueryBatch, QueryResponse,
-        QueryShape, Radii, SolverBuilder, SolverConfig, SsspSolver,
+        Algorithm, BatchOutcome, BatchStats, P2pMode, Query, QueryBatch, QueryResponse, QueryShape,
+        Radii, SolverBuilder, SolverConfig, SsspSolver,
     };
     pub use rs_core::{
         radius_stepping, EngineConfig, EngineKind, Goals, RadiiSpec, SolverScratch, SsspResult,

@@ -22,12 +22,7 @@ fn graphs() -> Vec<(&'static str, CsrGraph)> {
 
 /// Every weighted algorithm the builder can construct.
 fn weighted_algorithms() -> Vec<Algorithm> {
-    let mut algorithms = vec![
-        Algorithm::Dijkstra { heap: HeapKind::Dary },
-        Algorithm::Dijkstra { heap: HeapKind::Pairing },
-        Algorithm::Dijkstra { heap: HeapKind::Fibonacci },
-        Algorithm::BellmanFord,
-    ];
+    let mut algorithms = vec![Algorithm::Dijkstra, Algorithm::BellmanFord];
     for delta in [1u64, 777, 10_000, 1 << 20] {
         algorithms.push(Algorithm::DeltaStepping { delta });
     }
@@ -62,7 +57,7 @@ fn unweighted_solvers_agree_with_bfs() {
         let bfs = baselines::bfs_seq(&g, source);
         for algorithm in [
             Algorithm::Bfs,
-            Algorithm::Dijkstra { heap: HeapKind::Dary },
+            Algorithm::Dijkstra,
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
             Algorithm::RadiusStepping { engine: EngineKind::Unweighted, radii: Radii::Zero },
         ] {

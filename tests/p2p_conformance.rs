@@ -47,9 +47,7 @@ fn algorithms() -> Vec<Algorithm> {
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
         Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(3_000) },
-        Algorithm::Dijkstra { heap: HeapKind::Dary },
-        Algorithm::Dijkstra { heap: HeapKind::Pairing },
-        Algorithm::Dijkstra { heap: HeapKind::Fibonacci },
+        Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 2_500 },
     ]
 }
@@ -168,7 +166,7 @@ fn mode_paths_ride_input_graph_edges() {
     for mode in [P2pMode::Bidirectional, P2pMode::GoalDirected] {
         for algorithm in [
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-            Algorithm::Dijkstra { heap: HeapKind::Dary },
+            Algorithm::Dijkstra,
         ] {
             let solver = SolverBuilder::new(&g).algorithm(algorithm.clone()).p2p_mode(mode).build();
             let mut scratch = SolverScratch::new();
@@ -237,7 +235,7 @@ fn unreachable_goals_terminate_in_both_modes() {
     for mode in [P2pMode::Bidirectional, P2pMode::GoalDirected] {
         for algorithm in [
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-            Algorithm::Dijkstra { heap: HeapKind::Pairing },
+            Algorithm::Dijkstra,
         ] {
             let solver = SolverBuilder::new(&g).algorithm(algorithm.clone()).p2p_mode(mode).build();
             let mut scratch = SolverScratch::new();
@@ -273,7 +271,7 @@ fn goal_directed_relaxes_5x_fewer_edges_on_256_grid() {
     let pairs = [(0u32, n - 1), (255u32, n - 256)]; // opposite corners
     for algorithm in [
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
-        Algorithm::Dijkstra { heap: HeapKind::Dary },
+        Algorithm::Dijkstra,
     ] {
         let forward = SolverBuilder::new(&g).algorithm(algorithm.clone()).build();
         let bidir = SolverBuilder::new(&g)

@@ -75,7 +75,7 @@ proptest! {
         let algorithm = [
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(40) },
             Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(25) },
-            Algorithm::Dijkstra { heap: HeapKind::Dary },
+            Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 60 },
             Algorithm::BellmanFord,
         ][algo_pick].clone();
@@ -154,7 +154,7 @@ proptest! {
         let algorithm = [
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(40) },
             Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(25) },
-            Algorithm::Dijkstra { heap: HeapKind::Dary },
+            Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 60 },
             Algorithm::BellmanFord,
         ][algo_pick].clone();

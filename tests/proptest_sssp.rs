@@ -120,7 +120,7 @@ proptest! {
         let sources: Vec<VertexId> = raw_sources.iter().map(|&s| s % n).collect();
         let algorithm = [
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(40) },
-            Algorithm::Dijkstra { heap: HeapKind::Dary },
+            Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 60 },
             Algorithm::BellmanFord,
         ][algo_pick].clone();

@@ -35,9 +35,7 @@ fn weighted_algorithms() -> Vec<Algorithm> {
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Infinite },
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
         Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(3_000) },
-        Algorithm::Dijkstra { heap: HeapKind::Dary },
-        Algorithm::Dijkstra { heap: HeapKind::Pairing },
-        Algorithm::Dijkstra { heap: HeapKind::Fibonacci },
+        Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 1_111 },
         Algorithm::DeltaStepping { delta: 50_000 },
         Algorithm::BellmanFord,
@@ -276,8 +274,7 @@ fn first_query_runs_warm_after_warm_scratch() {
     for algorithm in [
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(2_000) },
         Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(2_000) },
-        Algorithm::Dijkstra { heap: HeapKind::Dary },
-        Algorithm::Dijkstra { heap: HeapKind::Fibonacci },
+        Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 1_500 },
         Algorithm::BellmanFord,
     ] {
@@ -322,7 +319,7 @@ fn warm_point_to_point_zero_allocations_on_100k_graph() {
                 radii: Radii::Constant(40),
             })
             .build(),
-        SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary }).build(),
+        SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build(),
         SolverBuilder::new(&g).algorithm(Algorithm::DeltaStepping { delta: 3 }).build(),
     ];
     // Queries hop across the grid: different sources, goals, and path
@@ -382,7 +379,7 @@ fn point_to_point_takes_strictly_fewer_steps_on_256_grid() {
                 radii: Radii::Constant(8),
             })
             .build(),
-        SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary }).build(),
+        SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build(),
     ];
     let goal = 2 * 256 + 40; // a few rows in: far from the source's far corner
     for solver in solvers {
@@ -526,7 +523,7 @@ fn preprocessed_goal_paths_ride_input_graph_edges() {
         SolverBuilder::new(&g).preprocess(PreprocessConfig::new(1, 16)).build(),
         SolverBuilder::new(&g).preprocess(PreprocessConfig::new(3, 24)).build(),
         SolverBuilder::new(&g)
-            .algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary })
+            .algorithm(Algorithm::Dijkstra)
             .preprocess(PreprocessConfig::new(2, 12))
             .build(),
         SolverBuilder::new(&g)

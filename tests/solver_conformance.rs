@@ -54,9 +54,7 @@ fn weighted_algorithms() -> Vec<Algorithm> {
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Infinite },
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
         Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(3_000) },
-        Algorithm::Dijkstra { heap: HeapKind::Dary },
-        Algorithm::Dijkstra { heap: HeapKind::Pairing },
-        Algorithm::Dijkstra { heap: HeapKind::Fibonacci },
+        Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 1_111 },
         Algorithm::DeltaStepping { delta: 50_000 },
         Algorithm::BellmanFord,
@@ -266,7 +264,7 @@ fn batch_on_100k_graph_reuses_scratch_after_warmup() {
                 radii: Radii::Constant(40),
             })
             .build(),
-        SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra { heap: HeapKind::Dary }).build(),
+        SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build(),
         SolverBuilder::new(&g).algorithm(Algorithm::DeltaStepping { delta: 3 }).build(),
     ];
     let threads = par::num_threads();
