@@ -35,7 +35,8 @@ pub struct PartMeasurement {
     pub parts: usize,
     /// Skeleton size: boundary vertices.
     pub boundary_nodes: usize,
-    /// Skeleton size: symmetrised arcs (cut arcs + boundary cliques).
+    /// Skeleton size: undirected edges (cut arcs + non-dominated
+    /// within-part arcs).
     pub boundary_arcs: usize,
     /// Partition + skeleton build, seconds.
     pub build_seconds: f64,

@@ -51,6 +51,29 @@ pub enum ShortcutHeuristic {
     Dp,
 }
 
+impl ShortcutHeuristic {
+    /// The one-byte on-disk tag (0 Full, 1 Greedy, 2 Dp) that cache
+    /// files store.
+    pub fn tag(self) -> u8 {
+        match self {
+            ShortcutHeuristic::Full => 0,
+            ShortcutHeuristic::Greedy => 1,
+            ShortcutHeuristic::Dp => 2,
+        }
+    }
+
+    /// The heuristic behind an on-disk [`ShortcutHeuristic::tag`];
+    /// `None` for an unknown byte.
+    pub fn from_tag(tag: u8) -> Option<ShortcutHeuristic> {
+        match tag {
+            0 => Some(ShortcutHeuristic::Full),
+            1 => Some(ShortcutHeuristic::Greedy),
+            2 => Some(ShortcutHeuristic::Dp),
+            _ => None,
+        }
+    }
+}
+
 /// Preprocessing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreprocessConfig {
@@ -184,12 +207,7 @@ impl Preprocessed {
         w.write_all(&self.input_hash.to_le_bytes())?;
         w.write_all(&self.config.k.to_le_bytes())?;
         w.write_all(&(self.config.rho as u64).to_le_bytes())?;
-        let h: u8 = match self.config.heuristic {
-            ShortcutHeuristic::Full => 0,
-            ShortcutHeuristic::Greedy => 1,
-            ShortcutHeuristic::Dp => 2,
-        };
-        w.write_all(&[h])?;
+        w.write_all(&[self.config.heuristic.tag()])?;
         for s in [
             self.stats.raw_shortcuts as u64,
             self.stats.effective_new_edges as u64,
@@ -246,12 +264,8 @@ impl Preprocessed {
         let rho = u64::from_le_bytes(b8) as usize;
         let mut hb = [0u8; 1];
         r.read_exact(&mut hb)?;
-        let heuristic = match hb[0] {
-            0 => ShortcutHeuristic::Full,
-            1 => ShortcutHeuristic::Greedy,
-            2 => ShortcutHeuristic::Dp,
-            _ => return Err(bad("unknown heuristic tag")),
-        };
+        let heuristic =
+            ShortcutHeuristic::from_tag(hb[0]).ok_or_else(|| bad("unknown heuristic tag"))?;
         let mut nums = [0u64; 5];
         for v in &mut nums {
             r.read_exact(&mut b8)?;

@@ -14,6 +14,7 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
+use rs_core::preprocess::ShortcutHeuristic;
 use rs_core::{PreprocessConfig, StepStats};
 use rs_graph::partition::{induced_subgraph, PartitionAssignment, SubgraphView};
 use rs_graph::{CsrGraph, Dist, VertexId};
@@ -234,12 +235,18 @@ impl PartitionedGraph {
         w.write_all(&self.input_hash.to_le_bytes())?;
         w.write_all(&(self.num_parts as u32).to_le_bytes())?;
         w.write_all(&[self.strategy_tag])?;
+        // Preprocessing tag: 0 none; 1 (k, ρ) with the k-default
+        // heuristic; 2 (k, ρ) plus a heuristic byte (the RSP4 encoding).
         match &self.skeleton_preprocess {
             None => w.write_all(&[0u8])?,
             Some(cfg) => {
-                w.write_all(&[1u8])?;
+                let default_heuristic = *cfg == PreprocessConfig::new(cfg.k, cfg.rho);
+                w.write_all(&[if default_heuristic { 1u8 } else { 2u8 }])?;
                 w.write_all(&cfg.k.to_le_bytes())?;
                 w.write_all(&(cfg.rho as u64).to_le_bytes())?;
+                if !default_heuristic {
+                    w.write_all(&[cfg.heuristic.tag()])?;
+                }
             }
         }
         w.write_all(&(self.assignment.len() as u64).to_le_bytes())?;
@@ -302,12 +309,23 @@ impl PartitionedGraph {
         r.read_exact(&mut b1)?;
         let skeleton_preprocess = match b1[0] {
             0 => None,
-            1 => {
+            tag @ (1 | 2) => {
                 r.read_exact(&mut b4)?;
                 let k = u32::from_le_bytes(b4);
                 r.read_exact(&mut b8)?;
                 let rho = u64::from_le_bytes(b8) as usize;
-                Some(PreprocessConfig::new(k, rho))
+                if k == 0 || rho == 0 {
+                    return Err(bad("preprocessing knobs out of range"));
+                }
+                let cfg = PreprocessConfig::new(k, rho);
+                if tag == 1 {
+                    Some(cfg)
+                } else {
+                    r.read_exact(&mut b1)?;
+                    let h = ShortcutHeuristic::from_tag(b1[0])
+                        .ok_or_else(|| bad("unknown heuristic tag"))?;
+                    Some(cfg.with_heuristic(h))
+                }
             }
             _ => return Err(bad("unknown preprocessing tag")),
         };

@@ -3,30 +3,41 @@
 //!
 //! **Nodes** are the boundary vertices — every vertex with at least one
 //! cut arc (an arc whose endpoints live in different parts). **Edges**
-//! are (a) every cut arc, at its input weight, and (b) for each part, a
-//! clique over that part's boundary vertices weighted by *within-part*
-//! distances (shortest paths in the part's induced subgraph).
+//! are (a) every cut arc, at its input weight, and (b) for each part, the
+//! *non-dominated* pairs of that part's boundary vertices, weighted by
+//! *within-part* distance `d` (shortest paths in the part's induced
+//! subgraph). A pair `(a, b)` is dominated when another boundary vertex
+//! `c` of the same part has `d(a, c) + d(c, b) = d(a, b)`; the skeleton
+//! keeps only the arcs a shortest route cannot do without, the way the
+//! (k, ρ) preprocessing adds a shortcut only where it saves hops.
 //!
 //! Exactness: a shortest path between boundary vertices decomposes at its
 //! cut arcs into maximal within-part segments; each segment joins two
 //! boundary vertices of one part and is no shorter than their within-part
-//! distance (it lies entirely inside the part), so the skeleton never
-//! underestimates — and every skeleton edge is realised by an actual
-//! input-graph path, so it never overestimates either.
+//! distance (it lies entirely inside the part). The kept arcs still
+//! realise every within-part boundary distance, by induction on that
+//! distance: edge weights are positive, so a witness `c` splits a dropped
+//! pair into two strictly shorter within-part distances, each realised
+//! by kept arcs. So the skeleton never underestimates — and every
+//! skeleton edge is realised by an actual input-graph path, so it never
+//! overestimates either. `d` is symmetric, so `(a, b)` and `(b, a)` are
+//! kept or dropped together.
 //!
 //! The within-part distances are produced by the existing (k, ρ)
 //! preprocessing + one-to-many machinery: each part is preprocessed with
 //! [`Preprocessed`]-backed solvers and each boundary vertex runs one
-//! `OneToMany` solve over its part. The solves request paths, and the
-//! returned input-graph routes are recorded as per-part [`ChainTable`]s —
-//! the same parent-link discipline as
+//! `OneToMany` solve over its part. The solves request paths, and for
+//! every kept arc the returned input-graph route is recorded in the
+//! part's [`ChainTable`] — the same parent-link discipline as
 //! [`rs_core::ShortcutExpander`] — so a skeleton hop can later be
 //! unrolled into exact input-graph edges.
+//!
+//! [`Preprocessed`]: rs_core::Preprocessed
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use rs_core::solver::{Query, SolverBuilder, SsspSolver};
+use rs_core::solver::{Query, QueryResponse, SolverBuilder, SsspSolver};
 use rs_core::{PreprocessConfig, SolverScratch, StepStats};
 use rs_graph::partition::SubgraphView;
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
@@ -80,17 +91,22 @@ impl ChainTable {
     }
 
     /// Walks the chain from `v` back to `b`, returning the *forward*
-    /// local path `b … v`. `None` when the chain is broken (never happens
-    /// for pairs the skeleton recorded).
+    /// local path `b … v`. `None` when the chain is broken or cycles
+    /// (never happens for pairs the skeleton recorded; a corrupt cache
+    /// file can do either). A well-formed walk never repeats a link, so
+    /// it follows at most [`ChainTable::len`] of them.
     pub fn walk(&self, b: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
         let mut path = vec![v];
         let mut cur = v;
-        while cur != b {
+        for _ in 0..=self.len() {
+            if cur == b {
+                path.reverse();
+                return Some(path);
+            }
             cur = self.parent(b, cur)?;
             path.push(cur);
         }
-        path.reverse();
-        Some(path)
+        None
     }
 }
 
@@ -242,8 +258,10 @@ impl SkeletonGraph {
 /// over its part — through a per-part (k, ρ)-preprocessed solver when
 /// `pre_cfg` is given (the preprocessing's `ShortcutExpander` makes the
 /// recorded chain paths input-graph exact automatically), a plain
-/// frontier solver otherwise. Also returns the accumulated solve stats
-/// for telemetry.
+/// frontier solver otherwise. From each part's boundary distance matrix
+/// it keeps only the non-dominated within-part arcs (see the module
+/// docs) and records chain links for those alone. Also returns the
+/// accumulated solve stats for telemetry.
 pub fn build_skeleton(
     g: &CsrGraph,
     part_of: &[u32],
@@ -271,8 +289,8 @@ pub fn build_skeleton(
         }
     }
 
-    // Per-part boundary cliques via one OneToMany solve per boundary
-    // vertex, recording the solved paths as chain links.
+    // Per part: one OneToMany solve per boundary source, then keep only
+    // the non-dominated within-part arcs and record chains for those.
     let mut chains: Vec<ChainTable> = vec![ChainTable::new(); parts.len()];
     let mut stats = StepStats::default();
     for (p, view) in parts.iter().enumerate() {
@@ -294,18 +312,26 @@ pub fn build_skeleton(
         };
         let mut scratch = SolverScratch::new();
         solver.warm_scratch(&mut scratch);
-        for &b in &boundary_locals {
-            let goals: Vec<VertexId> =
-                boundary_locals.iter().copied().filter(|&o| o != b).collect();
-            let resp =
-                solver.execute(&Query::one_to_many(b, goals.clone()).with_paths(), &mut scratch);
-            absorb_stats(&mut stats, resp.stats());
-            for &o in &goals {
-                let d = resp.dist()[o as usize];
-                if d == INF {
-                    continue;
-                }
-                edges.push((node_of(view.to_global(b)), node_of(view.to_global(o)), d));
+        let responses: Vec<QueryResponse> = boundary_locals
+            .iter()
+            .map(|&b| {
+                let goals: Vec<VertexId> =
+                    boundary_locals.iter().copied().filter(|&o| o != b).collect();
+                let resp = solver.execute(&Query::one_to_many(b, goals).with_paths(), &mut scratch);
+                absorb_stats(&mut stats, resp.stats());
+                resp
+            })
+            .collect();
+        // d[i][j]: within-part distance between boundary_locals[i] and [j].
+        let d: Vec<Vec<Dist>> = responses
+            .iter()
+            .map(|resp| boundary_locals.iter().map(|&o| resp.dist()[o as usize]).collect())
+            .collect();
+        for (i, resp) in responses.iter().enumerate() {
+            let b = boundary_locals[i];
+            for j in non_dominated(&d, i) {
+                let o = boundary_locals[j];
+                edges.push((node_of(view.to_global(b)), node_of(view.to_global(o)), d[i][j]));
                 // goal_path_to expands shortcut hops through the part
                 // preprocessing's expander, so these links ride input
                 // edges only.
@@ -320,6 +346,32 @@ pub fn build_skeleton(
     (SkeletonGraph::from_edges(node_global, edges, chains), stats)
 }
 
+/// The targets `j` of row `i` of a within-part boundary distance matrix
+/// whose arc `(i, j)` is non-dominated: no other boundary vertex `c` has
+/// `d[i][c] + d[c][j] = d[i][j]`.
+///
+/// Targets are decided in increasing `d[i][j]`, and only the targets
+/// already kept are tried as witnesses. That suffices: if `(i, j)` has a
+/// witness, the witness `c` nearest to `i` has `(i, c)` non-dominated —
+/// a witness `c'` for `(i, c)` would satisfy `d[i][c'] + d[c'][j] ≤
+/// d[i][c] + d[c][j] = d[i][j]` (triangle inequality), so `c'` would be a
+/// nearer witness for `(i, j)`. Positive weights make every witness
+/// strictly nearer to `i` than `j` is, so it is decided first. The cost
+/// per row is `O(B · kept)` instead of `O(B²)`.
+fn non_dominated(d: &[Vec<Dist>], i: usize) -> Vec<usize> {
+    let row = &d[i];
+    let mut order: Vec<usize> = (0..row.len()).filter(|&j| j != i && row[j] != INF).collect();
+    order.sort_unstable_by_key(|&j| (row[j], j));
+    let mut kept: Vec<usize> = Vec::new();
+    for j in order {
+        debug_assert_eq!(row[j], d[j][i], "within-part distances are symmetric");
+        if !kept.iter().any(|&c| row[c].saturating_add(d[c][j]) == row[j]) {
+            kept.push(j);
+        }
+    }
+    kept
+}
+
 /// Folds one solve's counters into an accumulator (steps are summed — a
 /// sharded answer is a sequence of small solves).
 pub fn absorb_stats(acc: &mut StepStats, one: &StepStats) {
@@ -330,4 +382,156 @@ pub fn absorb_stats(acc: &mut StepStats, one: &StepStats) {
     acc.relaxed_edges += one.relaxed_edges;
     acc.settled += one.settled;
     acc.scratch_reused &= one.scratch_reused;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PartitionedGraph, Partitioner};
+    use rs_graph::{gen, weights, WeightModel};
+
+    /// The test graphs: a paper-weighted grid at P = 6 and the
+    /// conformance suite's random graph at P = 5.
+    fn cases() -> Vec<(&'static str, CsrGraph, usize)> {
+        let grid = weights::reweight(&gen::grid2d(24, 24), WeightModel::paper_weighted(), 0x5eed);
+        let random =
+            weights::reweight(&gen::erdos_renyi(140, 420, 7), WeightModel::paper_weighted(), 3);
+        vec![("grid", grid, 6), ("random", random, 5)]
+    }
+
+    /// The lightest `u`–`v` edge of `g`, if any.
+    fn edge_weight(g: &CsrGraph, u: VertexId, v: VertexId) -> Option<Dist> {
+        g.edges(u).filter(|&(t, _)| t == v).map(|(_, w)| w as Dist).min()
+    }
+
+    /// Skeleton nodes spread over the parts: the first and last boundary
+    /// vertex of each part.
+    fn probe_nodes(pg: &PartitionedGraph) -> Vec<u32> {
+        let mut nodes: Vec<u32> = (0..pg.num_parts() as u32)
+            .flat_map(|p| {
+                let b = pg.part_boundary(p);
+                b.first().into_iter().chain(b.last()).map(|&(_, node)| node)
+            })
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+
+    #[test]
+    fn skeleton_distances_match_the_flat_solver() {
+        for (name, g, parts) in cases() {
+            let pg = Partitioner::new(parts).partition(&g);
+            let skel = pg.boundary();
+            let flat = SolverBuilder::new(&g).radius_stepping_solver_from_algorithm();
+            let mut scratch = SolverScratch::new();
+            let probes = probe_nodes(&pg);
+            assert!(probes.len() >= 8, "{name}: only {} probe nodes", probes.len());
+            for x in probes {
+                let (dist, _, _) = skel.multi_source(&[(x, 0)], false);
+                let truth =
+                    flat.execute(&Query::single_source(skel.global_of_node(x)), &mut scratch);
+                for (node, &d) in dist.iter().enumerate() {
+                    let gv = skel.global_of_node(node as u32);
+                    assert_eq!(d, truth.dist()[gv as usize], "{name}: node {node} from {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_kept_within_part_arc_walks_to_its_weight() {
+        for (name, g, parts) in cases() {
+            let pg = Partitioner::new(parts).partition(&g);
+            let skel = pg.boundary();
+            let (offsets, targets, weights) = skel.raw_parts();
+            let mut within = 0;
+            for a in 0..skel.num_nodes() {
+                let (pa, a_local) = pg.locate(skel.global_of_node(a as u32));
+                for i in offsets[a]..offsets[a + 1] {
+                    let (pb, b_local) = pg.locate(skel.global_of_node(targets[i]));
+                    if pa != pb {
+                        continue; // cut arc
+                    }
+                    within += 1;
+                    let path = skel.chains()[pa as usize]
+                        .walk(a_local, b_local)
+                        .unwrap_or_else(|| panic!("{name}: no chain for arc {a} → {}", targets[i]));
+                    let view = pg.part(pa);
+                    let length: Dist = path
+                        .windows(2)
+                        .map(|h| edge_weight(&view.graph, h[0], h[1]).expect("hop is a part edge"))
+                        .sum();
+                    assert_eq!(length, weights[i], "{name}: arc {a} → {}", targets[i]);
+                }
+            }
+            assert!(within > 0, "{name}: no within-part arcs");
+        }
+    }
+
+    #[test]
+    fn skeleton_is_sparser_than_the_boundary_clique() {
+        for (name, g, parts) in cases() {
+            let pg = Partitioner::new(parts).partition(&g);
+            let part_of = pg.assignment().as_slice();
+            let mut cut_edges = 0;
+            for u in 0..g.num_vertices() as VertexId {
+                let mut heads: Vec<VertexId> = g
+                    .neighbors(u)
+                    .iter()
+                    .copied()
+                    .filter(|&t| u < t && part_of[t as usize] != part_of[u as usize])
+                    .collect();
+                heads.dedup();
+                cut_edges += heads.len();
+            }
+            let clique: usize = (0..parts as u32)
+                .map(|p| pg.part_boundary(p).len())
+                .map(|b| b * b.saturating_sub(1) / 2)
+                .sum();
+            let kept = pg.boundary().num_edges();
+            assert!(kept < cut_edges + clique, "{name}: {kept} ≥ {cut_edges} + {clique}");
+        }
+    }
+
+    #[test]
+    fn witness_search_matches_the_exhaustive_rule() {
+        let view = rs_graph::partition::induced_subgraph(
+            &cases()[1].1,
+            &(0..140).filter(|v| v % 3 != 0).collect::<Vec<VertexId>>(),
+        );
+        let sample: Vec<VertexId> = (0..view.graph.num_vertices() as VertexId).step_by(4).collect();
+        let flat = SolverBuilder::new(&view.graph).radius_stepping_solver_from_algorithm();
+        let mut scratch = SolverScratch::new();
+        let d: Vec<Vec<Dist>> = sample
+            .iter()
+            .map(|&s| {
+                let resp = flat.execute(&Query::single_source(s), &mut scratch);
+                sample.iter().map(|&t| resp.dist()[t as usize]).collect()
+            })
+            .collect();
+        let b = sample.len();
+        for i in 0..b {
+            let exhaustive: Vec<usize> = (0..b)
+                .filter(|&j| j != i && d[i][j] != INF)
+                .filter(|&j| {
+                    !(0..b).any(|c| c != i && c != j && d[i][c].saturating_add(d[c][j]) == d[i][j])
+                })
+                .collect();
+            let mut fast = non_dominated(&d, i);
+            fast.sort_unstable();
+            assert_eq!(fast, exhaustive, "row {i}");
+        }
+    }
+
+    #[test]
+    fn walk_refuses_a_cycle() {
+        let mut chain = ChainTable::new();
+        chain.insert(0, 1, 2);
+        chain.insert(0, 2, 1);
+        assert_eq!(chain.walk(0, 1), None);
+        chain.insert(0, 3, 0);
+        assert_eq!(chain.walk(0, 3), Some(vec![0, 3]));
+        assert_eq!(chain.walk(0, 0), Some(vec![0]));
+    }
 }

@@ -1,11 +1,13 @@
 //! RSP5 partition-cache persistence: a saved [`PartitionedGraph`]
 //! round-trips to an identical in-memory structure, and anything
 //! incompatible at the cache path — an RSP4 preprocessing file, garbage,
-//! a stale graph hash, or different partition knobs — rebuilds
-//! transparently through [`PartitionedGraph::load_or_build`].
+//! a stale graph hash, or different partition knobs (a non-default
+//! shortcut heuristic included) — rebuilds transparently through
+//! [`PartitionedGraph::load_or_build`].
 
+use rs_core::preprocess::ShortcutHeuristic;
 use rs_core::solver::{Query, SsspSolver};
-use rs_core::SolverScratch;
+use rs_core::{PreprocessConfig, SolverScratch};
 use rs_graph::{gen, weights, CsrGraph, WeightModel};
 use rs_shard::{PartitionConfig, PartitionedGraph, Partitioner, ShardedSolver};
 
@@ -99,5 +101,29 @@ fn stale_hash_and_knob_mismatch_rebuild() {
     // And the rewritten cache now satisfies the new knobs directly.
     let pg3 = PartitionedGraph::load_or_build(&g, &PartitionConfig::new(2), &path);
     assert_identical(&pg2, &pg3);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn non_default_heuristic_survives_the_cache() {
+    let g = test_graph();
+    let pre = PreprocessConfig::new(2, 8).with_heuristic(ShortcutHeuristic::Greedy);
+    let cfg = PartitionConfig::new(3).with_skeleton_preprocess(Some(pre));
+    let path = tmp_path("greedy");
+    std::fs::remove_file(&path).ok();
+    let built = PartitionedGraph::load_or_build(&g, &cfg, &path);
+    assert!(built.build_stats().relaxations > 0, "first call builds");
+    let loaded = PartitionedGraph::load_or_build(&g, &cfg, &path);
+    assert_eq!(loaded.build_stats().relaxations, 0, "second call loads the cache");
+    assert_identical(&built, &loaded);
+
+    // A k-default config must not match the Greedy file, and its own
+    // file (tag 1) still loads.
+    let default_cfg =
+        PartitionConfig::new(3).with_skeleton_preprocess(Some(PreprocessConfig::new(2, 8)));
+    let rebuilt = PartitionedGraph::load_or_build(&g, &default_cfg, &path);
+    assert!(rebuilt.build_stats().relaxations > 0, "different heuristic rebuilds");
+    let reloaded = PartitionedGraph::load_or_build(&g, &default_cfg, &path);
+    assert_eq!(reloaded.build_stats().relaxations, 0, "k-default config loads");
     std::fs::remove_file(&path).ok();
 }
