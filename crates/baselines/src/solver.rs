@@ -239,7 +239,7 @@ mod tests {
         let reference = dijkstra_default(&g, 5);
         let algorithms = [
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-            Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(900) },
+            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(900) },
             Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 2_000 },
             Algorithm::BellmanFord,

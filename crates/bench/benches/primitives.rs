@@ -1,10 +1,9 @@
-//! Parallel-primitive microbenchmarks: scan, pack, write-min, treap bulk
-//! ops, and edge_map direction ablation.
+//! Parallel-primitive microbenchmarks: scan, pack, write-min, and edge_map
+//! direction ablation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use rs_ds::Treap;
 use rs_graph::{edge_map::edge_map_dense, edge_map::edge_map_sparse, gen};
 use rs_par::{atomic_vec, exclusive_scan, pack_indices, par_min, EpochMinArray, VertexSubset};
 
@@ -69,20 +68,6 @@ fn primitives(c: &mut Criterion) {
             black_box(cells.load(0))
         })
     });
-    group.finish();
-
-    let mut group = c.benchmark_group("treap");
-    group.sample_size(10);
-    for size in [1usize << 12, 1 << 16] {
-        let a: Treap = (0..size as u32).map(|i| (i as u64 * 2, i)).collect();
-        let b_t: Treap = (0..size as u32).map(|i| (i as u64 * 2 + 1, i)).collect();
-        group.bench_with_input(BenchmarkId::new("union", size), &size, |bch, _| {
-            bch.iter(|| black_box(Treap::union(a.clone(), b_t.clone()).len()))
-        });
-        group.bench_with_input(BenchmarkId::new("difference", size), &size, |bch, _| {
-            bch.iter(|| black_box(Treap::difference(a.clone(), a.clone()).len()))
-        });
-    }
     group.finish();
 
     // Ligra direction ablation on a grid frontier.

@@ -159,7 +159,7 @@ pub(crate) fn run_with(
                     record,
                 );
                 if let Some(p) = parent.as_deref_mut() {
-                    crate::scratch::resolve_parent_claims(p, dist, claims);
+                    resolve_parent_claims(p, dist, claims);
                 }
                 for &v in next_dirty.iter() {
                     dirty_mark.clear(v as usize);
@@ -206,7 +206,7 @@ pub(crate) fn run_with(
         out_dist = dist.snapshot(n);
         if config.goals.bounded() {
             if let Some(p) = parent.as_deref_mut() {
-                crate::scratch::clear_unsettled_parents(p, settled);
+                clear_unsettled_parents(p, settled);
             }
         }
     }
@@ -216,6 +216,30 @@ pub(crate) fn run_with(
     let mut result = SsspResult::new(out_dist, stats);
     result.parent = parent;
     result
+}
+
+/// Applies one substep's [`ParentClaim`] log: a claim whose candidate
+/// still equals the current `δ(v)` came from the winning writer, so its
+/// predecessor is recorded.
+fn resolve_parent_claims(parent: &mut [VertexId], dist: &EpochMinArray, claims: &[ParentClaim]) {
+    for &(v, cand, u) in claims {
+        if dist.load(v as usize) == cand {
+            parent[v as usize] = u;
+        }
+    }
+}
+
+/// Drops parents of unsettled vertices after a goal-bounded early exit:
+/// their claims may be stale (the claimed predecessor's own distance can
+/// have improved without re-relaxing), so only settled vertices keep
+/// parents — one O(n) sweep, the same order as the result's distance
+/// snapshot.
+fn clear_unsettled_parents(parent: &mut [VertexId], settled: &AtomicBitset) {
+    for (v, slot) in parent.iter_mut().enumerate() {
+        if *slot != u32::MAX && !settled.get(v) {
+            *slot = u32::MAX;
+        }
+    }
 }
 
 /// The mid-step goal exit, checked after every substep that continues the

@@ -1,18 +1,19 @@
 //! Radius-stepping execution engines.
 //!
-//! Two interchangeable engines compute identical step sequences:
+//! * [`frontier`] — the weighted engine: Algorithm 1 with a packed fringe,
+//!   a parallel min-reduction for `d_i`, and parallel priority-write
+//!   Bellman–Ford substeps. It runs every `Radii`, and so every point on
+//!   the spectrum from Dijkstra (`r ≡ 0`) to Bellman–Ford (`r ≡ ∞`).
+//! * [`unweighted`] — the §3.4 engine for unit-weight graphs.
+//! * [`p2p`] — the bidirectional and goal-directed point-to-point kernels.
 //!
-//! * [`frontier`] — the production engine: Algorithm 1 with a packed
-//!   fringe, parallel min-reduction for `d_i`, and parallel priority-write
-//!   Bellman–Ford substeps.
-//! * [`bst`] — the faithful Algorithm 2: the fringe lives in two join-based
-//!   treaps `Q` (by `δ(u)`) and `R` (by `δ(u) + r(u)`), driven by
-//!   extract-min / split / union / difference exactly as §3.3 prescribes.
-//!
-//! Their step counts, round distances and results are asserted equal in the
-//! cross-engine tests; the `engines` bench measures the constant-factor gap.
+//! The paper's Algorithm 2 keeps the fringe in two BSTs to prove its work
+//! bound; it takes the same steps and substeps as Algorithm 1 and was
+//! slower in every measured regime, so it is not implemented (README,
+//! "Substitutions"). The frontier engine's step sequence is instead
+//! checked against [`crate::verify::step_trace`], a sequential
+//! Algorithm 1 over plain vectors.
 
-pub mod bst;
 pub mod frontier;
 pub mod p2p;
 pub mod unweighted;
@@ -26,11 +27,10 @@ use crate::stats::SsspResult;
 /// Engine selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Parallel frontier engine (Algorithm 1); the default.
+    /// Parallel frontier engine (Algorithm 1) for any weights and radii;
+    /// the default.
     #[default]
     Frontier,
-    /// Treap-based engine (Algorithm 2 with BSTs `Q` and `R`).
-    Bst,
     /// BFS-style engine for unit-weight graphs (§3.4); no ordered
     /// structures at all. Panics on weighted inputs.
     Unweighted,
@@ -87,9 +87,9 @@ pub struct EngineConfig<'a> {
     /// are then exact; other vertices may hold tentative upper bounds or
     /// `INF`).
     pub goals: Goals<'a>,
-    /// Record the shortest-path tree *inline*: the frontier and BST
-    /// engines log one parent claim per successful relaxation (O(1) each)
-    /// and resolve claims at substep end; the unweighted engine derives the
+    /// Record the shortest-path tree *inline*: the frontier engine logs
+    /// one parent claim per successful relaxation (O(1) each) and
+    /// resolves claims at substep end; the unweighted engine derives the
     /// goal paths by backwards level walks. Settled vertices get
     /// telescoping parents; unsettled ones (goal-bounded early exit) stay
     /// `u32::MAX`. This replaces the all-edges `derive_parents` post-pass
@@ -161,7 +161,6 @@ pub fn radius_stepping_with_scratch(
     assert!((source as usize) < g.num_vertices(), "source out of range");
     match kind {
         EngineKind::Frontier => frontier::run_with(g, radii, source, config, scratch),
-        EngineKind::Bst => bst::run_with(g, radii, source, config, scratch),
         EngineKind::Unweighted => unweighted::run_with(g, radii, source, config, scratch),
     }
 }
@@ -169,22 +168,22 @@ pub fn radius_stepping_with_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rs_graph::{gen, weights, WeightModel, INF};
+    use rs_graph::{gen, INF};
 
     #[test]
     fn dispatch_runs_both_engines() {
-        let g = weights::reweight(&gen::cycle(8), WeightModel::paper_weighted(), 1);
-        let a = radius_stepping_with(
-            &g,
-            &RadiiSpec::Zero,
-            0,
-            EngineKind::Frontier,
-            EngineConfig::default(),
+        // Unit weights, so both engines apply; the frontier run also
+        // matches the sequential step oracle.
+        let g = gen::cycle(8);
+        let run =
+            |kind| radius_stepping_with(&g, &RadiiSpec::Zero, 0, kind, EngineConfig::with_trace());
+        let (f, u) = (run(EngineKind::Frontier), run(EngineKind::Unweighted));
+        assert_eq!(f.dist, u.dist);
+        assert!(f.dist.iter().all(|&d| d != INF));
+        assert_eq!(
+            (f.dist, f.stats.trace.unwrap()),
+            crate::verify::step_trace(&g, &RadiiSpec::Zero, 0)
         );
-        let b =
-            radius_stepping_with(&g, &RadiiSpec::Zero, 0, EngineKind::Bst, EngineConfig::default());
-        assert_eq!(a.dist, b.dist);
-        assert!(a.dist.iter().all(|&d| d != INF));
     }
 
     #[test]

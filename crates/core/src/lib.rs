@@ -49,8 +49,8 @@ pub use radii::RadiiSpec;
 pub use scratch::{global_scratch_pool, PooledScratch, ScratchPool, SolverScratch};
 pub use solver::{
     execute_many_to_many, execute_many_to_many_pooled, Algorithm, BatchOutcome, BatchStats,
-    P2pMode, Query, QueryBatch, QueryResponse, QueryShape, Radii, SolverBuilder, SolverConfig,
-    SsspSolver,
+    InvalidQuery, P2pMode, Query, QueryBatch, QueryResponse, QueryShape, Radii, SolverBuilder,
+    SolverConfig, SsspSolver,
 };
 pub use stats::{
     derive_parents, extract_path, goal_path_parents, goals_path_parents, SsspResult, StepStats,

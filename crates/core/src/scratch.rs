@@ -36,7 +36,7 @@
 //! shortest paths of ~65 000 maximum-weight hops, far beyond every graph
 //! in the workspace, and debug builds assert the cap.
 
-use rs_ds::{BucketQueue, DaryHeap, TreapArena};
+use rs_ds::{BucketQueue, DaryHeap};
 use rs_graph::{CsrGraph, Dist, VertexId};
 use rs_par::{AtomicBitset, EpochMinArray};
 
@@ -46,35 +46,6 @@ use rs_par::{AtomicBitset, EpochMinArray};
 /// end of the substep that produced it — i.e. when `u` turned out to be the
 /// winning writer.
 pub type ParentClaim = (VertexId, Dist, VertexId);
-
-/// Applies one substep's [`ParentClaim`] log: a claim whose candidate
-/// still equals the current `δ(v)` came from the winning writer, so its
-/// predecessor is recorded. Shared by the frontier and BST engines — the
-/// winning-writer invariant lives here, in one place.
-pub fn resolve_parent_claims(
-    parent: &mut [VertexId],
-    dist: &EpochMinArray,
-    claims: &[ParentClaim],
-) {
-    for &(v, cand, u) in claims {
-        if dist.load(v as usize) == cand {
-            parent[v as usize] = u;
-        }
-    }
-}
-
-/// Drops parents of unsettled vertices after a goal-bounded early exit:
-/// their claims may be stale (the claimed predecessor's own distance can
-/// have improved without re-relaxing), so only settled vertices keep
-/// parents — one O(n) sweep, the same order as the result's distance
-/// snapshot. Shared by the frontier and BST engines.
-pub fn clear_unsettled_parents(parent: &mut [VertexId], settled: &AtomicBitset) {
-    for (v, slot) in parent.iter_mut().enumerate() {
-        if *slot != u32::MAX && !settled.get(v) {
-            *slot = u32::MAX;
-        }
-    }
-}
 
 /// Release-mode guard for the epoch encoding's 48-bit finite range: every
 /// solver that stores tentative distances in the scratch's
@@ -98,9 +69,7 @@ pub fn assert_distance_range(g: &CsrGraph) {
 /// Borrowed per-solve working state, produced by [`SolverScratch::view`].
 ///
 /// The atomic pieces are shared references (they are written concurrently
-/// inside substeps); the plain buffers are exclusive. `dists` keeps stale
-/// content between solves by design — every engine that uses it writes an
-/// entry before reading it.
+/// inside substeps); the plain buffers are exclusive.
 pub struct ScratchView<'a> {
     /// Tentative distances, logically all-`∞` at view time (epoch-reset).
     pub dist: &'a EpochMinArray,
@@ -123,8 +92,7 @@ pub struct ScratchView<'a> {
     /// engines' per-substep `next_dirty` set.
     pub verts_d: &'a mut Vec<VertexId>,
     /// Reusable vertex buffer (emptied at view time, capacity kept) — the
-    /// frontier engine's per-step fringe additions / the BST engine's
-    /// per-substep claimed set.
+    /// frontier engine's per-step fringe additions.
     pub verts_e: &'a mut Vec<VertexId>,
     /// Reusable `(vertex, distance)` buffer (emptied at view time) — the
     /// synchronous-substep snapshot, hoisted out of the substep loop.
@@ -132,17 +100,6 @@ pub struct ScratchView<'a> {
     /// Reusable [`ParentClaim`] buffer (emptied at view time) — inline
     /// parent recording for goal-bounded `want_paths` queries.
     pub claims: &'a mut Vec<ParentClaim>,
-    /// Reusable `(distance, vertex)` key buffer (emptied at view time) —
-    /// the BST engine's per-substep treap batches.
-    pub keys_a: &'a mut Vec<(Dist, VertexId)>,
-    /// Reusable `(distance, vertex)` key buffer (emptied at view time).
-    pub keys_b: &'a mut Vec<(Dist, VertexId)>,
-    /// Reusable `(distance, vertex)` key buffer (emptied at view time).
-    pub keys_c: &'a mut Vec<(Dist, VertexId)>,
-    /// Reusable `(distance, vertex)` key buffer (emptied at view time).
-    pub keys_d: &'a mut Vec<(Dist, VertexId)>,
-    /// `n`-sized distance buffer with **stale** content (snapshots, `qkey`).
-    pub dists: &'a mut Vec<Dist>,
 }
 
 /// The reverse half of a bidirectional point-to-point solve, produced by
@@ -192,18 +149,11 @@ pub struct SolverScratch {
     verts_e: Vec<VertexId>,
     pairs: Vec<(VertexId, Dist)>,
     claims: Vec<ParentClaim>,
-    keys_a: Vec<(Dist, VertexId)>,
-    keys_b: Vec<(Dist, VertexId)>,
-    keys_c: Vec<(Dist, VertexId)>,
-    keys_d: Vec<(Dist, VertexId)>,
-    dists: Vec<Dist>,
     dist_rev: EpochMinArray,
     mark_d: AtomicBitset,
     heap: Option<DaryHeap>,
     heap_rev: Option<DaryHeap>,
     bucket: Option<BucketQueue>,
-    treap: TreapArena,
-    treap_mark: u64,
 }
 
 impl SolverScratch {
@@ -228,15 +178,15 @@ impl SolverScratch {
     }
 
     /// Pre-sizes the shared working structures for graphs of `g`'s vertex
-    /// count — the tentative-distance epoch array, all bitsets, and the
-    /// stale distance buffer — so a latency-critical *first* query runs
+    /// count — the tentative-distance epoch array and all bitsets — so a
+    /// latency-critical *first* query runs
     /// without the cold allocation spike and reports
     /// [`crate::StepStats::scratch_reused`] `= true`. The batch layer
     /// calls this (through `SsspSolver::warm_scratch`) when creating
     /// per-worker scratches; algorithm-specific structures — the
     /// engines' frontier/substep buffers
     /// ([`SolverScratch::warm_engine_buffers`]), the heap, the bucket
-    /// queue, the treap arena — are warmed by the solvers' own
+    /// queue — are warmed by the solvers' own
     /// `warm_scratch` overrides (or sized on first use), so a Dijkstra or
     /// ∆-stepping worker never pays for buffers only the engines read.
     pub fn warm_up(&mut self, g: &CsrGraph) {
@@ -263,16 +213,16 @@ impl SolverScratch {
         self.solves -= 1;
     }
 
-    /// Reserves full-`n` capacity in every engine-side vertex/pair/claim/
-    /// key buffer — the engine half of [`SolverScratch::warm_up`], called
-    /// by the radius-stepping solvers' `warm_scratch`. The vertex and key
-    /// sets are bounded by `n`, so this covers them outright; the claims
+    /// Reserves full-`n` capacity in every engine-side vertex/pair/claim
+    /// buffer — the engine half of [`SolverScratch::warm_up`], called by
+    /// the radius-stepping solvers' `warm_scratch`. The vertex sets are
+    /// bounded by `n`, so this covers them outright; the claims
     /// log can exceed `n` in one substep on dense graphs (one entry per
     /// *successful* relaxation), in which case it grows once to its
     /// high-water capacity and stays there — amortised growth the scratch
     /// counters deliberately do not flag (like all `Vec` capacity growth
     /// here; the counters track the O(n) structures and the checked-out
-    /// heap/bucket/arena).
+    /// heap/bucket).
     pub fn warm_engine_buffers(&mut self, n: usize) {
         fn to_capacity<T>(v: &mut Vec<T>, n: usize) {
             v.reserve(n.saturating_sub(v.len()));
@@ -284,10 +234,6 @@ impl SolverScratch {
         to_capacity(&mut self.verts_e, n);
         to_capacity(&mut self.pairs, n);
         to_capacity(&mut self.claims, n);
-        to_capacity(&mut self.keys_a, n);
-        to_capacity(&mut self.keys_b, n);
-        to_capacity(&mut self.keys_c, n);
-        to_capacity(&mut self.keys_d, n);
     }
 
     /// Opens a solve over `n` vertices. Must precede any borrow.
@@ -352,11 +298,6 @@ impl SolverScratch {
             verts_e: &mut self.verts_e,
             pairs: &mut self.pairs,
             claims: &mut self.claims,
-            keys_a: &mut self.keys_a,
-            keys_b: &mut self.keys_b,
-            keys_c: &mut self.keys_c,
-            keys_d: &mut self.keys_d,
-            dists: &mut self.dists,
         }
     }
 
@@ -390,11 +331,6 @@ impl SolverScratch {
                 verts_e: &mut self.verts_e,
                 pairs: &mut self.pairs,
                 claims: &mut self.claims,
-                keys_a: &mut self.keys_a,
-                keys_b: &mut self.keys_b,
-                keys_c: &mut self.keys_c,
-                keys_d: &mut self.keys_d,
-                dists: &mut self.dists,
             },
             ReverseScratch { dist: &self.dist_rev, settled: &self.mark_d },
         )
@@ -415,10 +351,6 @@ impl SolverScratch {
                 bits.clear_all();
             }
         }
-        if self.dists.len() < n {
-            self.dists.resize(n, 0);
-            self.allocated = true;
-        }
         self.verts_a.clear();
         self.verts_b.clear();
         self.verts_c.clear();
@@ -426,10 +358,6 @@ impl SolverScratch {
         self.verts_e.clear();
         self.pairs.clear();
         self.claims.clear();
-        self.keys_a.clear();
-        self.keys_b.clear();
-        self.keys_c.clear();
-        self.keys_d.clear();
     }
 
     /// Pre-sizes the reverse distance array and settled bitset (plus the
@@ -494,26 +422,6 @@ impl SolverScratch {
         self.bucket = Some(queue);
     }
 
-    /// Checks out the treap node arena (the BST engine's `Q`/`R` node
-    /// pool). Return it with [`SolverScratch::return_treap_arena`], which
-    /// flags the solve cold iff the arena had to mint fresh nodes while
-    /// checked out.
-    pub fn checkout_treap_arena(&mut self) -> TreapArena {
-        debug_assert!(self.in_solve, "checkout_treap_arena() outside begin()/finish()");
-        self.treap_mark = self.treap.created();
-        std::mem::take(&mut self.treap)
-    }
-
-    /// Returns the arena checked out with
-    /// [`SolverScratch::checkout_treap_arena`]; node mints since checkout
-    /// count as scratch-managed allocations.
-    pub fn return_treap_arena(&mut self, arena: TreapArena) {
-        if arena.created() > self.treap_mark {
-            self.allocated = true;
-        }
-        self.treap = arena;
-    }
-
     /// Pre-sizes the cached heap slot for graphs of `n` vertices without
     /// opening a solve — the heap half of [`SolverScratch::warm_up`],
     /// called by the `warm_scratch` of solvers that run a heap-based
@@ -536,12 +444,6 @@ impl SolverScratch {
             _ => BucketQueue::new(n, delta, max_weight),
         };
         self.bucket = Some(queue);
-    }
-
-    /// Pre-mints `nodes` treap-arena nodes without opening a solve — the
-    /// BST-engine half of [`SolverScratch::warm_up`].
-    pub fn warm_treap_arena(&mut self, nodes: usize) {
-        self.treap.reserve_nodes(nodes);
     }
 }
 
@@ -855,39 +757,8 @@ mod tests {
         let view = s.view();
         view.verts_c.push(7);
         view.pairs.push((1, 2));
-        view.keys_d.push((3, 4));
         assert!(s.finish(), "first query after warm_up must not allocate");
         assert_eq!((s.solves(), s.reuses()), (1, 1));
-    }
-
-    #[test]
-    fn treap_arena_checkout_tracks_mints() {
-        let mut s = SolverScratch::new();
-        s.begin(10);
-        let mut arena = s.checkout_treap_arena();
-        let t = rs_ds::Treap::from_sorted_in(&[(1, 0), (2, 1)], &mut arena);
-        arena.recycle(t);
-        s.return_treap_arena(arena);
-        assert!(!s.finish(), "minting nodes is a cold solve");
-
-        s.begin(10);
-        let mut arena = s.checkout_treap_arena();
-        let t = rs_ds::Treap::from_sorted_in(&[(5, 0), (9, 1)], &mut arena);
-        arena.recycle(t);
-        s.return_treap_arena(arena);
-        assert!(s.finish(), "recycled nodes make the next solve warm");
-    }
-
-    #[test]
-    fn warm_treap_arena_prewarms_pool() {
-        let mut s = SolverScratch::new();
-        s.warm_treap_arena(4);
-        s.begin(10);
-        let mut arena = s.checkout_treap_arena();
-        let t = rs_ds::Treap::from_sorted_in(&[(1, 0), (2, 1), (3, 2)], &mut arena);
-        arena.recycle(t);
-        s.return_treap_arena(arena);
-        assert!(s.finish(), "prewarmed pool covers the solve");
     }
 
     #[test]

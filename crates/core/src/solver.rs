@@ -223,6 +223,24 @@ impl Query {
         goals
     }
 
+    /// Checks every source and goal id against `g`'s vertex count. The
+    /// first out-of-range id (sources before goals) is the error. Solving
+    /// a query that fails this panics, so a server runs it at admission.
+    pub fn validate(&self, g: &CsrGraph) -> Result<(), InvalidQuery> {
+        let n = g.num_vertices();
+        let first_bad = |role, ids: &[VertexId]| {
+            ids.iter().find(|&&v| v as usize >= n).map(|&vertex| InvalidQuery {
+                role,
+                vertex,
+                num_vertices: n,
+            })
+        };
+        match first_bad("source", self.sources()).or_else(|| first_bad("goal", self.goals())) {
+            Some(err) => Err(err),
+            None => Ok(()),
+        }
+    }
+
     /// The canonical dedup key: goal lists sorted and deduplicated (goal
     /// order never affects a response's content — distances are read from
     /// the row's distance array — so permuted goal lists must share one
@@ -241,6 +259,30 @@ impl Query {
         Query { shape, want_paths: self.want_paths, want_trace: self.want_trace }
     }
 }
+
+/// A query naming a vertex the graph does not have; see
+/// [`Query::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InvalidQuery {
+    /// `"source"` or `"goal"`.
+    pub role: &'static str,
+    /// The out-of-range vertex id.
+    pub vertex: VertexId,
+    /// The graph's vertex count.
+    pub num_vertices: usize,
+}
+
+impl std::fmt::Display for InvalidQuery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} {} out of range (graph has {} vertices)",
+            self.role, self.vertex, self.num_vertices
+        )
+    }
+}
+
+impl std::error::Error for InvalidQuery {}
 
 /// The engine-facing goal bound for one solve of `query` (`OneToMany`
 /// goals are canonicalised into `buf` and borrowed from there). Panics on
@@ -496,7 +538,7 @@ pub trait SsspSolver: Sync {
     ///   scratch is bypassed; each pool task warms its own) and return
     ///   one result row per source.
     /// * After the first (cold) query on a scratch, no working distance
-    ///   array, bitset, heap, bucket queue or treap node is allocated
+    ///   array, bitset, heap or bucket queue is allocated
     ///   again ([`crate::StepStats::scratch_reused`]); pre-warm with
     ///   [`SsspSolver::warm_scratch`] to make even the first query warm.
     ///
@@ -1330,7 +1372,6 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
     fn name(&self) -> String {
         let engine = match self.engine {
             EngineKind::Frontier => "frontier",
-            EngineKind::Bst => "bst",
             EngineKind::Unweighted => "unweighted",
         };
         let radii = match &self.radii {
@@ -1355,8 +1396,8 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
             return execute_many_to_many(self, query).with_expander(self.expander.clone());
         }
         // Point-to-point queries go through the goal-bounded kernels when a
-        // non-forward mode is configured (frontier engine only — the BST
-        // and unweighted engines always run the forward early-exit path).
+        // non-forward mode is configured (frontier engine only — the
+        // unweighted engine always runs the forward early-exit path).
         if let QueryShape::PointToPoint { source, goal } = query.shape {
             if self.engine == EngineKind::Frontier {
                 let want_paths = self.config.wants_paths(query);
@@ -1417,20 +1458,14 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
 }
 
 /// Engine-aware scratch warm-up: shared state plus the frontier/substep
-/// buffers for the two general engines, the treap node arena (its
-/// `3n + 4` peak bound) on top for the BST engine, and only the visited
-/// bitset for the unweighted engine (which never touches the distance
-/// structures — the lean BFS path).
+/// buffers for the frontier engine, and only the visited bitset for the
+/// unweighted engine (which never touches the distance structures — the
+/// lean BFS path).
 fn warm_for_engine(scratch: &mut SolverScratch, g: &CsrGraph, engine: EngineKind) {
     match engine {
         EngineKind::Frontier => {
             scratch.warm_up(g);
             scratch.warm_engine_buffers(g.num_vertices());
-        }
-        EngineKind::Bst => {
-            scratch.warm_up(g);
-            scratch.warm_engine_buffers(g.num_vertices());
-            scratch.warm_treap_arena(3 * g.num_vertices() + 4);
         }
         EngineKind::Unweighted => scratch.warm_up_lean(g),
     }
@@ -1509,7 +1544,7 @@ mod tests {
         assert!(solver.graph().num_edges() >= g.num_edges(), "shortcuts added");
         assert!(matches!(solver.radii, Radii::PerVertex(_)));
         let direct =
-            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Bst, Radii::Infinite);
+            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Infinite);
         assert_eq!(solver.solve(3).dist, direct.solve(3).dist);
     }
 

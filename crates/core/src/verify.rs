@@ -8,11 +8,16 @@
 //! * [`check_k_rho_graph`] — verifies Definition 4 plus Lemma 4.1's
 //!   preconditions for a radius assignment.
 //! * [`step_bound`] / [`substep_bound`] — the Theorem 3.2/3.3 bounds.
+//! * [`step_trace`] — Algorithm 1 run sequentially: the step oracle the
+//!   parallel frontier engine is checked against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
+
+use crate::radii::RadiiSpec;
+use crate::stats::StepTrace;
 
 /// Exact `(distance, min-hop)` pairs from `source` (full Dijkstra ordered
 /// lexicographically by `(dist, hops)`).
@@ -95,10 +100,147 @@ pub fn substep_bound(k: u32) -> usize {
     k as usize + 2
 }
 
+/// Algorithm 1 run sequentially over plain vectors: exact distances from
+/// `source` plus one [`StepTrace`] per step, the sequence the frontier
+/// engine must reproduce. Each substep relaxes from a snapshot of the
+/// previous substep's updated vertices (Jacobi), and a step ends after
+/// the first substep with no update `≤ d_i`. `O(n)` per step — test-scale
+/// graphs only.
+pub fn step_trace(
+    g: &CsrGraph,
+    radii: &RadiiSpec,
+    source: VertexId,
+) -> (Vec<Dist>, Vec<StepTrace>) {
+    let n = g.num_vertices();
+    let mut dist = vec![INF; n];
+    let mut settled = vec![false; n];
+    dist[source as usize] = 0;
+    settled[source as usize] = true;
+    for (v, w) in g.edges(source) {
+        dist[v as usize] = dist[v as usize].min(w as Dist);
+    }
+    // The fringe is the unsettled vertices with a finite δ. Unreached
+    // vertices stay out: at r ≡ ∞ the key saturates to d_i = ∞, so
+    // `δ ≤ d_i` alone would admit them.
+    let fringe = |dist: &[Dist], settled: &[bool]| -> Vec<usize> {
+        (0..n).filter(|&v| !settled[v] && dist[v] != INF).collect()
+    };
+    let mut trace = Vec::new();
+    loop {
+        let reached = fringe(&dist, &settled);
+        let Some(di) = reached.iter().map(|&v| radii.key(v as VertexId, dist[v])).min() else {
+            break;
+        };
+        let mut dirty: Vec<usize> = reached.into_iter().filter(|&v| dist[v] <= di).collect();
+        let mut substeps = 0;
+        while !dirty.is_empty() {
+            substeps += 1;
+            let snapshot: Vec<(usize, Dist)> = dirty.drain(..).map(|u| (u, dist[u])).collect();
+            for (u, du) in snapshot {
+                for (v, w) in g.edges(u as VertexId) {
+                    let (v, cand) = (v as usize, du + w as Dist);
+                    if cand < dist[v] {
+                        assert!(!settled[v], "relaxation lowered settled vertex {v}");
+                        dist[v] = cand;
+                        if cand <= di {
+                            dirty.push(v);
+                        }
+                    }
+                }
+            }
+            dirty.sort_unstable();
+            dirty.dedup();
+        }
+        // A_i is every fringe vertex now at δ ≤ d_i: the initial active set
+        // plus every vertex a substep pulled down to d_i.
+        let active: Vec<usize> =
+            fringe(&dist, &settled).into_iter().filter(|&v| dist[v] <= di).collect();
+        for &v in &active {
+            settled[v] = true;
+        }
+        trace.push(StepTrace {
+            d_i: di,
+            settled: active.len(),
+            substeps,
+            active_size: active.len(),
+        });
+    }
+    (dist, trace)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel};
+
+    /// The frontier engine's distances and full step trace equal the
+    /// oracle's.
+    fn assert_matches_oracle(g: &CsrGraph, radii: &RadiiSpec, s: VertexId) {
+        let cfg = crate::EngineConfig::with_trace();
+        let out = crate::radius_stepping_with(g, radii, s, crate::EngineKind::Frontier, cfg);
+        assert_eq!((out.dist, out.stats.trace.unwrap()), step_trace(g, radii, s), "{radii:?}");
+    }
+
+    #[test]
+    fn oracle_matches_frontier_across_radii() {
+        let g = weights::reweight(&gen::grid2d(10, 12), WeightModel::paper_weighted(), 6);
+        for radii in [RadiiSpec::Zero, RadiiSpec::Constant(1000), RadiiSpec::Constant(20_000)] {
+            assert_matches_oracle(&g, &radii, 0);
+        }
+        assert_matches_oracle(&g, &RadiiSpec::Infinite, 17);
+    }
+
+    #[test]
+    fn oracle_matches_frontier_on_scale_free() {
+        let g = weights::reweight(&gen::scale_free(300, 3, 4), WeightModel::paper_weighted(), 8);
+        let radii: Vec<Dist> = (0..300).map(|v| (v as Dist * 37) % 5000).collect();
+        assert_matches_oracle(&g, &RadiiSpec::PerVertex(&radii), 5);
+        // Big enough that Bellman–Ford substeps cross the engine's
+        // parallel cutover.
+        let g = weights::reweight(&gen::scale_free(20_000, 3, 4), WeightModel::paper_weighted(), 8);
+        for radii in [RadiiSpec::Infinite, RadiiSpec::Constant(50_000)] {
+            assert_matches_oracle(&g, &radii, 5);
+        }
+    }
+
+    #[test]
+    fn unreachable_vertices() {
+        // From a leaf, everything is reachable via the center.
+        let g = gen::star(6);
+        assert_matches_oracle(&g, &RadiiSpec::Zero, 3);
+        let (_, trace) = step_trace(&g, &RadiiSpec::Zero, 3);
+        assert_eq!(trace.iter().map(|t| t.settled).sum::<usize>(), 5);
+        // Unreached vertices stay at ∞ and out of every step, also at
+        // r ≡ ∞, where their key saturates to d_i.
+        let mut b = EdgeListBuilder::new(5);
+        b.add_edge(0, 1, 3);
+        b.add_edge(1, 2, 4);
+        let g = b.build();
+        for radii in [RadiiSpec::Zero, RadiiSpec::Infinite] {
+            assert_matches_oracle(&g, &radii, 0);
+        }
+        assert_eq!(step_trace(&g, &RadiiSpec::Infinite, 0).0, vec![0, 3, 7, INF, INF]);
+    }
+
+    #[test]
+    fn oracle_counts_steps_and_substeps_by_hand() {
+        // r ≡ ∞ on a unit path: one step; vertex 1 starts relaxed, ten
+        // productive substeps reach vertex 11, plus the final check.
+        let (dist, trace) = step_trace(&gen::path(12), &RadiiSpec::Infinite, 0);
+        assert_eq!(dist[11], 11);
+        let step = StepTrace { d_i: INF, settled: 11, substeps: 11, active_size: 11 };
+        assert_eq!(trace, vec![step]);
+        // r ≡ 0 settles one distance level per step, one substep each.
+        let mut b = EdgeListBuilder::new(4);
+        b.add_edge(0, 1, 1);
+        b.add_edge(0, 2, 1);
+        b.add_edge(1, 3, 2);
+        let (dist, trace) = step_trace(&b.build(), &RadiiSpec::Zero, 0);
+        assert_eq!(dist, vec![0, 1, 1, 3]);
+        let d_s: Vec<(Dist, usize, usize)> =
+            trace.iter().map(|t| (t.d_i, t.settled, t.substeps)).collect();
+        assert_eq!(d_s, vec![(1, 2, 1), (3, 1, 1)]);
+    }
 
     #[test]
     fn ceil_log2_values() {

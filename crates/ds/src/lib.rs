@@ -1,19 +1,15 @@
 //! Priority structures for the radius-stepping workspace.
 //!
-//! The paper leans on two families of structures:
+//! * [`DaryHeap`] is the 4-ary indexed decrease-key heap behind the
+//!   sequential Dijkstra oracle and its point-to-point kernels. (The
+//!   truncated-Dijkstra preprocessing, for which Lemma 4.2 specifies a
+//!   Fibonacci heap, runs on `std::collections::BinaryHeap` instead; see
+//!   README's "Reproducing the paper".)
+//! * [`BucketQueue`] is the cyclic bucket array classic ∆-stepping uses.
 //!
-//! * **A decrease-key heap** for sequential Dijkstra: [`DaryHeap`], the
-//!   4-ary indexed heap behind the Dijkstra oracle and its point-to-point
-//!   kernels. (The truncated-Dijkstra preprocessing, for which Lemma 4.2
-//!   specifies a Fibonacci heap, runs on `std::collections::BinaryHeap`
-//!   instead; see README's "Reproducing the paper".)
-//! * **Ordered sets with split / union / difference** for the efficient
-//!   Algorithm-2 engine (§3.3 maintains the fringe in two balanced BSTs
-//!   `Q` and `R`): [`Treap`] is a join-based treap with size augmentation
-//!   and optionally parallel union/difference, following the join-based
-//!   ordered-set line of work the paper cites.
-//!
-//! [`BucketQueue`] is the cyclic bucket array classic ∆-stepping uses.
+//! The radius-stepping engine itself needs no ordered structure: it keeps
+//! its fringe as a packed vertex array (Algorithm 1). Algorithm 2's two
+//! balanced BSTs are not implemented; README's "Substitutions" says why.
 //!
 //! [`LatencyHistogram`] is serving telemetry rather than an algorithmic
 //! structure: a fixed-footprint power-of-two-bucket histogram the server
@@ -22,9 +18,7 @@
 pub mod bucket;
 pub mod dary;
 pub mod histogram;
-pub mod treap;
 
 pub use bucket::BucketQueue;
 pub use dary::DaryHeap;
 pub use histogram::LatencyHistogram;
-pub use treap::{Treap, TreapArena};

@@ -95,8 +95,8 @@ pub struct LaneSnapshot {
     pub config: LaneConfig,
     /// Requests admitted into the queue.
     pub admitted: u64,
-    /// Requests turned away at admission (queue full or server shut
-    /// down).
+    /// Requests turned away at admission (invalid query, queue full or
+    /// server shut down).
     pub rejected: u64,
     /// Requests answered (cache hits + executed).
     pub completed: u64,

@@ -21,7 +21,9 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use rs_core::{BatchStats, Query, QueryBatch, QueryResponse, SolverScratch, SsspSolver};
+use rs_core::{
+    BatchStats, InvalidQuery, Query, QueryBatch, QueryResponse, SolverScratch, SsspSolver,
+};
 use rs_ds::LatencyHistogram;
 
 use crate::cache::{CacheStats, ResponseCache};
@@ -102,9 +104,9 @@ pub struct Reply {
     pub latency_us: u64,
 }
 
-/// Admission refusal: the lane's queue was full (or the server had shut
-/// down). Carries a retry hint derived from the lane's observed service
-/// rate.
+/// Admission refusal: the query named a vertex the graph does not have,
+/// the lane's queue was full, or the server had shut down. A full lane
+/// carries a retry hint derived from the lane's observed service rate.
 #[derive(Debug, Clone, Copy)]
 pub struct Rejection {
     /// The saturated lane.
@@ -112,6 +114,9 @@ pub struct Rejection {
     /// True when refused because the server is shutting down (retrying
     /// is then pointless).
     pub closed: bool,
+    /// Set when refused because the query itself is invalid ([`Query::validate`]
+    /// failed); retrying the same query is then pointless too.
+    pub invalid: Option<InvalidQuery>,
     /// Requests buffered in the lane at refusal time.
     pub queued: usize,
     /// Suggested back-off before retrying, in microseconds: the queue it
@@ -120,7 +125,7 @@ pub struct Rejection {
     /// [[`RETRY_MIN_US`], [`RETRY_MAX_US`]]. A lane with too few recent
     /// completions to estimate a rate (idle, or just started) hands out
     /// the clamp floor — retry soon, rather than a hint derived from
-    /// stale latency quantiles.
+    /// stale latency quantiles. Zero for an invalid query.
     pub retry_after_us: u64,
 }
 
@@ -156,7 +161,9 @@ fn retry_hint(queued: usize, completions: &VecDeque<Instant>, now: Instant) -> u
 
 impl std::fmt::Display for Rejection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.closed {
+        if let Some(err) = self.invalid {
+            write!(f, "{} query refused: {err}", self.shape.name())
+        } else if self.closed {
             write!(f, "{} lane closed (server shutting down)", self.shape.name())
         } else {
             write!(
@@ -328,9 +335,22 @@ impl<'s> Server<'s> {
 
     /// Admits `query` into its shape's lane. On success the returned
     /// ticket matches the eventual [`Reply::id`] on `reply`; on refusal
-    /// the [`Rejection`] says when to retry. Never solves, never blocks.
+    /// the [`Rejection`] says why, and for a full lane when to retry. A
+    /// query naming a vertex outside the solver's graph is refused here,
+    /// so it never reaches (and panics) a lane worker. Never solves,
+    /// never blocks.
     pub fn submit(&self, query: Query, reply: Sender<Reply>) -> Result<u64, Rejection> {
         let lane = &self.lanes[Shape::of(&query) as usize];
+        if let Err(err) = query.validate(self.solver.graph()) {
+            lane.rejected.fetch_add(1, Ordering::SeqCst);
+            return Err(Rejection {
+                shape: lane.shape,
+                closed: false,
+                invalid: Some(err),
+                queued: lane.queue.len(),
+                retry_after_us: 0,
+            });
+        }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let request = Request { id, query, submitted: Instant::now(), reply };
         match lane.queue.try_push(request) {
@@ -344,7 +364,7 @@ impl<'s> Server<'s> {
                 let queued = lane.queue.len();
                 let retry_after_us =
                     retry_hint(queued, &lane.telemetry.lock().unwrap().completions, Instant::now());
-                Err(Rejection { shape: lane.shape, closed, queued, retry_after_us })
+                Err(Rejection { shape: lane.shape, closed, invalid: None, queued, retry_after_us })
             }
         }
     }

@@ -30,14 +30,14 @@ fn weighted(seed: u64) -> CsrGraph {
     rs_graph::weights::reweight(&rs_graph::gen::grid2d(11, 12), WeightModel::paper_weighted(), seed)
 }
 
-/// A compact cross-section of the solver space: all three engines,
-/// Dijkstra, ∆-stepping, Bellman–Ford, and a preprocessed build.
+/// A compact cross-section of the solver space: the frontier engine at
+/// two radii, Dijkstra, ∆-stepping, Bellman–Ford, and a preprocessed build.
 fn solvers(g: &CsrGraph) -> Vec<Box<dyn SsspSolver + '_>> {
     vec![
         SolverBuilder::new(g).build(),
         SolverBuilder::new(g)
             .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Bst,
+                engine: EngineKind::Frontier,
                 radii: Radii::Constant(3_000),
             })
             .build(),
@@ -335,6 +335,40 @@ fn shutdown_drains_admitted_requests() {
     let drained = rx.iter().count();
     assert_eq!(drained, 40, "every admitted request answered during shutdown");
     assert_eq!(stats.completed(), 40);
+}
+
+/// A query naming a vertex the graph does not have is refused at
+/// admission, with a reason naming the id. The lane's one worker never
+/// sees it and keeps serving, and `serve()` returns its stats.
+#[test]
+fn out_of_range_query_is_rejected_and_lane_keeps_serving() {
+    let g = rs_graph::gen::grid2d(8, 8);
+    let solver = SolverBuilder::new(&g).build();
+    let config = ServerConfig::uniform(LaneConfig::new(16, 1, 4), 64);
+    let (_, stats) = serve(&*solver, &config, |server| {
+        let (tx, rx) = mpsc::channel();
+        let rejection = server
+            .submit(Query::point_to_point(0, 10_000), tx.clone())
+            .expect_err("goal 10000 is out of range");
+        assert_eq!(rejection.shape, Shape::PointToPoint);
+        assert!(!rejection.closed);
+        let err = rejection.invalid.expect("refused as invalid, not as saturated");
+        assert_eq!((err.role, err.vertex, err.num_vertices), ("goal", 10_000, 64));
+        assert!(rejection.to_string().contains("goal 10000 out of range"), "{rejection}");
+        // Every shape, every source and every goal is checked.
+        for q in [
+            Query::single_source(64),
+            Query::one_to_many(0, [3, 64]),
+            Query::many_to_many([0, 99], [1]),
+        ] {
+            assert!(server.submit(q, tx.clone()).unwrap_err().invalid.is_some());
+        }
+        server.submit(Query::point_to_point(0, 63), tx).unwrap();
+        let reply = rx.recv_timeout(std::time::Duration::from_secs(30)).expect("lane serving");
+        assert_eq!(reply.response.goal_distance(), Some(14));
+    });
+    assert_eq!(stats.completed(), 1);
+    assert_eq!(stats.rejected(), 4);
 }
 
 /// SplitMix64 — seeded traffic without an RNG dependency.

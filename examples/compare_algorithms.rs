@@ -31,10 +31,6 @@ fn main() {
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
             Some(PreprocessConfig::new(1, 64)),
         ),
-        (
-            Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Zero },
-            Some(PreprocessConfig::new(1, 64)),
-        ),
     ];
 
     let reference = SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build().solve(s).dist;
@@ -59,29 +55,22 @@ fn main() {
         );
     }
 
-    // The two radius-stepping engines produce identical step sequences —
-    // show it directly on the preprocessed graph.
+    // The parallel frontier engine takes exactly the steps of Algorithm 1
+    // run sequentially — show it directly on the preprocessed graph.
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 64));
-    let trace_of = |engine| {
-        core::radius_stepping_with(
-            &pre.graph,
-            &RadiiSpec::PerVertex(&pre.radii),
-            s,
-            engine,
-            EngineConfig::with_trace(),
-        )
-        .stats
-        .trace
-        .unwrap()
-        .iter()
-        .map(|t| t.d_i)
-        .collect::<Vec<Dist>>()
-    };
-    let fd = trace_of(EngineKind::Frontier);
-    let bd = trace_of(EngineKind::Bst);
-    assert_eq!(fd, bd);
+    let radii = RadiiSpec::PerVertex(&pre.radii);
+    let out = core::radius_stepping_with(
+        &pre.graph,
+        &radii,
+        s,
+        EngineKind::Frontier,
+        EngineConfig::with_trace(),
+    );
+    let trace = out.stats.trace.expect("trace requested");
+    let (oracle_dist, oracle_trace) = core::verify::step_trace(&pre.graph, &radii, s);
+    assert_eq!((&out.dist, &trace), (&oracle_dist, &oracle_trace));
     println!(
-        "\nall algorithms agree; engines produce identical round-distance sequences ({} steps)",
-        fd.len()
+        "\nall algorithms agree; the frontier engine matches the sequential step oracle ({} steps)",
+        trace.len()
     );
 }

@@ -8,15 +8,17 @@
 //!
 //! This crate is a facade re-exporting the workspace members:
 //!
-//! * [`core`] (`rs_core`) — the paper's contribution: radius-stepping
-//!   engines, preprocessing, and the solver trait + builder.
+//! * [`core`] (`rs_core`) — the paper's contribution: the radius-stepping
+//!   engines (weighted frontier engine, unweighted engine, point-to-point
+//!   kernels), preprocessing, the solver trait + builder, and the
+//!   sequential step oracle in `verify`.
 //! * [`graph`] (`rs_graph`) — CSR graphs, generators, weight models, I/O.
 //! * [`baselines`] (`rs_baselines`) — Dijkstra, ∆-stepping, and their
 //!   solver adapters, the sequential BFS oracle, and the builder's
 //!   `build()` (Bellman–Ford and BFS build as radius stepping at
 //!   `r ≡ ∞` / `r ≡ 0`).
-//! * [`ds`] (`rs_ds`) — the 4-ary decrease-key heap behind Dijkstra, bucket
-//!   queue, join-based treap.
+//! * [`ds`] (`rs_ds`) — the 4-ary decrease-key heap behind Dijkstra, the
+//!   ∆-stepping bucket queue, and the serving latency histogram.
 //! * [`par`] (`rs_par`) — parallel primitives (scan, pack, write-min,
 //!   frontiers).
 //!

@@ -27,9 +27,7 @@ fn weighted_algorithms() -> Vec<Algorithm> {
         algorithms.push(Algorithm::DeltaStepping { delta });
     }
     for radii in [Radii::Zero, Radii::Infinite, Radii::Constant(5_000)] {
-        for engine in [EngineKind::Frontier, EngineKind::Bst] {
-            algorithms.push(Algorithm::RadiusStepping { engine, radii: radii.clone() });
-        }
+        algorithms.push(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii });
     }
     algorithms
 }
@@ -42,6 +40,13 @@ fn all_weighted_solvers_agree() {
         for algorithm in weighted_algorithms() {
             let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
             assert_eq!(solver.solve(source).dist, reference, "{name}: {}", solver.name());
+        }
+        // The frontier engine also takes the sequential oracle's steps.
+        for radii in [RadiiSpec::Zero, RadiiSpec::Infinite, RadiiSpec::Constant(5_000)] {
+            let cfg = EngineConfig::with_trace();
+            let out = core::radius_stepping_with(&g, &radii, source, EngineKind::Frontier, cfg);
+            let oracle = core::verify::step_trace(&g, &radii, source);
+            assert_eq!((out.dist, out.stats.trace.unwrap()), oracle, "{name}: {radii:?}");
         }
     }
 }

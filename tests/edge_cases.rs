@@ -3,6 +3,7 @@
 
 use radius_stepping::prelude::*;
 use rs_core::preprocess::compute_radii;
+use rs_core::verify::step_trace;
 use rs_core::{radius_stepping_with, EngineConfig, EngineKind};
 
 #[test]
@@ -10,11 +11,11 @@ fn two_vertex_graph() {
     let mut b = EdgeListBuilder::new(2);
     b.add_edge(0, 1, 7);
     let g = b.build();
-    for kind in [EngineKind::Frontier, EngineKind::Bst] {
-        for radii in [RadiiSpec::Zero, RadiiSpec::Infinite, RadiiSpec::Constant(3)] {
-            let out = radius_stepping_with(&g, &radii, 0, kind, EngineConfig::default());
-            assert_eq!(out.dist, vec![0, 7]);
-        }
+    for radii in [RadiiSpec::Zero, RadiiSpec::Infinite, RadiiSpec::Constant(3)] {
+        let out =
+            radius_stepping_with(&g, &radii, 0, EngineKind::Frontier, EngineConfig::with_trace());
+        assert_eq!(out.dist, vec![0, 7]);
+        assert_eq!((out.dist, out.stats.trace.unwrap()), step_trace(&g, &radii, 0));
     }
 }
 
@@ -107,26 +108,20 @@ fn duplicate_and_reverse_edges_collapse() {
 
 #[test]
 fn stress_determinism_across_runs_and_engines() {
-    // A mid-size graph: two engines, two runs, one answer — including all
-    // counters (substep counts are synchronous, hence schedule-free).
+    // A mid-size graph: two engine runs and the sequential oracle, one
+    // answer — including the whole step trace (substeps are synchronous,
+    // hence schedule-free).
     let g = graph::weights::reweight(
         &graph::gen::road_network(40, 17),
         WeightModel::paper_weighted(),
         18,
     );
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(2, 20));
-    let runs: Vec<_> = (0..2)
-        .flat_map(|_| {
-            [EngineKind::Frontier, EngineKind::Bst].map(|k| {
-                let out = pre.sssp_with(5, k, EngineConfig::with_trace());
-                (out.dist, out.stats.steps, out.stats.substeps)
-            })
-        })
-        .collect();
-    for r in &runs[1..] {
-        assert_eq!(r.0, runs[0].0);
-        assert_eq!(r.1, runs[0].1);
-        assert_eq!(r.2, runs[0].2, "substep counts must be deterministic");
+    let oracle = step_trace(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 5);
+    for _ in 0..2 {
+        let out = pre.sssp_with(5, EngineKind::Frontier, EngineConfig::with_trace());
+        assert_eq!(out.dist, oracle.0);
+        assert_eq!(out.stats.trace.unwrap(), oracle.1, "step traces must be deterministic");
     }
 }
 

@@ -46,7 +46,6 @@ fn algorithms() -> Vec<Algorithm> {
     vec![
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
-        Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(3_000) },
         Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 2_500 },
     ]

@@ -3,7 +3,7 @@
 
 use radius_stepping::prelude::*;
 use rs_core::preprocess::ShortcutHeuristic;
-use rs_core::verify::{check_k_rho_graph, step_bound, substep_bound};
+use rs_core::verify::{check_k_rho_graph, step_bound, step_trace, substep_bound};
 use rs_core::{EngineConfig, EngineKind};
 
 fn family(seed: u64) -> Vec<(&'static str, CsrGraph)> {
@@ -48,20 +48,19 @@ fn full_pipeline_all_configs() {
         ] {
             let pre = Preprocessed::build(&g, &PreprocessConfig { k, rho, heuristic: h });
             pre.graph.check_invariants().unwrap();
-            for kind in [EngineKind::Frontier, EngineKind::Bst] {
-                let out = pre.sssp_with(3, kind, EngineConfig::with_trace());
-                assert_eq!(out.dist, reference, "{name} k={k} rho={rho} {h:?} {kind:?}");
-                assert!(
-                    out.stats.max_substeps_in_step <= substep_bound(k),
-                    "{name} k={k}: {} substeps",
-                    out.stats.max_substeps_in_step
-                );
-                assert!(
-                    out.stats.steps
-                        <= step_bound(g.num_vertices(), rho, pre.graph.max_weight() as u64),
-                    "{name} rho={rho}: step bound violated"
-                );
-            }
+            let out = pre.sssp_with(3, EngineKind::Frontier, EngineConfig::with_trace());
+            assert_eq!(out.dist, reference, "{name} k={k} rho={rho} {h:?}");
+            assert!(
+                out.stats.max_substeps_in_step <= substep_bound(k),
+                "{name} k={k}: {} substeps",
+                out.stats.max_substeps_in_step
+            );
+            assert!(
+                out.stats.steps <= step_bound(g.num_vertices(), rho, pre.graph.max_weight() as u64),
+                "{name} rho={rho}: step bound violated"
+            );
+            let oracle = step_trace(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 3);
+            assert_eq!(out.stats.trace.unwrap(), oracle.1, "{name} k={k} rho={rho} {h:?}");
         }
     }
 }

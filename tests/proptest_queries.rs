@@ -74,7 +74,7 @@ proptest! {
         let queries = build_queries(&raw, n);
         let algorithm = [
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(40) },
-            Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(25) },
+            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(25) },
             Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 60 },
             Algorithm::BellmanFord,
@@ -153,7 +153,7 @@ proptest! {
         let goals: Vec<u32> = goals.into_iter().map(|t| t % n).collect();
         let algorithm = [
             Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(40) },
-            Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(25) },
+            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(25) },
             Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 60 },
             Algorithm::BellmanFord,

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use radius_stepping::prelude::*;
 use rs_core::preprocess::ShortcutHeuristic;
-use rs_core::verify::{check_k_rho_graph, step_bound, substep_bound};
+use rs_core::verify::{check_k_rho_graph, step_bound, step_trace, substep_bound};
 use rs_core::{radius_stepping_with, EngineConfig, EngineKind};
 
 /// Random connected weighted graph: a random spanning tree plus extra
@@ -43,27 +43,28 @@ proptest! {
         let n = g.num_vertices();
         let radii: Vec<Dist> = (0..n).map(|i| radii_seed[i % radii_seed.len()]).collect();
         let reference = baselines::dijkstra_default(&g, source);
-        for kind in [EngineKind::Frontier, EngineKind::Bst] {
-            let out = radius_stepping_with(
-                &g, &RadiiSpec::PerVertex(&radii), source, kind, EngineConfig::default());
-            prop_assert_eq!(&out.dist, &reference, "{:?}", kind);
-        }
+        let out = radius_stepping_with(
+            &g, &RadiiSpec::PerVertex(&radii), source, EngineKind::Frontier, EngineConfig::default());
+        prop_assert_eq!(&out.dist, &reference);
     }
 
+    // The parallel frontier engine takes exactly the steps and substeps of
+    // Algorithm 1 run sequentially, for constant and per-vertex radii.
     #[test]
-    fn engines_step_sequences_identical(
+    fn frontier_matches_step_oracle(
         g in arb_connected_graph(),
         r in 0u64..10_000,
+        radii_seed in proptest::collection::vec(0u64..10_000, 40),
+        source in 0u32..3,
     ) {
-        let f = radius_stepping_with(
-            &g, &RadiiSpec::Constant(r), 0, EngineKind::Frontier, EngineConfig::with_trace());
-        let b = radius_stepping_with(
-            &g, &RadiiSpec::Constant(r), 0, EngineKind::Bst, EngineConfig::with_trace());
-        prop_assert_eq!(f.stats.steps, b.stats.steps);
-        prop_assert_eq!(f.stats.substeps, b.stats.substeps);
-        let fd: Vec<Dist> = f.stats.trace.unwrap().iter().map(|t| t.d_i).collect();
-        let bd: Vec<Dist> = b.stats.trace.unwrap().iter().map(|t| t.d_i).collect();
-        prop_assert_eq!(fd, bd);
+        let per_vertex: Vec<Dist> =
+            (0..g.num_vertices()).map(|i| radii_seed[i % radii_seed.len()]).collect();
+        for radii in [RadiiSpec::Constant(r), RadiiSpec::PerVertex(&per_vertex)] {
+            let out = radius_stepping_with(
+                &g, &radii, source, EngineKind::Frontier, EngineConfig::with_trace());
+            prop_assert_eq!(
+                (out.dist, out.stats.trace.unwrap()), step_trace(&g, &radii, source), "{:?}", radii);
+        }
     }
 
     #[test]

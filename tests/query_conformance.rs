@@ -28,13 +28,13 @@ fn weighted(seed: u64) -> CsrGraph {
 }
 
 /// Every weighted-capable algorithm family, spanning the paper's spectrum
-/// (all three engines, every Dijkstra heap, two ∆ widths, Bellman–Ford).
+/// (the frontier engine at three radii, Dijkstra, two ∆ widths,
+/// Bellman–Ford).
 fn weighted_algorithms() -> Vec<Algorithm> {
     vec![
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Infinite },
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
-        Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(3_000) },
         Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 1_111 },
         Algorithm::DeltaStepping { delta: 50_000 },
@@ -264,16 +264,15 @@ fn unreachable_goals_terminate() {
 
 /// Satellite acceptance: after `warm_scratch`, the *first* query performs
 /// zero scratch-managed allocations for every solver — each override
-/// warms exactly its own structures (engine buffers and the BST treap
-/// arena for radius stepping, the heap for Dijkstra, the bucket queue for
-/// ∆-stepping; Bellman–Ford needs only the shared state).
+/// warms exactly its own structures (engine buffers for radius stepping,
+/// the heap for Dijkstra, the bucket queue for ∆-stepping; Bellman–Ford
+/// needs only the shared state).
 #[test]
 fn first_query_runs_warm_after_warm_scratch() {
     let g = weighted(5);
     let n = g.num_vertices() as u32;
     for algorithm in [
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(2_000) },
-        Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(2_000) },
         Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 1_500 },
         Algorithm::BellmanFord,
@@ -309,12 +308,6 @@ fn warm_point_to_point_zero_allocations_on_100k_graph() {
             .build(),
         SolverBuilder::new(&g)
             .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Bst,
-                radii: Radii::Constant(40),
-            })
-            .build(),
-        SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
                 engine: EngineKind::Unweighted,
                 radii: Radii::Constant(40),
             })
@@ -340,8 +333,7 @@ fn warm_point_to_point_zero_allocations_on_100k_graph() {
         for (i, q) in stream.iter().enumerate() {
             let resp = solver.execute(q, &mut scratch);
             // warm_scratch covers every structure each of these solvers
-            // touches (including the BST engine's treap-node arena), so
-            // even query 0 must run allocation-free.
+            // touches, so even query 0 must run allocation-free.
             assert!(
                 resp.stats().scratch_reused,
                 "{}: query {i} allocated working structures on a warm scratch",

@@ -53,7 +53,6 @@ fn weighted_algorithms() -> Vec<Algorithm> {
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Infinite },
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
-        Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Constant(3_000) },
         Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 1_111 },
         Algorithm::DeltaStepping { delta: 50_000 },
@@ -72,7 +71,10 @@ fn weighted_solvers<'g>(g: &'g CsrGraph) -> Vec<Box<dyn SsspSolver + 'g>> {
     solvers.push(SolverBuilder::new(g).preprocess(PreprocessConfig::new(1, 12)).build());
     solvers.push(
         SolverBuilder::new(g)
-            .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Bst, radii: Radii::Zero })
+            .algorithm(Algorithm::RadiusStepping {
+                engine: EngineKind::Frontier,
+                radii: Radii::Zero,
+            })
             .preprocess(PreprocessConfig::new(2, 10))
             .build(),
     );
