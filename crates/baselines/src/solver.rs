@@ -21,13 +21,12 @@
 
 use std::sync::Arc;
 
-use rs_core::engine::p2p;
 use rs_core::solver::{
-    execute_many_to_many, solve_goals, Algorithm, P2pMode, Query, QueryResponse, QueryShape,
+    execute_many_to_many, solve_goals, Algorithm, P2pKernel, Query, QueryResponse,
     RadiusSteppingSolver, ResolvedParts, SolverBuilder, SolverConfig, SolverGraph, SsspSolver,
 };
 use rs_core::stats::{SsspResult, StepStats};
-use rs_core::{Landmarks, ShortcutExpander, SolverScratch};
+use rs_core::{ShortcutExpander, SolverScratch};
 use rs_graph::{CsrGraph, Dist, INF};
 
 use crate::delta_stepping::{delta_stepping_scratch, DeltaSteppingResult};
@@ -50,12 +49,12 @@ impl<'g> BuildSolver<'g> for SolverBuilder<'g> {
         // edges.
         match parts.algorithm {
             Algorithm::Dijkstra => {
-                let ResolvedParts { graph, expander, landmarks, .. } = parts.resolve();
-                Box::new(DijkstraSolver { graph, config: parts.config, expander, landmarks })
+                let ResolvedParts { graph, expander, p2p, .. } = parts.resolve();
+                Box::new(DijkstraSolver { graph, config: parts.config, expander, p2p })
             }
             Algorithm::DeltaStepping { delta } => {
-                let ResolvedParts { graph, expander, .. } = parts.resolve();
-                Box::new(DeltaSteppingSolver { graph, delta, config: parts.config, expander })
+                let ResolvedParts { graph, expander, p2p, .. } = parts.resolve();
+                Box::new(DeltaSteppingSolver { graph, delta, config: parts.config, expander, p2p })
             }
             _ => Box::new(RadiusSteppingSolver::from_parts(parts)),
         }
@@ -67,35 +66,10 @@ pub struct DijkstraSolver<'g> {
     pub graph: SolverGraph<'g>,
     pub config: SolverConfig,
     pub expander: Option<Arc<ShortcutExpander>>,
-    /// ALT landmark table when [`SolverConfig::p2p_mode`] reads one
-    /// (guaranteed present for `GoalDirected`, optional for `Auto`).
-    pub landmarks: Option<Arc<Landmarks>>,
+    pub p2p: P2pKernel,
 }
 
 impl DijkstraSolver<'_> {
-    /// Runs the configured non-forward point-to-point kernel, or `None`
-    /// when the forward early-exit path should serve the query.
-    fn run_p2p(
-        &self,
-        query: &Query,
-        source: u32,
-        goal: u32,
-        scratch: &mut SolverScratch,
-    ) -> Option<QueryResponse> {
-        let want_paths = self.config.wants_paths(query);
-        let out = match self.config.effective_p2p(self.landmarks.is_some()) {
-            P2pMode::Forward | P2pMode::Auto => return None,
-            P2pMode::Bidirectional => {
-                p2p::bidirectional(&self.graph, source, goal, want_paths, scratch)
-            }
-            P2pMode::GoalDirected => {
-                let lm = self.landmarks.as_ref().expect("GoalDirected owns landmarks");
-                p2p::goal_directed(&self.graph, source, goal, lm, want_paths, scratch)
-            }
-        };
-        Some(QueryResponse::single(query.clone(), out).with_expander(self.expander.clone()))
-    }
-
     fn run_scratch(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
         let n = self.graph.num_vertices();
         scratch.begin(n);
@@ -142,22 +116,17 @@ impl SsspSolver for DijkstraSolver<'_> {
         if query.is_many_to_many() {
             return execute_many_to_many(self, query).with_expander(self.expander.clone());
         }
-        if let QueryShape::PointToPoint { source, goal } = query.shape {
-            if let Some(response) = self.run_p2p(query, source, goal, scratch) {
-                return response;
-            }
+        let want_paths = self.config.wants_paths(query);
+        if let Some(out) = self.p2p.run(&self.graph, query, want_paths, scratch) {
+            return QueryResponse::single(query.clone(), out).with_expander(self.expander.clone());
         }
         self.run_scratch(query, scratch)
     }
 
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
         scratch.warm_up(&self.graph);
-        let n = self.graph.num_vertices();
-        if self.config.effective_p2p(self.landmarks.is_some()) == P2pMode::Bidirectional {
-            scratch.warm_up_bidir(&self.graph);
-            scratch.warm_heap_rev(n);
-        }
-        scratch.warm_heap(n);
+        scratch.warm_heap(self.graph.num_vertices());
+        self.p2p.warm(&self.graph, scratch);
     }
 }
 
@@ -167,6 +136,7 @@ pub struct DeltaSteppingSolver<'g> {
     pub delta: Dist,
     pub config: SolverConfig,
     pub expander: Option<Arc<ShortcutExpander>>,
+    pub p2p: P2pKernel,
 }
 
 impl DeltaSteppingSolver<'_> {
@@ -199,6 +169,10 @@ impl SsspSolver for DeltaSteppingSolver<'_> {
         if query.is_many_to_many() {
             return execute_many_to_many(self, query).with_expander(self.expander.clone());
         }
+        let want_paths = self.config.wants_paths(query);
+        if let Some(out) = self.p2p.run(&self.graph, query, want_paths, scratch) {
+            return QueryResponse::single(query.clone(), out).with_expander(self.expander.clone());
+        }
         let mut goal_buf = Vec::new();
         let out = delta_stepping_scratch(
             &self.graph,
@@ -218,6 +192,7 @@ impl SsspSolver for DeltaSteppingSolver<'_> {
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
         scratch.warm_up(&self.graph);
         scratch.warm_bucket(self.graph.num_vertices(), self.delta, self.graph.max_weight() as u64);
+        self.p2p.warm(&self.graph, scratch);
     }
 }
 

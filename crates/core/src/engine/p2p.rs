@@ -48,8 +48,10 @@ fn kernel_stats(settled: usize, relaxed: u64, scratch_reused: bool) -> StepStats
     }
 }
 
-/// The degenerate `s == t` solve both kernels share.
-fn trivial_self_query(
+/// The answer that settles only the source: the degenerate `s == t` solve
+/// both kernels share, and goal-directed search's landmark-proven
+/// unreachable goal.
+fn source_only(
     n: usize,
     source: VertexId,
     want_paths: bool,
@@ -89,7 +91,7 @@ pub fn bidirectional(
     assert_distance_range(g);
     scratch.begin(n);
     if source == goal {
-        return trivial_self_query(n, source, want_paths, scratch);
+        return source_only(n, source, want_paths, scratch);
     }
     let gt = g.transpose();
     // Heaps come out of their slots before the views borrow the scratch.
@@ -214,21 +216,13 @@ pub fn goal_directed(
     assert_distance_range(g);
     scratch.begin(n);
     if source == goal {
-        return trivial_self_query(n, source, want_paths, scratch);
+        return source_only(n, source, want_paths, scratch);
     }
     let goal_row = landmarks.goal_row(goal);
     if landmarks.lower_bound(source, &goal_row) == INF {
         // A landmark separates source and goal: provably unreachable, no
         // search at all.
-        let mut dist = vec![INF; n];
-        dist[source as usize] = 0;
-        let parent = want_paths.then(|| {
-            let mut p = vec![u32::MAX; n];
-            p[source as usize] = source;
-            p
-        });
-        let stats = kernel_stats(1, 0, scratch.finish());
-        return SsspResult { dist, parent, stats };
+        return source_only(n, source, want_paths, scratch);
     }
     let mut heap = scratch.checkout_heap();
     let view = scratch.view();

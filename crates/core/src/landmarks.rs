@@ -15,18 +15,16 @@
 //! components, so goal-directed queries are never blind inside a
 //! component just because vertex 0 lives elsewhere. Full distance fields
 //! are stored row-per-landmark.
-//! Preprocessing persists the table in the `RSP4` cache next to the radii
-//! (the (k, ρ) ball machinery already computes multi-source distance
-//! fields; landmarks are the same shape of artifact), and solvers built
-//! with [`crate::P2pMode::GoalDirected`] without a preprocessing pass
-//! build the table once at construction.
+//! Only solvers built with [`crate::P2pMode::GoalDirected`] elect a table,
+//! once, at construction ([`crate::solver::P2pKernel::resolve`]); the
+//! (k, ρ) preprocessing and its cache carry none.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
 
-/// How many landmarks preprocessing and on-demand construction elect.
+/// How many landmarks a goal-directed solver elects.
 pub const DEFAULT_LANDMARKS: usize = 8;
 
 /// A set of landmark vertices with their full distance fields.
@@ -84,19 +82,6 @@ impl Landmarks {
     fn push_landmark(&mut self, g: &CsrGraph, v: VertexId) {
         self.dists.push(sequential_dijkstra(g, v));
         self.ids.push(v);
-    }
-
-    /// Reassembles a table from persisted parts (the `RSP4` loader).
-    ///
-    /// # Panics
-    /// If the shapes disagree.
-    pub fn from_parts(ids: Vec<VertexId>, dists: Vec<Vec<Dist>>) -> Landmarks {
-        assert_eq!(ids.len(), dists.len(), "one distance field per landmark");
-        let mut n = None;
-        for field in &dists {
-            assert_eq!(*n.get_or_insert(field.len()), field.len(), "ragged distance fields");
-        }
-        Landmarks { ids, dists }
     }
 
     /// The elected landmark vertices.
@@ -160,7 +145,7 @@ fn farthest(dist: &[Dist]) -> Option<VertexId> {
 }
 
 /// Plain sequential Dijkstra over a std binary heap with lazy deletion —
-/// preprocessing-time only (landmark fields are built once and cached),
+/// construction-time only (landmark fields are built once per solver),
 /// so it deliberately avoids the scratch machinery.
 fn sequential_dijkstra(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
     let n = g.num_vertices();

@@ -33,7 +33,6 @@ use rs_graph::builder::merge_edges;
 use rs_graph::{CsrGraph, Dist, Edge, VertexId};
 
 use crate::engine::{radius_stepping_with, EngineConfig, EngineKind};
-use crate::landmarks::{Landmarks, DEFAULT_LANDMARKS};
 use crate::radii::RadiiSpec;
 use crate::stats::SsspResult;
 
@@ -146,15 +145,8 @@ pub struct Preprocessed {
     /// shortcut hops into exact input-graph routes (see
     /// [`ShortcutExpander::expand_path`]). Shared (`Arc`) with every
     /// `QueryResponse` a preprocessed solver produces; persisted in the
-    /// `RSP4` cache format.
+    /// `RSP6` cache format.
     pub expander: Arc<ShortcutExpander>,
-    /// ALT landmark table for goal-directed point-to-point queries:
-    /// [`DEFAULT_LANDMARKS`] vertices elected by farthest-point traversal
-    /// with their full distance fields (built on the augmented graph —
-    /// shortcuts preserve distances, so the fields equal the input
-    /// graph's). Persisted in the `RSP4` cache; `None` only for
-    /// preprocessings loaded from partial states built elsewhere.
-    pub landmarks: Option<Arc<Landmarks>>,
     /// Measurements.
     pub stats: PreprocessStats,
 }
@@ -165,14 +157,12 @@ impl Preprocessed {
         let (radii, shortcuts, expander, stats) = preprocess_parts(g, cfg, true);
         let graph = merge_edges(g, &shortcuts);
         let effective = graph.num_edges() - g.num_edges();
-        let landmarks = Arc::new(Landmarks::build(&graph, DEFAULT_LANDMARKS));
         Preprocessed {
             graph,
             radii,
             config: *cfg,
             input_hash: g.content_hash(),
             expander: Arc::new(expander),
-            landmarks: Some(landmarks),
             stats: PreprocessStats { effective_new_edges: effective, ..stats },
         }
     }
@@ -199,11 +189,12 @@ impl Preprocessed {
     pub fn save<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
         use std::io::Write;
         let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        // "RSP4": format 4 added the ALT landmark table (format 3 the
-        // shortcut expansion chains, format 2 the input-graph content
-        // hash). Older files ("RSPP", "RSP2", "RSP3") fail to load and are
-        // transparently rebuilt.
-        w.write_all(b"RSP4")?;
+        // "RSP6": format 6 dropped format 4's ALT landmark table (format 3
+        // added the shortcut expansion chains, format 2 the input-graph
+        // content hash; "RSP5" is taken by `rs_shard`'s partition files).
+        // Older files ("RSPP", "RSP2", "RSP3", "RSP4") fail to load and
+        // are transparently rebuilt.
+        w.write_all(b"RSP6")?;
         w.write_all(&self.input_hash.to_le_bytes())?;
         w.write_all(&self.config.k.to_le_bytes())?;
         w.write_all(&(self.config.rho as u64).to_le_bytes())?;
@@ -228,18 +219,6 @@ impl Preprocessed {
             w.write_all(&parent.to_le_bytes())?;
             w.write_all(&dist.to_le_bytes())?;
         }
-        // Landmark table: count, then per landmark its vertex id and full
-        // distance field (row length = vertex count, implied by the radii
-        // section above).
-        let empty = Landmarks::from_parts(Vec::new(), Vec::new());
-        let lm = self.landmarks.as_deref().unwrap_or(&empty);
-        w.write_all(&(lm.len() as u32).to_le_bytes())?;
-        for (l, &id) in lm.ids().iter().enumerate() {
-            w.write_all(&id.to_le_bytes())?;
-            for &d in lm.field(l) {
-                w.write_all(&d.to_le_bytes())?;
-            }
-        }
         rs_graph::io::write_binary_to(&self.graph, &mut w)?;
         w.flush()
     }
@@ -251,7 +230,7 @@ impl Preprocessed {
         let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
-        if &magic != b"RSP4" {
+        if &magic != b"RSP6" {
             return Err(bad("not a saved preprocessing (or an old format)"));
         }
         let mut b4 = [0u8; 4];
@@ -294,21 +273,6 @@ impl Preprocessed {
                 u64::from_le_bytes(b8),
             );
         }
-        r.read_exact(&mut b4)?;
-        let lm_count = u32::from_le_bytes(b4) as usize;
-        let mut lm_ids = Vec::with_capacity(lm_count);
-        let mut lm_fields = Vec::with_capacity(lm_count);
-        for _ in 0..lm_count {
-            r.read_exact(&mut b4)?;
-            lm_ids.push(u32::from_le_bytes(b4));
-            let mut field = Vec::with_capacity(n);
-            for _ in 0..n {
-                r.read_exact(&mut b8)?;
-                field.push(u64::from_le_bytes(b8));
-            }
-            lm_fields.push(field);
-        }
-        let landmarks = Arc::new(Landmarks::from_parts(lm_ids, lm_fields));
         let graph = rs_graph::io::read_binary_from(&mut r)?;
         if graph.num_vertices() != n {
             return Err(bad("radii length does not match the embedded graph"));
@@ -319,7 +283,6 @@ impl Preprocessed {
             config: PreprocessConfig { k, rho, heuristic },
             input_hash,
             expander: Arc::new(expander),
-            landmarks: Some(landmarks),
             stats: PreprocessStats {
                 raw_shortcuts: nums[0] as usize,
                 effective_new_edges: nums[1] as usize,
@@ -527,12 +490,6 @@ mod tests {
         assert_eq!(loaded.config, pre.config);
         assert_eq!(loaded.stats, pre.stats);
         assert_eq!(loaded.expander, pre.expander, "expansion chains round-trip");
-        assert_eq!(loaded.landmarks, pre.landmarks, "landmark table round-trips");
-        assert_eq!(
-            pre.landmarks.as_ref().map(|lm| lm.len()),
-            Some(DEFAULT_LANDMARKS),
-            "build elects the default landmark count"
-        );
         assert!(!pre.expander.is_empty(), "a (2,12) grid preprocessing records chains");
         assert_eq!(loaded.input_hash, g.content_hash(), "header records the input hash");
         assert_eq!(loaded.sssp(9).dist, pre.sssp(9).dist);

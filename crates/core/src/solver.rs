@@ -1020,14 +1020,76 @@ pub enum P2pMode {
     /// ([`crate::engine::p2p::bidirectional`]).
     Bidirectional,
     /// Goal-directed ALT search ([`crate::engine::p2p::goal_directed`]).
-    /// Requires a [`crate::Landmarks`] table: solvers built with this mode
-    /// take it from the attached preprocessing (persisted in the `RSP4`
-    /// cache) or elect one at construction time.
+    /// Solvers built with this mode elect a [`crate::Landmarks`] table
+    /// once, at construction time (see [`P2pKernel::resolve`]).
     GoalDirected,
-    /// `GoalDirected` when the attached preprocessing supplies landmarks,
-    /// `Bidirectional` otherwise — goal-directed pruning when it is free,
-    /// never a construction-time landmark build.
-    Auto,
+}
+
+/// The point-to-point kernel a solver runs, resolved from its [`P2pMode`]
+/// once at build time and consulted by every solver's `execute` and
+/// `warm_scratch`. `GoalDirected` owns its landmark table, so a
+/// goal-directed solver can never be without one.
+#[derive(Debug, Clone)]
+pub enum P2pKernel {
+    /// The solver's own goal-bounded forward solve.
+    Forward,
+    /// [`crate::engine::p2p::bidirectional`].
+    Bidirectional,
+    /// [`crate::engine::p2p::goal_directed`] over this landmark table.
+    GoalDirected(Arc<Landmarks>),
+}
+
+impl P2pKernel {
+    /// Resolves `mode` for `g`, electing [`DEFAULT_LANDMARKS`] landmarks
+    /// (as many sequential Dijkstras) only for `GoalDirected`.
+    pub fn resolve(mode: P2pMode, g: &CsrGraph) -> P2pKernel {
+        match mode {
+            P2pMode::Forward => P2pKernel::Forward,
+            P2pMode::Bidirectional => P2pKernel::Bidirectional,
+            P2pMode::GoalDirected => {
+                P2pKernel::GoalDirected(Arc::new(Landmarks::build(g, DEFAULT_LANDMARKS)))
+            }
+        }
+    }
+
+    /// Answers `query` with the resolved kernel, or `None` — for `Forward`
+    /// and for every shape other than point-to-point — when the solver's
+    /// forward solve should serve it.
+    pub fn run(
+        &self,
+        g: &CsrGraph,
+        query: &Query,
+        want_paths: bool,
+        scratch: &mut SolverScratch,
+    ) -> Option<SsspResult> {
+        let QueryShape::PointToPoint { source, goal } = query.shape else { return None };
+        match self {
+            P2pKernel::Forward => None,
+            P2pKernel::Bidirectional => {
+                Some(p2p::bidirectional(g, source, goal, want_paths, scratch))
+            }
+            P2pKernel::GoalDirected(lm) => {
+                Some(p2p::goal_directed(g, source, goal, lm, want_paths, scratch))
+            }
+        }
+    }
+
+    /// Pre-sizes the scratch structures the kernel draws from.
+    pub fn warm(&self, g: &CsrGraph, scratch: &mut SolverScratch) {
+        let n = g.num_vertices();
+        match self {
+            P2pKernel::Forward => {}
+            P2pKernel::Bidirectional => {
+                scratch.warm_up_bidir(g);
+                scratch.warm_heap(n);
+                scratch.warm_heap_rev(n);
+            }
+            P2pKernel::GoalDirected(_) => {
+                scratch.warm_up(g);
+                scratch.warm_heap(n);
+            }
+        }
+    }
 }
 
 /// Cross-algorithm output options.
@@ -1051,17 +1113,6 @@ impl SolverConfig {
     /// Whether `query` should record a trace (same OR).
     pub fn wants_trace(&self, query: &Query) -> bool {
         self.trace || query.want_trace
-    }
-
-    /// The mode a solver dispatches for a point-to-point query: `Auto`
-    /// resolves to goal-directed when the solver holds a landmark table
-    /// (i.e. one came with preprocessing), else bidirectional.
-    pub fn effective_p2p(&self, has_landmarks: bool) -> P2pMode {
-        match self.p2p_mode {
-            P2pMode::Auto if has_landmarks => P2pMode::GoalDirected,
-            P2pMode::Auto => P2pMode::Bidirectional,
-            mode => mode,
-        }
     }
 
     /// Attaches the shortest-path tree to `result` if `query` asked for
@@ -1181,9 +1232,10 @@ impl<'g> SolverBuilder<'g> {
         self
     }
 
-    /// Selects the point-to-point execution strategy (see [`P2pMode`]).
-    /// `GoalDirected` without attached preprocessing elects a landmark
-    /// table at build time (`DEFAULT_LANDMARKS` sequential Dijkstras).
+    /// Selects the point-to-point execution strategy (see [`P2pMode`]);
+    /// every solver `build()` constructs honours it. `GoalDirected` elects
+    /// a landmark table at build time (`DEFAULT_LANDMARKS` sequential
+    /// Dijkstras).
     pub fn p2p_mode(mut self, mode: P2pMode) -> Self {
         self.config.p2p_mode = mode;
         self
@@ -1242,36 +1294,27 @@ pub struct ResolvedParts<'g> {
     pub graph: SolverGraph<'g>,
     /// Shortcut expansion table for input-graph-exact path extraction.
     pub expander: Option<Arc<ShortcutExpander>>,
-    /// The ALT landmark table the configured [`P2pMode`] calls for.
-    pub landmarks: Option<Arc<Landmarks>>,
+    /// The point-to-point kernel the configured [`P2pMode`] resolves to.
+    pub p2p: P2pKernel,
     /// The preprocessing's `r_ρ(v)` radii.
     pub radii: Option<Vec<Dist>>,
 }
 
 impl<'g> BuilderParts<'g> {
     /// Resolves the attached preprocessing (loading from / saving to the
-    /// cache path when one was supplied) and the landmark table: the
-    /// preprocessing's persisted table when one is attached, a build-time
-    /// election for `GoalDirected` without one, `None` for the modes that
-    /// never read landmarks.
+    /// cache path when one was supplied) and the point-to-point kernel.
     pub fn resolve(&self) -> ResolvedParts<'g> {
-        let (graph, expander, mut landmarks, radii) = match &self.preprocess {
-            None => (SolverGraph::Borrowed(self.graph), None, None, None),
+        let (graph, expander, radii) = match &self.preprocess {
+            None => (SolverGraph::Borrowed(self.graph), None, None),
             Some(cfg) => {
                 let pre = resolve_preprocessed(self.graph, cfg, self.preprocess_cache.as_deref());
-                (SolverGraph::Owned(pre.graph), Some(pre.expander), pre.landmarks, Some(pre.radii))
+                (SolverGraph::Owned(pre.graph), Some(pre.expander), Some(pre.radii))
             }
         };
-        match self.config.p2p_mode {
-            P2pMode::GoalDirected if landmarks.is_none() => {
-                // Shortcuts preserve distances, so a table elected on the
-                // resolved graph bounds input-graph distances too.
-                landmarks = Some(Arc::new(Landmarks::build(&graph, DEFAULT_LANDMARKS)));
-            }
-            P2pMode::Forward | P2pMode::Bidirectional => landmarks = None,
-            _ => {}
-        }
-        ResolvedParts { graph, expander, landmarks, radii }
+        // Shortcuts preserve distances, so landmarks elected on the
+        // resolved graph bound input-graph distances too.
+        let p2p = P2pKernel::resolve(self.config.p2p_mode, &graph);
+        ResolvedParts { graph, expander, p2p, radii }
     }
 }
 
@@ -1319,9 +1362,7 @@ pub struct RadiusSteppingSolver<'g> {
     /// Shortcut expansion table when preprocessing replaced the graph —
     /// attached to every response so extracted paths ride input edges.
     expander: Option<Arc<ShortcutExpander>>,
-    /// ALT landmark table when the configured [`P2pMode`] reads one
-    /// (guaranteed present for `GoalDirected`, optional for `Auto`).
-    landmarks: Option<Arc<Landmarks>>,
+    p2p: P2pKernel,
 }
 
 impl<'g> RadiusSteppingSolver<'g> {
@@ -1333,7 +1374,7 @@ impl<'g> RadiusSteppingSolver<'g> {
             engine,
             config: SolverConfig::default(),
             expander: None,
-            landmarks: None,
+            p2p: P2pKernel::Forward,
         }
     }
 
@@ -1353,7 +1394,7 @@ impl<'g> RadiusSteppingSolver<'g> {
             Algorithm::Bfs => (EngineKind::Unweighted, Radii::Zero),
             other => panic!("{other:?} is not a radius-stepping point; use BuildSolver::build"),
         };
-        let ResolvedParts { graph, expander, landmarks, radii: pre_radii } = parts.resolve();
+        let ResolvedParts { graph, expander, p2p, radii: pre_radii } = parts.resolve();
         assert!(
             parts.algorithm != Algorithm::Bfs || graph.is_unit_weighted(),
             "Algorithm::Bfs requires a unit-weighted graph (and no preprocessing)"
@@ -1364,7 +1405,7 @@ impl<'g> RadiusSteppingSolver<'g> {
             }
             _ => radii,
         };
-        RadiusSteppingSolver { graph, radii, engine, config: parts.config, expander, landmarks }
+        RadiusSteppingSolver { graph, radii, engine, config: parts.config, expander, p2p }
     }
 }
 
@@ -1395,31 +1436,12 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
         if query.is_many_to_many() {
             return execute_many_to_many(self, query).with_expander(self.expander.clone());
         }
-        // Point-to-point queries go through the goal-bounded kernels when a
-        // non-forward mode is configured (frontier engine only — the
-        // unweighted engine always runs the forward early-exit path).
-        if let QueryShape::PointToPoint { source, goal } = query.shape {
-            if self.engine == EngineKind::Frontier {
-                let want_paths = self.config.wants_paths(query);
-                let out = match self.config.effective_p2p(self.landmarks.is_some()) {
-                    P2pMode::Forward | P2pMode::Auto => None,
-                    P2pMode::Bidirectional => {
-                        Some(p2p::bidirectional(&self.graph, source, goal, want_paths, scratch))
-                    }
-                    P2pMode::GoalDirected => {
-                        let lm = self.landmarks.as_ref().expect("GoalDirected owns landmarks");
-                        Some(p2p::goal_directed(&self.graph, source, goal, lm, want_paths, scratch))
-                    }
-                };
-                if let Some(out) = out {
-                    return QueryResponse::single(query.clone(), out)
-                        .with_expander(self.expander.clone());
-                }
-            }
+        let want_paths = self.config.wants_paths(query);
+        if let Some(out) = self.p2p.run(&self.graph, query, want_paths, scratch) {
+            return QueryResponse::single(query.clone(), out).with_expander(self.expander.clone());
         }
         let mut goal_buf = Vec::new();
         let goals = solve_goals(query, &mut goal_buf);
-        let want_paths = self.config.wants_paths(query);
         let cfg = EngineConfig {
             trace: self.config.wants_trace(query),
             goals,
@@ -1442,18 +1464,7 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
 
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
         warm_for_engine(scratch, &self.graph, self.engine);
-        if self.engine == EngineKind::Frontier {
-            let n = self.graph.num_vertices();
-            match self.config.effective_p2p(self.landmarks.is_some()) {
-                P2pMode::Bidirectional => {
-                    scratch.warm_up_bidir(&self.graph);
-                    scratch.warm_heap(n);
-                    scratch.warm_heap_rev(n);
-                }
-                P2pMode::GoalDirected => scratch.warm_heap(n),
-                P2pMode::Forward | P2pMode::Auto => {}
-            }
-        }
+        self.p2p.warm(&self.graph, scratch);
     }
 }
 
@@ -1760,6 +1771,7 @@ mod tests {
             .radius_stepping_solver_from_algorithm();
         assert!(path.exists(), "cache file must be written on a miss");
         let expect = first.solve(5).dist;
+        let fresh = std::fs::read(&path).unwrap();
 
         // Second build: served from the cache, identical results.
         let cached = SolverBuilder::new(&g)
@@ -1782,12 +1794,28 @@ mod tests {
         assert_eq!(rebuilt.solve(5).dist, expect, "distances never depend on the cache");
         assert_eq!(Preprocessed::load(&path).unwrap().config, other, "file refreshed");
 
-        // Garbage in the cache degrades to a rebuild, never an error.
-        std::fs::write(&path, b"definitely not a preprocessing").unwrap();
-        let recovered = SolverBuilder::new(&g)
-            .preprocess_cached(&path, cfg)
-            .radius_stepping_solver_from_algorithm();
-        assert_eq!(recovered.solve(5).dist, expect);
+        // Garbage, or a fresh file under an old or foreign magic ("RSP4"
+        // carried a landmark table; "RSP5" is an rs_shard partition),
+        // degrades to a rebuild, never an error — and the rebuild
+        // refreshes the file.
+        let relabel = |magic: &[u8; 4]| {
+            let mut bytes = fresh.clone();
+            bytes[..4].copy_from_slice(magic);
+            bytes
+        };
+        for (label, bytes) in [
+            ("garbage", b"definitely not a preprocessing".to_vec()),
+            ("RSP4", relabel(b"RSP4")),
+            ("RSP5", relabel(b"RSP5")),
+        ] {
+            std::fs::write(&path, bytes).unwrap();
+            let recovered = SolverBuilder::new(&g)
+                .preprocess_cached(&path, cfg)
+                .radius_stepping_solver_from_algorithm();
+            assert_eq!(recovered.solve(5).dist, expect, "{label}");
+            let refreshed = Preprocessed::load(&path).expect("rebuild rewrites the cache");
+            assert_eq!(refreshed.config, cfg, "{label}");
+        }
 
         // A cache written for a different graph (here: different edge
         // count) is rejected and rebuilt, not reused.

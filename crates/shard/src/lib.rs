@@ -23,7 +23,7 @@
 //!
 //! The partition persists as an `RSP5` cache section
 //! ([`PartitionedGraph::save`] / [`PartitionedGraph::load_or_build`]);
-//! RSP4 preprocessing files (or anything else) at the cache path rebuild
+//! RSP6 preprocessing files (or anything else) at the cache path rebuild
 //! transparently.
 //!
 //! ```

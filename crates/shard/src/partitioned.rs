@@ -5,10 +5,10 @@
 //! knobs, the assignment array) and its *expensive artifacts* (skeleton
 //! nodes/edges and chain tables). Part views are cheap `O(m)` induced
 //! subgraphs and are rebuilt from the assignment on load. Any
-//! non-matching file — an RSP4 preprocessing cache, garbage, a stale
+//! non-matching file — an RSP6 preprocessing cache, garbage, a stale
 //! hash, different knobs — fails the load and
 //! [`PartitionedGraph::load_or_build`] transparently rebuilds and
-//! rewrites, mirroring the RSP4 discipline of
+//! rewrites, mirroring the preprocessing cache's discipline in
 //! `rs_core::solver::resolve_preprocessed`.
 
 use std::io::{Read, Write};
@@ -228,15 +228,16 @@ impl PartitionedGraph {
     /// persisted vs rebuilt).
     pub fn save<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
         let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        // "RSP5": the sharding cache section — one format up from the
-        // "RSP4" preprocessing cache. RSP4 (and older / foreign) files
+        // "RSP5": the sharding cache section, distinct from the "RSP6"
+        // preprocessing cache. Preprocessing (and older / foreign) files
         // fail the magic check on load and are transparently rebuilt.
         w.write_all(b"RSP5")?;
         w.write_all(&self.input_hash.to_le_bytes())?;
         w.write_all(&(self.num_parts as u32).to_le_bytes())?;
         w.write_all(&[self.strategy_tag])?;
         // Preprocessing tag: 0 none; 1 (k, ρ) with the k-default
-        // heuristic; 2 (k, ρ) plus a heuristic byte (the RSP4 encoding).
+        // heuristic; 2 (k, ρ) plus a heuristic byte (the preprocessing
+        // cache's encoding).
         match &self.skeleton_preprocess {
             None => w.write_all(&[0u8])?,
             Some(cfg) => {
@@ -295,7 +296,7 @@ impl PartitionedGraph {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != b"RSP5" {
-            return Err(bad("not a saved partition (or an old format, e.g. RSP4)"));
+            return Err(bad("not a saved partition (e.g. an RSP6 preprocessing)"));
         }
         r.read_exact(&mut b8)?;
         let input_hash = u64::from_le_bytes(b8);
@@ -430,8 +431,8 @@ impl PartitionedGraph {
 
     /// Loads a compatible RSP5 cache from `path`, or partitions `g` from
     /// scratch and rewrites the cache (best-effort). "Compatible" means:
-    /// valid RSP5, matching content hash, and matching `cfg` knobs. An
-    /// RSP4 preprocessing file (or anything else) at `path` rebuilds
+    /// valid RSP5, matching content hash, and matching `cfg` knobs. A
+    /// preprocessing file (or anything else) at `path` rebuilds
     /// transparently.
     pub fn load_or_build<P: AsRef<Path>>(
         g: &CsrGraph,

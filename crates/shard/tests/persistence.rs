@@ -1,9 +1,9 @@
 //! RSP5 partition-cache persistence: a saved [`PartitionedGraph`]
 //! round-trips to an identical in-memory structure, and anything
-//! incompatible at the cache path — an RSP4 preprocessing file, garbage,
-//! a stale graph hash, or different partition knobs (a non-default
-//! shortcut heuristic included) — rebuilds transparently through
-//! [`PartitionedGraph::load_or_build`].
+//! incompatible at the cache path — a preprocessing file (here an old
+//! `RSP4` header), garbage, a stale graph hash, or different partition
+//! knobs (a non-default shortcut heuristic included) — rebuilds
+//! transparently through [`PartitionedGraph::load_or_build`].
 
 use rs_core::preprocess::ShortcutHeuristic;
 use rs_core::solver::{Query, SsspSolver};

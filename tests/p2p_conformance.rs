@@ -4,10 +4,8 @@
 //! contract —
 //!
 //! * the goal distance is **bit-identical** to the forward mode and the
-//!   full solve, for every algorithm × engine × heap, on random and grid
-//!   graphs (modes are wired on the frontier engine and the Dijkstra
-//!   baseline; everywhere else they fall through to the forward path and
-//!   must still be exact);
+//!   full solve, for every algorithm, on random and grid graphs (every
+//!   solver `build()` constructs dispatches the same resolved kernel);
 //! * every finite distance entry is a true upper bound (the kernels
 //!   never publish an unreachable-looking value below the truth);
 //! * warm scratches are bit-identical to cold ones, counters included;
@@ -18,7 +16,8 @@
 //! * the acceptance bar: on a 256×256 grid with far-apart endpoints,
 //!   goal-directed search relaxes **≥ 5×** fewer edges than the forward
 //!   early-exit, and bidirectional strictly fewer (from
-//!   `StepStats::relaxed_edges`).
+//!   `StepStats::relaxed_edges`), for radius stepping, Dijkstra and
+//!   ∆-stepping alike.
 //!
 //! Runs in CI at 1 and nproc threads (the `queries` job), like the other
 //! conformance suites.
@@ -39,9 +38,8 @@ fn weighted_random(seed: u64) -> CsrGraph {
     )
 }
 
-/// The algorithm spectrum the mode matrix runs over: all three engines
-/// and every Dijkstra heap (modes are no-ops off the frontier engine and
-/// the Dijkstra baseline, but must stay exact there too).
+/// The algorithm spectrum the mode matrix runs over: radius stepping at
+/// two radii, Dijkstra and ∆-stepping (each honours the configured mode).
 fn algorithms() -> Vec<Algorithm> {
     vec![
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
@@ -58,7 +56,6 @@ fn mode_name(mode: P2pMode) -> &'static str {
         P2pMode::Forward => "forward",
         P2pMode::Bidirectional => "bidirectional",
         P2pMode::GoalDirected => "goal-directed",
-        P2pMode::Auto => "auto",
     }
 }
 
@@ -131,9 +128,8 @@ fn modes_agree_bit_identically_across_algorithms() {
                 assert_mode_conformance(name, &*solver, mode, full.dist(), &pairs);
             }
         }
-        // Preprocessed solvers resolve landmarks from the preprocessing
-        // artifact (Auto picks goal-directed there).
-        for mode in [P2pMode::Bidirectional, P2pMode::GoalDirected, P2pMode::Auto] {
+        // Preprocessed solvers elect landmarks on the (k, ρ)-graph.
+        for mode in [P2pMode::Bidirectional, P2pMode::GoalDirected] {
             let solver = SolverBuilder::new(&g)
                 .preprocess(PreprocessConfig::new(1, 12))
                 .p2p_mode(mode)
@@ -271,6 +267,7 @@ fn goal_directed_relaxes_5x_fewer_edges_on_256_grid() {
     for algorithm in [
         Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
         Algorithm::Dijkstra,
+        Algorithm::DeltaStepping { delta: 3_000 },
     ] {
         let forward = SolverBuilder::new(&g).algorithm(algorithm.clone()).build();
         let bidir = SolverBuilder::new(&g)
@@ -317,25 +314,4 @@ fn goal_directed_relaxes_5x_fewer_edges_on_256_grid() {
             }
         }
     }
-}
-
-/// `Auto` resolves to bidirectional without preprocessing (no landmarks
-/// on the plain build) and to goal-directed with it — observable through
-/// the relaxed-edge counters.
-#[test]
-fn auto_mode_picks_an_accelerated_kernel() {
-    let g = weighted_grid(11);
-    let n = g.num_vertices() as u32;
-    let query = Query::point_to_point(0, n - 1);
-    let forward = SolverBuilder::new(&g).build();
-    let auto = SolverBuilder::new(&g).p2p_mode(P2pMode::Auto).build();
-    let f = forward.execute(&query, &mut SolverScratch::new());
-    let a = auto.execute(&query, &mut SolverScratch::new());
-    assert_eq!(a.dist()[(n - 1) as usize], f.dist()[(n - 1) as usize]);
-    assert!(
-        a.stats().relaxed_edges < f.stats().relaxed_edges,
-        "auto ({} edges) must accelerate over forward ({} edges)",
-        a.stats().relaxed_edges,
-        f.stats().relaxed_edges,
-    );
 }
