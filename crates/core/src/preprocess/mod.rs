@@ -32,6 +32,8 @@ use rayon::prelude::*;
 use rs_graph::builder::merge_edges;
 use rs_graph::{CsrGraph, Dist, Edge, VertexId};
 
+use self::expand::ChainLink;
+
 use crate::engine::{radius_stepping_with, EngineConfig, EngineKind};
 use crate::radii::RadiiSpec;
 use crate::stats::SsspResult;
@@ -145,14 +147,20 @@ pub struct Preprocessed {
     /// shortcut hops into exact input-graph routes (see
     /// [`ShortcutExpander::expand_path`]). Shared (`Arc`) with every
     /// `QueryResponse` a preprocessed solver produces; persisted in the
-    /// `RSP6` cache format.
+    /// `RSP6` cache format in (source, member) order.
     pub expander: Arc<ShortcutExpander>,
     /// Measurements.
     pub stats: PreprocessStats,
 }
 
 impl Preprocessed {
-    /// Runs the full preprocessing phase over all sources in parallel.
+    /// Runs the full preprocessing phase: one truncated ball search per
+    /// source, in parallel (Lemma 4.2), each returning its radius, its
+    /// shortcuts and its chain links sorted by member. The per-ball link
+    /// lists are concatenated into the flat [`ShortcutExpander`] and the
+    /// shortcuts merged into the input with [`merge_edges`] — no hashing
+    /// and no global sort, so the result (and its saved bytes) is the
+    /// same on every run and at every thread count.
     pub fn build(g: &CsrGraph, cfg: &PreprocessConfig) -> Preprocessed {
         let (radii, shortcuts, expander, stats) = preprocess_parts(g, cfg, true);
         let graph = merge_edges(g, &shortcuts);
@@ -185,7 +193,8 @@ impl Preprocessed {
 
     /// Persists the preprocessing (augmented graph + radii + parameters) so
     /// the `O(m log n + nρ²)`-work phase is paid once per graph, not once
-    /// per process.
+    /// per process. The bytes depend only on the preprocessing: chain
+    /// links are written in (source, member) order.
     pub fn save<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
         use std::io::Write;
         let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
@@ -252,27 +261,30 @@ impl Preprocessed {
         }
         r.read_exact(&mut b8)?;
         let n = u64::from_le_bytes(b8) as usize;
-        let mut radii = Vec::with_capacity(n);
+        let mut radii = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             r.read_exact(&mut b8)?;
             radii.push(u64::from_le_bytes(b8));
         }
         r.read_exact(&mut b8)?;
-        let links = u64::from_le_bytes(b8) as usize;
-        let mut expander = ShortcutExpander::new();
-        for _ in 0..links {
+        let count = u64::from_le_bytes(b8) as usize;
+        let mut links = Vec::with_capacity(count.min(1 << 20));
+        for _ in 0..count {
             let mut ids = [[0u8; 4]; 3];
             for id in &mut ids {
                 r.read_exact(id)?;
             }
             r.read_exact(&mut b8)?;
-            expander.insert(
+            links.push((
                 u32::from_le_bytes(ids[0]),
                 u32::from_le_bytes(ids[1]),
                 u32::from_le_bytes(ids[2]),
                 u64::from_le_bytes(b8),
-            );
+            ));
         }
+        // `RSP6` files may list links in any order: `from_links` sorts
+        // them and rejects a table a chain walk could fail on.
+        let expander = ShortcutExpander::from_links(n, links).map_err(|e| bad(&e))?;
         let graph = rs_graph::io::read_binary_from(&mut r)?;
         if graph.num_vertices() != n {
             return Err(bad("radii length does not match the embedded graph"));
@@ -306,34 +318,43 @@ pub fn preprocess_edges(
     (radii, shortcuts, stats)
 }
 
-/// One shortcut's ball-tree ancestry, recorded for expansion: for every
-/// vertex on the tree path from a shortcut target up to the ball source,
-/// `(vertex, tree parent, exact ball distance)`.
-type ChainLinks = Vec<(VertexId, VertexId, Dist)>;
+/// One ball's recorded chain links `(member, tree parent, exact ball
+/// distance)`, sorted by member: every vertex on the ball-tree path from
+/// a shortcut target up to (not including) the ball source — one row of
+/// the [`ShortcutExpander`].
+type ChainLinks = Vec<ChainLink>;
 
 /// Ball-tree parent chains of every shortcut target in one ball — the raw
 /// material of the [`ShortcutExpander`]. Chains overlap, so each link is
 /// recorded once (walks stop at the first already-recorded ancestor).
+/// Members come in pop order: `members[0]` is the source, and every tree
+/// parent is popped before its children, so a walk by member index ends
+/// at index 0.
 fn ball_chains(ball: &Ball, shortcuts: &[Edge]) -> ChainLinks {
     if shortcuts.is_empty() {
         return Vec::new();
     }
-    let info: std::collections::HashMap<VertexId, (VertexId, Dist)> =
-        ball.members.iter().map(|m| (m.v, (m.parent, m.dist))).collect();
-    let mut recorded: std::collections::HashMap<VertexId, (VertexId, Dist)> =
-        std::collections::HashMap::new();
+    let members = &ball.members;
+    let mut by_vertex: Vec<(VertexId, usize)> =
+        members.iter().enumerate().map(|(i, m)| (m.v, i)).collect();
+    by_vertex.sort_unstable();
+    let index = |v: VertexId| {
+        let at = by_vertex.binary_search_by_key(&v, |e| e.0);
+        by_vertex[at.expect("shortcut targets and their tree parents are ball members")].1
+    };
+    let mut recorded = vec![false; members.len()];
     for &(_, target, _) in shortcuts {
-        let mut cur = target;
-        while cur != ball.source {
-            if recorded.contains_key(&cur) {
-                break; // the rest of this chain is already recorded
-            }
-            let (parent, dist) = info[&cur];
-            recorded.insert(cur, (parent, dist));
-            cur = parent;
+        let mut i = index(target);
+        while i != 0 && !recorded[i] {
+            recorded[i] = true;
+            i = index(members[i].parent);
         }
     }
-    recorded.into_iter().map(|(v, (p, d))| (v, p, d)).collect()
+    by_vertex
+        .iter()
+        .filter(|&&(_, i)| recorded[i])
+        .map(|&(v, i)| (v, members[i].parent, members[i].dist))
+        .collect()
 }
 
 /// The full per-source pass: balls → (radii, shortcut list, expansion
@@ -365,18 +386,17 @@ fn preprocess_parts(
 
     let mut radii = Vec::with_capacity(n);
     let mut shortcuts = Vec::new();
-    let mut expander = ShortcutExpander::new();
+    let mut rows = Vec::with_capacity(n);
     let mut stats = PreprocessStats { original_edges: g.num_edges(), ..Default::default() };
-    for (source, (radius, edges, chains, explored, members)) in per_source.into_iter().enumerate() {
+    for (radius, edges, chains, explored, members) in per_source {
         radii.push(radius);
         stats.raw_shortcuts += edges.len();
         stats.explored_edges += explored;
         stats.ball_members += members;
         shortcuts.extend(edges);
-        for (v, parent, dist) in chains {
-            expander.insert(source as VertexId, v, parent, dist);
-        }
+        rows.push(chains);
     }
+    let expander = ShortcutExpander::from_sorted_rows(&rows);
     (radii, shortcuts, expander, stats)
 }
 
@@ -513,5 +533,139 @@ mod tests {
         let out = pre.sssp(2);
         assert_eq!(out.dist, dijkstra_default(&g, 2));
         assert_eq!(out.stats.steps, 1);
+    }
+
+    /// FNV-1a over a word stream (the same mix as `CsrGraph::content_hash`).
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| (h ^ x).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Merged-graph hash, radii hash, hash of the sorted chain links, stats.
+    fn fingerprint(pre: &Preprocessed) -> (u64, u64, u64, PreprocessStats) {
+        let mut links: Vec<_> = pre.expander.iter().collect();
+        links.sort_unstable();
+        let words =
+            links.iter().flat_map(|&(s, m, p, d)| [(s as u64) << 32 | m as u64, p as u64, d]);
+        (pre.graph.content_hash(), fnv(pre.radii.iter().copied()), fnv(words), pre.stats.clone())
+    }
+
+    #[test]
+    fn build_output_is_pinned() {
+        // A faster build must produce the same merged graph, radii,
+        // chain links and stats as these recorded values, bit for bit.
+        let grid = weights::reweight(&gen::grid2d(32, 32), WeightModel::paper_weighted(), 11);
+        let sf = weights::reweight(&gen::scale_free(300, 4, 2), WeightModel::paper_weighted(), 5);
+        let stats =
+            |raw_shortcuts, effective_new_edges, original_edges, explored_edges, ball_members| {
+                PreprocessStats {
+                    raw_shortcuts,
+                    effective_new_edges,
+                    original_edges,
+                    explored_edges,
+                    ball_members,
+                }
+            };
+        for (g, cfg, pinned) in [
+            (
+                &grid,
+                PreprocessConfig::new(1, 16),
+                (
+                    0xff24_749f_aa20_20b9,
+                    0x554a_26e8_1557_37e5,
+                    0x2c59_82c5_67fd_ef82,
+                    stats(15361, 7353, 1984, 64151, 16385),
+                ),
+            ),
+            (
+                &grid,
+                PreprocessConfig::new(3, 25),
+                (
+                    0xf36e_bca0_4357_b60e,
+                    0x9ae2_f3f8_a4a8_8aa8,
+                    0x64b8_8cd7_8ed4_4d7b,
+                    stats(3645, 3228, 1984, 100288, 25601),
+                ),
+            ),
+            (
+                &sf,
+                PreprocessConfig::new(2, 12).with_heuristic(ShortcutHeuristic::Greedy),
+                (
+                    0xba9a_5ba7_660b_85ac,
+                    0xa70f_53e9_af2f_f545,
+                    0x79c9_4239_7285_71fa,
+                    stats(1029, 878, 1190, 29374, 3601),
+                ),
+            ),
+        ] {
+            assert_eq!(fingerprint(&Preprocessed::build(g, &cfg)), pinned, "{cfg:?}");
+        }
+    }
+
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("rs_pre_{tag}_{}.bin", std::process::id()))
+    }
+
+    /// Byte offset of the first chain-link record in a saved file of `n`
+    /// vertices: 65 header bytes, the radii count and radii, the link count.
+    fn links_at(n: usize) -> usize {
+        65 + 8 + 8 * n + 8
+    }
+
+    #[test]
+    fn save_is_byte_deterministic() {
+        let g = weighted_grid();
+        let cfg = PreprocessConfig::new(2, 12);
+        let (a, b) = (temp_path("det_a"), temp_path("det_b"));
+        Preprocessed::build(&g, &cfg).save(&a).unwrap();
+        Preprocessed::build(&g, &cfg).save(&b).unwrap();
+        let (bytes_a, bytes_b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        std::fs::remove_file(&a).ok();
+        std::fs::remove_file(&b).ok();
+        assert_eq!(bytes_a, bytes_b, "two builds must save the same bytes");
+    }
+
+    #[test]
+    fn load_accepts_links_in_any_order() {
+        // The loader takes chain links in any order: reverse the fixed
+        // 20-byte link records of a saved file.
+        let g = weighted_grid();
+        let pre = Preprocessed::build(&g, &PreprocessConfig::new(2, 12));
+        let path = temp_path("perm");
+        pre.save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = links_at(g.num_vertices());
+        let records = &mut bytes[at..at + 20 * pre.expander.len()];
+        let mut permuted: Vec<[u8; 20]> =
+            records.chunks_exact(20).map(|r| r.try_into().unwrap()).collect();
+        permuted.reverse();
+        assert_ne!(permuted.concat(), records, "the permutation moves some record");
+        records.copy_from_slice(&permuted.concat());
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = Preprocessed::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.expander, pre.expander);
+        assert_eq!(loaded.graph, pre.graph);
+        assert_eq!(loaded.radii, pre.radii);
+    }
+
+    #[test]
+    fn load_rejects_corrupt_chain_tables() {
+        // A link naming a vertex ≥ n, and a two-link parent cycle, would
+        // make `expand_path` panic or loop: the loader must refuse both.
+        let g = weighted_grid();
+        let n = g.num_vertices() as VertexId;
+        let mut pre = Preprocessed::build(&g, &PreprocessConfig::new(2, 12));
+        for (what, row) in [
+            ("member out of range", vec![(n + 3, 0, 1)]),
+            ("parent out of range", vec![(1, n, 1)]),
+            ("two-link cycle", vec![(1, 2, 4), (2, 1, 3)]),
+        ] {
+            pre.expander = Arc::new(ShortcutExpander::from_sorted_rows(&[row]));
+            let path = temp_path("corrupt");
+            pre.save(&path).unwrap();
+            let err = Preprocessed::load(&path).map(|_| ()).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
 }

@@ -355,8 +355,8 @@ pub fn execute_many_to_many_pooled<S: SsspSolver + ?Sized>(
 ///
 /// Responses from a preprocessed solver carry the preprocessing's
 /// [`ShortcutExpander`], so every extracted path is an exact *input-graph*
-/// route: shortcut hops are unrolled into their underlying input edges in
-/// O(output hops) at extraction time.
+/// route: shortcut hops are unrolled into their underlying input edges at
+/// extraction time, O(log ρ) per output hop.
 #[derive(Debug, Clone)]
 pub struct QueryResponse {
     /// The request this response answers.

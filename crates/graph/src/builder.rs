@@ -59,29 +59,72 @@ impl EdgeListBuilder {
     }
 }
 
+/// Vertices per task of [`build_symmetric`]'s parallel sort-and-dedup pass.
+const BUILD_BLOCK: usize = 1024;
+
 /// Builds a canonical symmetric CSR from an undirected edge list.
+///
+/// Both arc directions are scattered into per-source buckets (a counting
+/// sort by source), then each bucket is sorted by `(dst, w)` and keeps the
+/// first copy of each `dst` — its minimum weight — in parallel over blocks
+/// of vertices. No global sort of the arcs is needed.
 pub fn build_symmetric(n: usize, edges: &[Edge]) -> CsrGraph {
-    // Materialise both arc directions, sort by (src, dst, w), keep the
-    // minimum-weight copy of each (src, dst).
-    let mut arcs: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(edges.len() * 2);
-    for &(u, v, w) in edges {
+    let mut start = vec![0usize; n + 1];
+    for &(u, v, _) in edges {
         if u != v {
-            arcs.push((u, v, w));
-            arcs.push((v, u, w));
+            start[u as usize + 1] += 1;
+            start[v as usize + 1] += 1;
         }
     }
-    arcs.par_sort_unstable();
-    arcs.dedup_by(|next, prev| (next.0, next.1) == (prev.0, prev.1)); // keeps first = min weight
-
-    let mut offsets = vec![0usize; n + 1];
-    for &(u, _, _) in &arcs {
-        offsets[u as usize + 1] += 1;
-    }
     for i in 0..n {
-        offsets[i + 1] += offsets[i];
+        start[i + 1] += start[i];
     }
-    let targets: Vec<VertexId> = arcs.par_iter().map(|a| a.1).collect();
-    let weights: Vec<Weight> = arcs.par_iter().map(|a| a.2).collect();
+    let mut next = start.clone();
+    let mut buckets: Vec<(VertexId, Weight)> = vec![(0, 0); start[n]];
+    for &(u, v, w) in edges {
+        if u != v {
+            for (src, dst) in [(u, v), (v, u)] {
+                buckets[next[src as usize]] = (dst, w);
+                next[src as usize] += 1;
+            }
+        }
+    }
+
+    let blocks: Vec<(Vec<usize>, Vec<VertexId>, Vec<Weight>)> = (0..n.div_ceil(BUILD_BLOCK))
+        .into_par_iter()
+        .map(|b| {
+            let (lo, hi) = (b * BUILD_BLOCK, ((b + 1) * BUILD_BLOCK).min(n));
+            let mut degrees = Vec::with_capacity(hi - lo);
+            let mut targets = Vec::with_capacity(start[hi] - start[lo]);
+            let mut weights = Vec::with_capacity(start[hi] - start[lo]);
+            let mut list = Vec::new();
+            for u in lo..hi {
+                list.clear();
+                list.extend_from_slice(&buckets[start[u]..start[u + 1]]);
+                list.sort_unstable();
+                list.dedup_by_key(|a| a.0); // keeps the first = min weight
+                degrees.push(list.len());
+                targets.extend(list.iter().map(|a| a.0));
+                weights.extend(list.iter().map(|a| a.1));
+            }
+            (degrees, targets, weights)
+        })
+        .collect();
+
+    let arcs = blocks.iter().map(|b| b.1.len()).sum();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(arcs);
+    let mut weights = Vec::with_capacity(arcs);
+    let mut end = 0;
+    offsets.push(end);
+    for (degrees, t, w) in blocks {
+        for d in degrees {
+            end += d;
+            offsets.push(end);
+        }
+        targets.extend_from_slice(&t);
+        weights.extend_from_slice(&w);
+    }
     CsrGraph::from_parts(offsets, targets, weights)
 }
 
@@ -163,6 +206,52 @@ mod tests {
         g2.check_invariants().unwrap();
     }
 
+    /// The reference canonical CSR: materialise both arc directions, sort
+    /// by `(src, dst, w)`, keep the first (minimum-weight) copy.
+    pub(super) fn naive_symmetric(n: usize, edges: &[Edge]) -> CsrGraph {
+        let mut arcs: Vec<(VertexId, VertexId, Weight)> = edges
+            .iter()
+            .filter(|e| e.0 != e.1)
+            .flat_map(|&(u, v, w)| [(u, v, w), (v, u, w)])
+            .collect();
+        arcs.sort_unstable();
+        arcs.dedup_by_key(|a| (a.0, a.1));
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, _, _) in &arcs {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        CsrGraph::from_parts(
+            offsets,
+            arcs.iter().map(|a| a.1).collect(),
+            arcs.iter().map(|a| a.2).collect(),
+        )
+    }
+
+    #[test]
+    fn build_symmetric_matches_naive_reference() {
+        let mut many = Vec::new();
+        for i in 0..3000u32 {
+            // Spans several build blocks; vertex 4999 stays isolated.
+            many.push((i % 4000, (i * 7919) % 4999, i % 13 + 1));
+        }
+        let cases: Vec<(usize, Vec<Edge>)> = vec![
+            (0, vec![]),
+            (1, vec![]),
+            (1, vec![(0, 0, 5)]),
+            (2, vec![(0, 1, 7), (1, 0, 3), (0, 1, 9), (1, 1, 1)]),
+            (6, vec![(0, 5, 4), (5, 0, 4), (2, 2, 8), (0, 5, 2), (3, 0, 6), (0, 3, 6)]),
+            (5000, many),
+        ];
+        for (n, edges) in cases {
+            let g = build_symmetric(n, &edges);
+            g.check_invariants().unwrap();
+            assert_eq!(g, naive_symmetric(n, &edges), "n = {n}, {} edges", edges.len());
+        }
+    }
+
     #[test]
     fn build_is_deterministic() {
         let mut b = EdgeListBuilder::new(50);
@@ -184,6 +273,11 @@ mod proptests {
     }
 
     proptest! {
+        #[test]
+        fn matches_naive_reference(edges in arb_edges(20)) {
+            prop_assert_eq!(build_symmetric(20, &edges), tests::naive_symmetric(20, &edges));
+        }
+
         #[test]
         fn built_graph_invariants(edges in arb_edges(20)) {
             let g = build_symmetric(20, &edges);

@@ -83,17 +83,22 @@ fn main() {
         solver.execute(&Query::point_to_point(depots[0], depots[3]).with_paths(), &mut scratch);
     // The solver is preprocessed, but goal_path unrolls shortcut hops at
     // extraction: every hop below is a real road segment of the input
-    // network, and the travel time still telescopes exactly.
-    if let Some(route) = trip.goal_path() {
-        println!(
-            "route depot {} -> {}: {} road segments, travel time {} \
-             ({} steps, early exit, warm={})",
-            depots[0],
-            depots[3],
-            route.len() - 1,
-            trip.goal_distance().unwrap(),
-            trip.stats().steps,
-            trip.stats().scratch_reused,
-        );
+    // network, and the travel time still telescopes exactly. Check both.
+    let route = trip.goal_path().expect("the depots are connected");
+    let mut travel: Dist = 0;
+    for hop in route.windows(2) {
+        let w = g.arc_weight(hop[0], hop[1]);
+        assert!(w.is_some(), "hop {} -> {} is not a road segment", hop[0], hop[1]);
+        travel += w.unwrap_or_default() as Dist;
     }
+    assert_eq!(Some(travel), trip.goal_distance(), "route weight must equal the travel time");
+    println!(
+        "route depot {} -> {}: {} road segments, travel time {travel} \
+         ({} steps, early exit, warm={})",
+        depots[0],
+        depots[3],
+        route.len() - 1,
+        trip.stats().steps,
+        trip.stats().scratch_reused,
+    );
 }
