@@ -30,14 +30,15 @@ pub fn bfs_seq(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
 mod tests {
     use super::*;
     use crate::BuildSolver;
-    use rs_core::solver::{Algorithm, SolverBuilder};
+    use rs_core::{Algorithm, Query, SolverBuilder, SolverScratch};
     use rs_graph::gen;
 
     #[test]
     fn seq_and_par_agree_on_suite() {
+        let mut scratch = SolverScratch::new();
         for g in [gen::grid2d(9, 11), gen::scale_free(400, 3, 7), gen::path(30)] {
             let par = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
-            assert_eq!(bfs_seq(&g, 0), par.solve(0).dist);
+            assert_eq!(bfs_seq(&g, 0), par.execute(&Query::single_source(0), &mut scratch).dist());
         }
     }
 
@@ -45,20 +46,22 @@ mod tests {
     fn engine_levels_equal_eccentricity() {
         // One step per BFS level; the source is settled before the first.
         let g = gen::path(10);
-        let out = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build().solve(0);
-        assert_eq!(out.dist, bfs_seq(&g, 0));
-        assert_eq!((out.stats.steps, out.stats.substeps), (9, 9));
+        let solver = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
+        let out = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
+        assert_eq!(out.dist(), bfs_seq(&g, 0));
+        assert_eq!((out.stats().steps, out.stats().substeps), (9, 9));
     }
 
     #[test]
     fn goal_bounded_stops_early_with_exact_goal() {
         let g = gen::path(30);
         let solver = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
-        let full = solver.solve(0);
-        let bounded = solver.solve_to_goal(0, 5);
-        assert_eq!(bounded.dist[5], full.dist[5]);
-        assert!(bounded.stats.steps < full.stats.steps);
-        assert_eq!(bounded.dist[29], INF, "tail never reached");
+        let mut scratch = SolverScratch::new();
+        let full = solver.execute(&Query::single_source(0), &mut scratch);
+        let bounded = solver.execute(&Query::point_to_point(0, 5), &mut scratch);
+        assert_eq!(bounded.dist()[5], full.dist()[5]);
+        assert!(bounded.stats().steps < full.stats().steps);
+        assert_eq!(bounded.dist()[29], INF, "tail never reached");
     }
 
     #[test]

@@ -79,26 +79,10 @@ pub fn dijkstra_default(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
     dijkstra_into_heap_with_parents(g, s, Goals::None, &mut heap, None).0
 }
 
-/// Dijkstra that also returns the shortest-path tree: `parent[v]` is the
-/// predecessor of `v` on a shortest `s → v` path (`parent[s] = s`,
-/// `u32::MAX` if unreachable).
-pub fn dijkstra_with_parents(g: &CsrGraph, s: VertexId) -> (Vec<Dist>, Vec<VertexId>) {
-    let n = g.num_vertices();
-    let mut parent = vec![u32::MAX; n];
-    let mut heap = DaryHeap::with_capacity(n);
-    let (dist, ..) =
-        dijkstra_into_heap_with_parents(g, s, Goals::None, &mut heap, Some(&mut parent));
-    (dist, parent)
-}
-
-/// Reconstructs the shortest path `s → t` from a parent array, or `None`
-/// if `t` is unreachable (the workspace-wide helper, re-exported here for
-/// continuity with `dijkstra_with_parents`).
-pub use rs_core::stats::extract_path;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rs_core::stats::extract_path;
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel};
 
     fn diamond() -> CsrGraph {
@@ -128,7 +112,10 @@ mod tests {
     #[test]
     fn parents_form_shortest_paths() {
         let g = weights::reweight(&gen::scale_free(200, 3, 2), WeightModel::paper_weighted(), 5);
-        let (dist, parent) = dijkstra_with_parents(&g, 0);
+        let mut parent = vec![u32::MAX; 200];
+        let mut heap = DaryHeap::with_capacity(200);
+        let (dist, ..) =
+            dijkstra_into_heap_with_parents(&g, 0, Goals::None, &mut heap, Some(&mut parent));
         for t in 0..200u32 {
             let path = extract_path(&parent, t).expect("connected");
             assert_eq!(path[0], 0);
@@ -143,7 +130,9 @@ mod tests {
 
     #[test]
     fn source_distance_zero_path_trivial() {
-        let (_, parent) = dijkstra_with_parents(&diamond(), 2);
+        let mut parent = vec![u32::MAX; 4];
+        let mut heap = DaryHeap::with_capacity(4);
+        dijkstra_into_heap_with_parents(&diamond(), 2, Goals::None, &mut heap, Some(&mut parent));
         assert_eq!(extract_path(&parent, 2), Some(vec![2]));
     }
 }

@@ -5,7 +5,7 @@
 //!   one independent oracle every other solver is tested against.
 //! * [`bfs`] — standard sequential BFS, the hop-distance oracle for
 //!   unit-weight tests.
-//! * [`delta_stepping`] — Meyer–Sanders ∆-stepping with the light/heavy
+//! * [`delta_stepping`](mod@delta_stepping) — Meyer–Sanders ∆-stepping with the light/heavy
 //!   edge split, the algorithm radius stepping refines.
 //!
 //! Bellman–Ford and parallel BFS are points on the radius spectrum, not
@@ -26,7 +26,7 @@ pub mod solver;
 
 pub use bfs::bfs_seq;
 pub use delta_stepping::{delta_stepping, DeltaSteppingResult};
-pub use dijkstra::{dijkstra_default, dijkstra_with_parents};
+pub use dijkstra::dijkstra_default;
 pub use solver::{BuildSolver, DeltaSteppingSolver, DijkstraSolver};
 
 /// `Algorithm::BellmanFord` as built through [`BuildSolver`]: the frontier
@@ -35,12 +35,12 @@ pub use solver::{BuildSolver, DeltaSteppingSolver, DijkstraSolver};
 mod bellman_ford {
     mod tests {
         use crate::{dijkstra_default, BuildSolver};
-        use rs_core::solver::{Algorithm, SolverBuilder};
+        use rs_core::{Algorithm, Query, SolverBuilder, SolverScratch};
         use rs_graph::{gen, weights, CsrGraph, WeightModel};
 
         fn bellman_ford(g: &CsrGraph, source: u32) -> rs_core::stats::SsspResult {
             let solver = SolverBuilder::new(g).algorithm(Algorithm::BellmanFord).build();
-            solver.solve(source)
+            solver.execute(&Query::single_source(source), &mut SolverScratch::new()).into_result()
         }
 
         #[test]

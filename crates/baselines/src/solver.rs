@@ -219,9 +219,11 @@ mod tests {
             Algorithm::DeltaStepping { delta: 2_000 },
             Algorithm::BellmanFord,
         ];
+        let mut scratch = SolverScratch::new();
         for algorithm in algorithms {
             let solver = SolverBuilder::new(&g).algorithm(algorithm.clone()).build();
-            assert_eq!(solver.solve(5).dist, reference, "{}", solver.name());
+            let out = solver.execute(&Query::single_source(5), &mut scratch);
+            assert_eq!(out.dist(), reference, "{}", solver.name());
         }
     }
 
@@ -229,7 +231,8 @@ mod tests {
     fn bfs_solver_unit_graphs_only() {
         let g = gen::grid2d(6, 6);
         let solver = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
-        assert_eq!(solver.solve(0).dist, crate::bfs_seq(&g, 0));
+        let out = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
+        assert_eq!(out.dist(), crate::bfs_seq(&g, 0));
     }
 
     #[test]
@@ -248,7 +251,8 @@ mod tests {
             .preprocess(PreprocessConfig::new(1, 8))
             .build();
         assert!(solver.graph().num_edges() >= g.num_edges());
-        assert_eq!(solver.solve(0).dist, reference, "shortcuts preserve distances");
+        let out = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
+        assert_eq!(out.dist(), reference, "shortcuts preserve distances");
     }
 
     #[test]
@@ -269,7 +273,8 @@ mod tests {
                 .preprocess_cached(&path, cfg)
                 .build();
             assert!(solver.graph().num_edges() >= g.num_edges());
-            assert_eq!(solver.solve(3).dist, reference);
+            let out = solver.execute(&Query::single_source(3), &mut SolverScratch::new());
+            assert_eq!(out.dist(), reference);
             assert!(path.exists());
         }
         std::fs::remove_file(&path).ok();
@@ -279,29 +284,31 @@ mod tests {
     fn goal_bounded_baselines_settle_goal() {
         let g = weighted();
         let reference = dijkstra_default(&g, 0);
+        let mut scratch = SolverScratch::new();
         for algorithm in
             [Algorithm::Dijkstra, Algorithm::DeltaStepping { delta: 1_500 }, Algorithm::BellmanFord]
         {
             let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
-            let out = solver.solve_to_goal(0, 71);
-            assert_eq!(out.dist[71], reference[71], "{}", solver.name());
+            let out = solver.execute(&Query::point_to_point(0, 71), &mut scratch);
+            assert_eq!(out.dist()[71], reference[71], "{}", solver.name());
         }
     }
 
     #[test]
     fn parents_recorded_across_algorithms() {
         let g = weighted();
+        let mut scratch = SolverScratch::new();
         for algorithm in
             [Algorithm::Dijkstra, Algorithm::DeltaStepping { delta: 3_000 }, Algorithm::BellmanFord]
         {
             let solver = SolverBuilder::new(&g).algorithm(algorithm).record_parents(true).build();
-            let out = solver.solve(0);
+            let out = solver.execute(&Query::single_source(0), &mut scratch);
             let path = out.extract_path(70).expect("connected grid");
             let mut acc = 0u64;
             for w in path.windows(2) {
                 acc += solver.graph().arc_weight(w[0], w[1]).expect("edge") as u64;
             }
-            assert_eq!(acc, out.dist[70], "{}: path telescopes", solver.name());
+            assert_eq!(acc, out.dist()[70], "{}: path telescopes", solver.name());
         }
     }
 }

@@ -395,7 +395,7 @@ mod tests {
             &RadiiSpec::Constant(900),
             0,
             EngineKind::Frontier,
-            EngineConfig::with_goal(goal).record_parents(true),
+            EngineConfig { goals: Goals::One(goal), record_parents: true, ..Default::default() },
         );
         let parent = bounded.parent.as_ref().expect("inline parents recorded");
         let path = crate::stats::extract_path(parent, goal).expect("goal settled");
@@ -414,7 +414,7 @@ mod tests {
             &RadiiSpec::Constant(900),
             0,
             EngineKind::Frontier,
-            EngineConfig::default().record_parents(true),
+            EngineConfig { record_parents: true, ..Default::default() },
         );
         let parent = full.parent.as_ref().unwrap();
         assert_eq!(parent[0], 0);
@@ -469,7 +469,7 @@ mod tests {
             &RadiiSpec::Infinite,
             0,
             EngineKind::Frontier,
-            EngineConfig::with_goal(10),
+            EngineConfig { goals: Goals::One(10), ..Default::default() },
         );
         assert_eq!(bounded.dist[10], full.dist[10], "goal must be exact");
         assert_eq!(bounded.stats.steps, 1);
@@ -499,7 +499,7 @@ mod tests {
                     &RadiiSpec::Infinite,
                     7,
                     EngineKind::Frontier,
-                    EngineConfig::with_goal(goal),
+                    EngineConfig { goals: Goals::One(goal), ..Default::default() },
                 );
                 assert_eq!(out.dist[goal as usize], reference[goal as usize].0, "goal {goal}");
             }
@@ -508,7 +508,7 @@ mod tests {
                 &RadiiSpec::Infinite,
                 7,
                 EngineKind::Frontier,
-                EngineConfig::default().goals(Goals::Many(&goals)),
+                EngineConfig { goals: Goals::Many(&goals), ..Default::default() },
             );
             for goal in goals {
                 assert_eq!(many.dist[goal as usize], reference[goal as usize].0, "goal {goal}");
@@ -526,7 +526,7 @@ mod tests {
             &RadiiSpec::Infinite,
             0,
             EngineKind::Frontier,
-            EngineConfig::with_goal(2),
+            EngineConfig { goals: Goals::One(2), ..Default::default() },
         );
         assert_eq!(out.dist, vec![0, 2, INF]);
     }
@@ -593,7 +593,7 @@ mod tests {
             let out = pre.sssp_with(
                 s,
                 EngineKind::Frontier,
-                EngineConfig::default().record_parents(true),
+                EngineConfig { record_parents: true, ..Default::default() },
             );
             assert_eq!(out.stats.steps, steps, "source {s}");
             assert_eq!(out.stats.substeps, substeps, "source {s}");

@@ -97,33 +97,10 @@ pub struct EngineConfig<'a> {
     pub record_parents: bool,
 }
 
-impl<'a> EngineConfig<'a> {
+impl EngineConfig<'_> {
     /// Config with tracing enabled.
     pub fn with_trace() -> EngineConfig<'static> {
         EngineConfig { trace: true, ..Default::default() }
-    }
-
-    /// Config stopping once `goal` is settled.
-    pub fn with_goal(goal: VertexId) -> EngineConfig<'static> {
-        EngineConfig { goals: Goals::One(goal), ..Default::default() }
-    }
-
-    /// Sets a single early-termination goal.
-    pub fn goal(mut self, goal: VertexId) -> Self {
-        self.goals = Goals::One(goal);
-        self
-    }
-
-    /// Sets the goal bound (single, many, or none).
-    pub fn goals(mut self, goals: Goals<'a>) -> Self {
-        self.goals = goals;
-        self
-    }
-
-    /// Enables inline parent recording.
-    pub fn record_parents(mut self, on: bool) -> Self {
-        self.record_parents = on;
-        self
     }
 }
 
@@ -148,8 +125,8 @@ pub fn radius_stepping_with(
 
 /// [`radius_stepping_with`] on reusable scratch state: identical results
 /// (bit-for-bit, asserted by the conformance suite), but the working
-/// arrays come from `scratch` — the batch-serving entry point behind
-/// [`crate::solver::SsspSolver::solve_with_scratch`].
+/// arrays come from `scratch` — the engine call behind the radius-stepping
+/// solvers' [`crate::solver::SsspSolver::execute`].
 pub fn radius_stepping_with_scratch(
     g: &CsrGraph,
     radii: &RadiiSpec,

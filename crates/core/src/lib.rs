@@ -53,6 +53,5 @@ pub use solver::{
     SolverConfig, SsspSolver,
 };
 pub use stats::{
-    derive_parents, extract_path, goal_path_parents, goals_path_parents, SsspResult, StepStats,
-    StepTrace,
+    derive_parents, extract_path, goals_path_parents, SsspResult, StepStats, StepTrace,
 };

@@ -6,7 +6,7 @@
 //! bitsets, frontier buffers, a heap and a bucket queue for every source is
 //! exactly the cost that dominates small queries — so [`SolverScratch`]
 //! owns all of it once and every solver re-enters through
-//! [`crate::solver::SsspSolver::solve_with_scratch`].
+//! [`crate::solver::SsspSolver::execute`].
 //!
 //! Reset costs per solve, after warmup:
 //!
@@ -116,7 +116,8 @@ pub struct ReverseScratch<'a> {
 
 /// Reusable working state for any [`crate::solver::SsspSolver`].
 ///
-/// Protocol (what every `solve_with_scratch` implementation does):
+/// Protocol (what every [`crate::solver::SsspSolver::execute`]
+/// implementation does):
 ///
 /// 1. [`SolverScratch::begin`] with the graph's vertex count;
 /// 2. borrow what the algorithm needs — [`SolverScratch::view`] for the
@@ -162,21 +163,6 @@ impl SolverScratch {
         SolverScratch::default()
     }
 
-    /// A scratch pre-sized for graphs of `n` vertices (the first solve
-    /// still counts as cold only if it has to allocate more).
-    pub fn for_vertices(n: usize) -> Self {
-        let mut s = SolverScratch::new();
-        s.warm_up_n(n);
-        s
-    }
-
-    /// A scratch warmed for `g` — see [`SolverScratch::warm_up`].
-    pub fn for_graph(g: &CsrGraph) -> Self {
-        let mut s = SolverScratch::new();
-        s.warm_up(g);
-        s
-    }
-
     /// Pre-sizes the shared working structures for graphs of `g`'s vertex
     /// count — the tentative-distance epoch array and all bitsets — so a
     /// latency-critical *first* query runs
@@ -190,11 +176,7 @@ impl SolverScratch {
     /// `warm_scratch` overrides (or sized on first use), so a Dijkstra or
     /// ∆-stepping worker never pays for buffers only the engines read.
     pub fn warm_up(&mut self, g: &CsrGraph) {
-        self.warm_up_n(g.num_vertices());
-    }
-
-    fn warm_up_n(&mut self, n: usize) {
-        self.begin(n);
+        self.begin(g.num_vertices());
         let _ = self.view();
         // Warming is not a solve: undo begin()'s bookkeeping.
         self.in_solve = false;
@@ -723,15 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn for_vertices_prewarms() {
-        let mut s = SolverScratch::for_vertices(64);
-        assert_eq!(s.solves(), 0);
-        s.begin(64);
-        let _ = s.view();
-        assert!(s.finish(), "pre-sized scratch starts warm");
-    }
-
-    #[test]
     fn heap_slot_reuse() {
         let mut s = SolverScratch::new();
         s.begin(50);
@@ -751,7 +724,8 @@ mod tests {
     #[test]
     fn warm_up_makes_first_solve_warm() {
         let g = rs_graph::gen::grid2d(20, 20);
-        let mut s = SolverScratch::for_graph(&g);
+        let mut s = SolverScratch::new();
+        s.warm_up(&g);
         assert_eq!(s.solves(), 0, "warming is not a solve");
         s.begin(g.num_vertices());
         let view = s.view();

@@ -12,11 +12,9 @@
 //!   one solve — and the distance-table `ManyToMany`, executed as
 //!   parallel one-to-many rows) plus output options (`want_paths`,
 //!   `want_trace`).
-//! * [`SsspSolver::execute`] — the single entry point every solver
-//!   implements: goal-bounded, scratch-reusing, with inline parent
-//!   recording on the goal-bounded paths. The legacy `solve` /
-//!   `solve_to_goal` / `solve_with_scratch` / `solve_batch` methods are
-//!   thin default wrappers over it.
+//! * [`SsspSolver::execute`] — the one way to run a solve, and the single
+//!   entry point every solver implements: goal-bounded, scratch-reusing,
+//!   with inline parent recording on the goal-bounded paths.
 //! * [`Algorithm`] — the algorithm selector (`RadiusStepping { engine,
 //!   radii }`, `Dijkstra`, `DeltaStepping { delta }`,
 //!   `BellmanFord`, `Bfs`).
@@ -39,13 +37,17 @@
 //! `radius_stepping` facade's prelude re-exports the whole surface.
 //!
 //! ```
-//! use rs_core::solver::{Query, Radii, SolverBuilder, SsspSolver};
+//! use rs_core::solver::{Algorithm, Query, Radii, SolverBuilder, SsspSolver};
 //! use rs_core::SolverScratch;
 //! use rs_graph::{gen, weights, WeightModel};
 //!
 //! let g = weights::reweight(&gen::grid2d(12, 12), WeightModel::paper_weighted(), 1);
 //! let solver = SolverBuilder::new(&g)
-//!     .radius_stepping_solver(Default::default(), Radii::Constant(2_000));
+//!     .algorithm(Algorithm::RadiusStepping {
+//!         engine: Default::default(),
+//!         radii: Radii::Constant(2_000),
+//!     })
+//!     .radius_stepping_solver_from_algorithm();
 //! let mut scratch = SolverScratch::new();
 //! let trip = solver.execute(&Query::point_to_point(0, 143).with_paths(), &mut scratch);
 //! let route = trip.goal_path().expect("grid is connected");
@@ -319,8 +321,9 @@ pub fn execute_many_to_many<S: SsspSolver + ?Sized>(solver: &S, query: &Query) -
 }
 
 /// [`execute_many_to_many`] drawing per-task scratches from an explicit
-/// [`ScratchPool`] — the testable seam (callers wanting isolation from the
-/// process-wide pool, e.g. to assert creation counts, pass their own).
+/// [`crate::scratch::ScratchPool`] — the testable seam (callers wanting
+/// isolation from the process-wide pool, e.g. to assert creation counts,
+/// pass their own).
 pub fn execute_many_to_many_pooled<S: SsspSolver + ?Sized>(
     solver: &S,
     query: &Query,
@@ -497,8 +500,9 @@ impl QueryResponse {
         self.expand(0, self.rows[0].extract_path(t))
     }
 
-    /// Unwraps into the primary row's [`SsspResult`] (what the `solve_*`
-    /// wrapper methods return).
+    /// Unwraps into the primary row's [`SsspResult`]. Shortcut hops in its
+    /// parents stay unexpanded: extract paths through
+    /// [`QueryResponse::extract_path`] while the response is whole.
     pub fn into_result(self) -> SsspResult {
         self.rows.into_iter().next().expect("a response has at least one row")
     }
@@ -510,10 +514,8 @@ impl QueryResponse {
 /// produces identical `dist` arrays (asserted by the cross-algorithm
 /// conformance tests). They differ only in their counters and costs.
 ///
-/// The one required computation method is [`SsspSolver::execute`]; the
-/// legacy `solve_*` family are default wrappers over it, so downstream
-/// code migrates mechanically and every entry point shares the same
-/// goal-bounded, scratch-reusing machinery.
+/// The one computation method is [`SsspSolver::execute`]: every query
+/// shape runs through it, and [`QueryBatch`] fans it over the pool.
 pub trait SsspSolver: Sync {
     /// Human-readable algorithm name (for reports and error messages).
     fn name(&self) -> String;
@@ -524,7 +526,7 @@ pub trait SsspSolver: Sync {
     fn graph(&self) -> &CsrGraph;
 
     /// Answers `query` on caller-provided [`SolverScratch`] state — the
-    /// single entry point behind every other method.
+    /// single entry point every batch and serving layer calls.
     ///
     /// * `SingleSource` queries produce exact distances everywhere.
     /// * `PointToPoint` queries stop as soon as the goal is settled
@@ -556,42 +558,10 @@ pub trait SsspSolver: Sync {
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
         scratch.warm_up(self.graph());
     }
-
-    /// Exact distances from `source` to every vertex (legacy wrapper over
-    /// [`SsspSolver::execute`] with a throwaway scratch).
-    fn solve(&self, source: VertexId) -> SsspResult {
-        self.execute(&Query::single_source(source), &mut SolverScratch::new()).into_result()
-    }
-
-    /// Distances from `source`, stopping early once `goal` is settled
-    /// (legacy wrapper; `dist[goal]` exact, other finite entries valid
-    /// upper bounds). Reuse a scratch via `execute` for serving traffic.
-    fn solve_to_goal(&self, source: VertexId, goal: VertexId) -> SsspResult {
-        self.execute(&Query::point_to_point(source, goal), &mut SolverScratch::new()).into_result()
-    }
-
-    /// Like [`SsspSolver::solve`] on reusable scratch state (legacy
-    /// wrapper over [`SsspSolver::execute`]).
-    fn solve_with_scratch(&self, source: VertexId, scratch: &mut SolverScratch) -> SsspResult {
-        self.execute(&Query::single_source(source), scratch).into_result()
-    }
-
-    /// Solves from every source, fanning out across the rayon pool — the
-    /// paper's motivating workload (§5.4: preprocessing is paid once, then
-    /// "Sssp will be run from multiple sources").
-    ///
-    /// Legacy wrapper over [`QueryBatch`]: duplicate sources are answered
-    /// once and cloned (observationally invisible), and each pool task
-    /// reuses one pre-warmed [`SolverScratch`] across every query it
-    /// claims. Use [`QueryBatch::execute`] directly for mixed query shapes
-    /// and the aggregated [`BatchStats`].
-    fn solve_batch(&self, sources: &[VertexId]) -> Vec<SsspResult> {
-        QueryBatch::from_sources(sources).execute(self).into_results()
-    }
 }
 
-/// A prepared mixed-shape batch: the dedup layer behind
-/// [`SsspSolver::solve_batch`], reusable across solvers, accepting any
+/// A prepared mixed-shape batch: the dedup layer that runs many queries
+/// through [`SsspSolver::execute`], reusable across solvers, accepting any
 /// mix of [`Query`] values.
 ///
 /// Construction groups the requested queries into their unique set
@@ -634,7 +604,7 @@ impl QueryBatch {
     }
 
     /// Plans an all-targets batch: one `SingleSource` query per entry —
-    /// the [`SsspSolver::solve_batch`] shape.
+    /// the paper's multi-source workload (§5.4).
     pub fn from_sources(sources: &[VertexId]) -> Self {
         let queries: Vec<Query> = sources.iter().map(|&s| Query::single_source(s)).collect();
         QueryBatch::new(&queries)
@@ -801,13 +771,6 @@ pub struct BatchOutcome {
     pub responses: Vec<QueryResponse>,
     /// Aggregated counters for the whole batch.
     pub stats: BatchStats,
-}
-
-impl BatchOutcome {
-    /// Drops the aggregates and query keys, keeping the bare results.
-    pub fn into_results(self) -> Vec<SsspResult> {
-        self.responses.into_iter().map(QueryResponse::into_result).collect()
-    }
 }
 
 /// Per-batch aggregate of the queries' [`crate::StepStats`].
@@ -1153,8 +1116,8 @@ impl std::ops::Deref for SolverGraph<'_> {
 /// Fluent construction of any [`SsspSolver`].
 ///
 /// ```
-/// use rs_core::solver::{Algorithm, Radii, SolverBuilder, SsspSolver};
-/// use rs_core::{EngineKind, PreprocessConfig};
+/// use rs_core::solver::{Algorithm, Query, Radii, SolverBuilder, SsspSolver};
+/// use rs_core::{EngineKind, PreprocessConfig, SolverScratch};
 /// use rs_graph::{gen, weights, WeightModel};
 ///
 /// let g = weights::reweight(&gen::grid2d(10, 10), WeightModel::paper_weighted(), 7);
@@ -1166,7 +1129,8 @@ impl std::ops::Deref for SolverGraph<'_> {
 ///     .preprocess(PreprocessConfig::new(1, 16))
 ///     .trace(true)
 ///     .radius_stepping_solver_from_algorithm(); // or `.build()` via rs_baselines
-/// assert_eq!(solver.solve(0).dist[0], 0);
+/// let out = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
+/// assert_eq!(out.dist()[0], 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolverBuilder<'g> {
@@ -1251,17 +1215,6 @@ impl<'g> SolverBuilder<'g> {
             preprocess_cache: self.preprocess_cache,
             config: self.config,
         }
-    }
-
-    /// Builds a radius-stepping solver directly (engine + radii given
-    /// explicitly; use `build()` from the facade for the general case).
-    pub fn radius_stepping_solver(
-        self,
-        engine: EngineKind,
-        radii: Radii,
-    ) -> RadiusSteppingSolver<'g> {
-        self.algorithm(Algorithm::RadiusStepping { engine, radii })
-            .radius_stepping_solver_from_algorithm()
     }
 
     /// Builds a radius-stepping solver from the current `algorithm`
@@ -1366,18 +1319,6 @@ pub struct RadiusSteppingSolver<'g> {
 }
 
 impl<'g> RadiusSteppingSolver<'g> {
-    /// Direct construction without a builder.
-    pub fn new(graph: &'g CsrGraph, engine: EngineKind, radii: Radii) -> Self {
-        RadiusSteppingSolver {
-            graph: SolverGraph::Borrowed(graph),
-            radii,
-            engine,
-            config: SolverConfig::default(),
-            expander: None,
-            p2p: P2pKernel::Forward,
-        }
-    }
-
     /// Construction from builder state. `RadiusStepping` takes its engine
     /// and radii, with preprocessing (when attached) replacing the radii
     /// by `r_ρ(v)`; `BellmanFord` is the frontier engine at `r ≡ ∞` and
@@ -1433,39 +1374,58 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
     }
 
     fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
-        if query.is_many_to_many() {
-            return execute_many_to_many(self, query).with_expander(self.expander.clone());
-        }
         let want_paths = self.config.wants_paths(query);
         if let Some(out) = self.p2p.run(&self.graph, query, want_paths, scratch) {
             return QueryResponse::single(query.clone(), out).with_expander(self.expander.clone());
         }
-        let mut goal_buf = Vec::new();
-        let goals = solve_goals(query, &mut goal_buf);
-        let cfg = EngineConfig {
-            trace: self.config.wants_trace(query),
-            goals,
-            // Goal-bounded path requests record parents inline during
-            // relaxation; full solves keep the deterministic parallel
-            // derivation (applied below by finish_paths).
-            record_parents: want_paths && goals.bounded(),
-        };
-        let out = radius_stepping_with_scratch(
-            &self.graph,
+        execute_radius_stepping(
+            self,
             &self.radii.as_spec(),
-            query.source(),
             self.engine,
-            cfg,
+            &self.config,
+            self.expander.clone(),
+            query,
             scratch,
-        );
-        let result = self.config.finish_paths(&self.graph, query, out);
-        QueryResponse::single(query.clone(), result).with_expander(self.expander.clone())
+        )
     }
 
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
         warm_for_engine(scratch, &self.graph, self.engine);
         self.p2p.warm(&self.graph, scratch);
     }
+}
+
+/// The radius-stepping `execute` body shared by [`RadiusSteppingSolver`]
+/// and [`Preprocessed`]: many-to-many tables fan out row-wise; every other
+/// shape is one engine run on `scratch` over `solver`'s graph, with paths
+/// finished per `config` and `expander` attached to the response.
+fn execute_radius_stepping<S: SsspSolver>(
+    solver: &S,
+    radii: &RadiiSpec<'_>,
+    engine: EngineKind,
+    config: &SolverConfig,
+    expander: Option<Arc<ShortcutExpander>>,
+    query: &Query,
+    scratch: &mut SolverScratch,
+) -> QueryResponse {
+    if query.is_many_to_many() {
+        return execute_many_to_many(solver, query).with_expander(expander);
+    }
+    let g = solver.graph();
+    let want_paths = config.wants_paths(query);
+    let mut goal_buf = Vec::new();
+    let goals = solve_goals(query, &mut goal_buf);
+    let cfg = EngineConfig {
+        trace: config.wants_trace(query),
+        goals,
+        // Goal-bounded path requests record parents inline during
+        // relaxation; full solves keep the deterministic parallel
+        // derivation (applied below by finish_paths).
+        record_parents: want_paths && goals.bounded(),
+    };
+    let out = radius_stepping_with_scratch(g, radii, query.source(), engine, cfg, scratch);
+    let result = config.finish_paths(g, query, out);
+    QueryResponse::single(query.clone(), result).with_expander(expander)
 }
 
 /// Engine-aware scratch warm-up: shared state plus the frontier/substep
@@ -1494,26 +1454,15 @@ impl SsspSolver for Preprocessed {
     }
 
     fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
-        if query.is_many_to_many() {
-            return execute_many_to_many(self, query).with_expander(Some(self.expander.clone()));
-        }
-        let mut goal_buf = Vec::new();
-        let goals = solve_goals(query, &mut goal_buf);
-        let cfg = EngineConfig {
-            trace: query.want_trace,
-            goals,
-            record_parents: query.want_paths && goals.bounded(),
-        };
-        let out = radius_stepping_with_scratch(
-            &self.graph,
+        execute_radius_stepping(
+            self,
             &RadiiSpec::PerVertex(&self.radii),
-            query.source(),
             EngineKind::Frontier,
-            cfg,
+            &SolverConfig::default(),
+            Some(self.expander.clone()),
+            query,
             scratch,
-        );
-        let result = SolverConfig::default().finish_paths(&self.graph, query, out);
-        QueryResponse::single(query.clone(), result).with_expander(Some(self.expander.clone()))
+        )
     }
 
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
@@ -1530,16 +1479,22 @@ mod tests {
         weights::reweight(&gen::grid2d(9, 9), WeightModel::paper_weighted(), 4)
     }
 
+    fn frontier(g: &CsrGraph, radii: Radii) -> RadiusSteppingSolver<'_> {
+        SolverBuilder::new(g)
+            .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii })
+            .radius_stepping_solver_from_algorithm()
+    }
+
     #[test]
     fn builder_constructs_working_solver() {
         let g = grid();
         let solver = SolverBuilder::new(&g)
             .trace(true)
             .record_parents(true)
-            .radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
-        let out = solver.solve(0);
-        assert_eq!(out.dist[0], 0);
-        assert!(out.stats.trace.is_some(), "trace requested");
+            .radius_stepping_solver_from_algorithm();
+        let out = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
+        assert_eq!(out.dist()[0], 0);
+        assert!(out.stats().trace.is_some(), "trace requested");
         let path = out.extract_path(80).expect("connected grid");
         assert_eq!(path[0], 0);
         assert_eq!(*path.last().unwrap(), 80);
@@ -1554,21 +1509,21 @@ mod tests {
         assert!(solver.name().contains("preprocessed"));
         assert!(solver.graph().num_edges() >= g.num_edges(), "shortcuts added");
         assert!(matches!(solver.radii, Radii::PerVertex(_)));
-        let direct =
-            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Infinite);
-        assert_eq!(solver.solve(3).dist, direct.solve(3).dist);
+        let (q, mut scratch) = (Query::single_source(3), SolverScratch::new());
+        let direct = frontier(&g, Radii::Infinite).execute(&q, &mut scratch);
+        assert_eq!(solver.execute(&q, &mut scratch).dist(), direct.dist());
     }
 
     #[test]
     fn goal_solve_settles_goal_exactly() {
         let g = grid();
-        let solver =
-            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
-        let full = solver.solve(0);
-        let bounded = solver.solve_to_goal(0, 40);
-        assert_eq!(bounded.dist[40], full.dist[40]);
-        assert!(bounded.stats.steps <= full.stats.steps);
-        for (b, f) in bounded.dist.iter().zip(&full.dist) {
+        let solver = frontier(&g, Radii::Zero);
+        let mut scratch = SolverScratch::new();
+        let full = solver.execute(&Query::single_source(0), &mut scratch);
+        let bounded = solver.execute(&Query::point_to_point(0, 40), &mut scratch);
+        assert_eq!(bounded.dist()[40], full.dist()[40]);
+        assert!(bounded.stats().steps <= full.stats().steps);
+        for (b, f) in bounded.dist().iter().zip(full.dist()) {
             assert!(*b >= *f, "goal-bounded entries are upper bounds");
         }
     }
@@ -1578,10 +1533,11 @@ mod tests {
         let g = grid();
         let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 8));
         let sources = [0u32, 11, 44, 80];
-        let batch = pre.solve_batch(&sources);
-        assert_eq!(batch.len(), sources.len());
-        for (i, &s) in sources.iter().enumerate() {
-            assert_eq!(batch[i].dist, pre.solve(s).dist);
+        let batch = QueryBatch::from_sources(&sources).execute(&pre);
+        assert_eq!(batch.responses.len(), sources.len());
+        let mut scratch = SolverScratch::new();
+        for (out, &s) in batch.responses.iter().zip(&sources) {
+            assert_eq!(out.dist(), pre.execute(&Query::single_source(s), &mut scratch).dist());
         }
     }
 
@@ -1614,7 +1570,7 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(empty.unique_queries(), &[] as &[Query]);
 
-        // from_sources is the legacy all-targets shape.
+        // from_sources is the all-targets shape.
         let plan = QueryBatch::from_sources(&[7, 3, 7]);
         assert_eq!(plan.unique_queries(), &[Query::single_source(7), Query::single_source(3)]);
     }
@@ -1622,8 +1578,7 @@ mod tests {
     #[test]
     fn batch_execute_reports_aggregates_and_dedup_is_invisible() {
         let g = grid();
-        let solver =
-            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
+        let solver = frontier(&g, Radii::Zero);
         let sources = [5u32, 9, 5, 77, 9, 5];
         let outcome = QueryBatch::from_sources(&sources).execute(&solver);
         assert_eq!(outcome.stats.solves, 6);
@@ -1638,13 +1593,17 @@ mod tests {
             "at most one cold solve per pool task"
         );
         // Aggregates sum over delivered results (duplicates re-counted).
-        let per_source: Vec<SsspResult> = sources.iter().map(|&s| solver.solve(s)).collect();
-        let steps: usize = per_source.iter().map(|r| r.stats.steps).sum();
+        let mut scratch = SolverScratch::new();
+        let per_source: Vec<QueryResponse> = sources
+            .iter()
+            .map(|&s| solver.execute(&Query::single_source(s), &mut scratch))
+            .collect();
+        let steps: usize = per_source.iter().map(|r| r.stats().steps).sum();
         assert_eq!(outcome.stats.steps, steps);
         assert!((outcome.stats.mean_steps() - steps as f64 / 6.0).abs() < 1e-12);
         // Dedup is observationally invisible.
         for (out, reference) in outcome.responses.iter().zip(&per_source) {
-            assert_eq!(out.dist(), reference.dist);
+            assert_eq!(out.dist(), reference.dist());
         }
 
         // Empty and singleton batches.
@@ -1653,15 +1612,15 @@ mod tests {
         assert_eq!(empty.stats, BatchStats::default());
         let single = QueryBatch::from_sources(&[33]).execute(&solver);
         assert_eq!(single.responses.len(), 1);
-        assert_eq!(single.responses[0].dist(), solver.solve(33).dist);
+        let reference = solver.execute(&Query::single_source(33), &mut scratch);
+        assert_eq!(single.responses[0].dist(), reference.dist());
         assert_eq!(single.stats.unique_solves, 1);
     }
 
     #[test]
     fn mixed_batch_counts_goal_bounded_traffic() {
         let g = grid();
-        let solver =
-            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
+        let solver = frontier(&g, Radii::Zero);
         let queries = [
             Query::point_to_point(0, 40),
             Query::single_source(0),
@@ -1674,9 +1633,9 @@ mod tests {
         assert_eq!(outcome.stats.point_to_point, 3, "delivered p2p responses");
         assert_eq!(outcome.stats.goals_reached, 3, "grid is connected");
         // Responses line up with their queries and are individually exact.
-        let full = solver.solve(0);
-        assert_eq!(outcome.responses[0].goal_distance(), Some(full.dist[40]));
-        assert_eq!(outcome.responses[1].dist(), full.dist);
+        let full = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
+        assert_eq!(outcome.responses[0].goal_distance(), Some(full.dist()[40]));
+        assert_eq!(outcome.responses[1].dist(), full.dist());
         assert_eq!(outcome.responses[2].dist(), outcome.responses[0].dist(), "clone of unique");
         let path = outcome.responses[3].goal_path().expect("paths requested");
         assert_eq!((path[0], *path.last().unwrap()), (5, 80));
@@ -1685,28 +1644,27 @@ mod tests {
     #[test]
     fn execute_point_to_point_warm_matches_cold() {
         let g = grid();
-        let solver = SolverBuilder::new(&g)
-            .radius_stepping_solver(EngineKind::Frontier, Radii::Constant(1_500));
+        let solver = frontier(&g, Radii::Constant(1_500));
         let mut scratch = SolverScratch::new();
         for (i, (s, t)) in [(0u32, 80u32), (80, 0), (40, 13), (0, 80)].into_iter().enumerate() {
             let warm = solver.execute(&Query::point_to_point(s, t), &mut scratch);
             let cold = solver.execute(&Query::point_to_point(s, t), &mut SolverScratch::new());
             assert_eq!(warm.dist(), cold.dist(), "query {i} diverged on a warm scratch");
             assert_eq!(warm.stats().scratch_reused, i > 0);
-            assert_eq!(warm.goal_distance(), Some(solver.solve(s).dist[t as usize]));
+            let full = solver.execute(&Query::single_source(s), &mut SolverScratch::new());
+            assert_eq!(warm.goal_distance(), Some(full.dist()[t as usize]));
         }
     }
 
     #[test]
-    fn solve_with_scratch_interleaved_matches_fresh() {
+    fn reused_scratch_interleaved_matches_fresh() {
         let g = grid();
-        let solver = SolverBuilder::new(&g)
-            .record_parents(true)
-            .radius_stepping_solver(EngineKind::Frontier, Radii::Constant(1_500));
+        let solver = frontier(&g, Radii::Constant(1_500));
         let mut scratch = SolverScratch::new();
         for s in [0u32, 80, 40, 0, 17] {
-            let warm = solver.solve_with_scratch(s, &mut scratch);
-            let fresh = solver.solve(s);
+            let q = Query::single_source(s).with_paths();
+            let warm = solver.execute(&q, &mut scratch).into_result();
+            let fresh = solver.execute(&q, &mut SolverScratch::new()).into_result();
             assert_eq!(warm.dist, fresh.dist, "source {s}");
             assert_eq!(warm.parent, fresh.parent, "source {s}: parents recorded on both paths");
         }
@@ -1744,9 +1702,9 @@ mod tests {
         let pre2 = resolve_preprocessed(&g2, &cfg, Some(&path));
         assert_eq!(pre2.input_hash, g2.content_hash(), "stale cache served for mutated graph");
         assert_eq!(Preprocessed::load(&path).unwrap().input_hash, g2.content_hash());
-        let direct =
-            SolverBuilder::new(&g2).radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
-        assert_eq!(pre2.solve(5).dist, direct.solve(5).dist);
+        let (q, mut scratch) = (Query::single_source(5), SolverScratch::new());
+        let direct = frontier(&g2, Radii::Zero).execute(&q, &mut scratch);
+        assert_eq!(pre2.execute(&q, &mut scratch).dist(), direct.dist());
 
         // Unchanged graph: served from cache (hash matches).
         let pre1_again = resolve_preprocessed(&g2, &cfg, Some(&path));
@@ -1764,13 +1722,14 @@ mod tests {
             &g
         ));
         std::fs::remove_file(&path).ok();
+        let (q, mut scratch) = (Query::single_source(5), SolverScratch::new());
 
         // First build: cache miss — builds and persists.
         let first = SolverBuilder::new(&g)
             .preprocess_cached(&path, cfg)
             .radius_stepping_solver_from_algorithm();
         assert!(path.exists(), "cache file must be written on a miss");
-        let expect = first.solve(5).dist;
+        let expect = first.execute(&q, &mut scratch).into_result().dist;
         let fresh = std::fs::read(&path).unwrap();
 
         // Second build: served from the cache, identical results.
@@ -1778,7 +1737,7 @@ mod tests {
             .preprocess_cached(&path, cfg)
             .radius_stepping_solver_from_algorithm();
         assert!(cached.name().contains("preprocessed"));
-        assert_eq!(cached.solve(5).dist, expect);
+        assert_eq!(cached.execute(&q, &mut scratch).dist(), expect);
 
         // The cached file round-trips the full preprocessing.
         let loaded = Preprocessed::load(&path).unwrap();
@@ -1791,7 +1750,8 @@ mod tests {
         let rebuilt = SolverBuilder::new(&g)
             .preprocess_cached(&path, other)
             .radius_stepping_solver_from_algorithm();
-        assert_eq!(rebuilt.solve(5).dist, expect, "distances never depend on the cache");
+        let out = rebuilt.execute(&q, &mut scratch);
+        assert_eq!(out.dist(), expect, "distances never depend on the cache");
         assert_eq!(Preprocessed::load(&path).unwrap().config, other, "file refreshed");
 
         // Garbage, or a fresh file under an old or foreign magic ("RSP4"
@@ -1812,7 +1772,7 @@ mod tests {
             let recovered = SolverBuilder::new(&g)
                 .preprocess_cached(&path, cfg)
                 .radius_stepping_solver_from_algorithm();
-            assert_eq!(recovered.solve(5).dist, expect, "{label}");
+            assert_eq!(recovered.execute(&q, &mut scratch).dist(), expect, "{label}");
             let refreshed = Preprocessed::load(&path).expect("rebuild rewrites the cache");
             assert_eq!(refreshed.config, cfg, "{label}");
         }
@@ -1825,9 +1785,9 @@ mod tests {
         let cross = SolverBuilder::new(&other_graph)
             .preprocess_cached(&path, cfg)
             .radius_stepping_solver_from_algorithm();
-        let direct = SolverBuilder::new(&other_graph)
-            .radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
-        assert_eq!(cross.solve(5).dist, direct.solve(5).dist, "stale-graph cache must rebuild");
+        let direct = frontier(&other_graph, Radii::Zero).execute(&q, &mut scratch);
+        let out = cross.execute(&q, &mut scratch);
+        assert_eq!(out.dist(), direct.dist(), "stale-graph cache must rebuild");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1836,23 +1796,21 @@ mod tests {
         let mut b = rs_graph::EdgeListBuilder::new(4);
         b.add_edge(0, 1, 3);
         let g = b.build();
-        let solver =
-            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
-        let out = solver.solve_to_goal(0, 3);
-        assert_eq!(out.dist[3], INF);
+        let out = frontier(&g, Radii::Zero)
+            .execute(&Query::point_to_point(0, 3), &mut SolverScratch::new());
+        assert_eq!(out.dist()[3], INF);
     }
 
     #[test]
     fn infinite_radii_paths_telescope_after_mid_step_exit() {
         let g = weights::reweight(&gen::grid2d(20, 20), WeightModel::paper_weighted(), 4);
-        let solver =
-            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Infinite);
-        let full = solver.solve(0);
+        let solver = frontier(&g, Radii::Infinite);
+        let mut scratch = SolverScratch::new();
+        let full = solver.execute(&Query::single_source(0), &mut scratch);
         let goal = 47u32;
-        let trip =
-            solver.execute(&Query::point_to_point(0, goal).with_paths(), &mut SolverScratch::new());
+        let trip = solver.execute(&Query::point_to_point(0, goal).with_paths(), &mut scratch);
         assert_eq!(trip.stats().steps, 1);
-        assert!(trip.stats().substeps < full.stats.substeps, "the exit fires mid-step");
+        assert!(trip.stats().substeps < full.stats().substeps, "the exit fires mid-step");
         assert!(trip.stats().settled < g.num_vertices(), "only the final prefix settles");
         let path = trip.goal_path().expect("goal settled");
         assert_eq!((path[0], *path.last().unwrap()), (0, goal));
@@ -1860,7 +1818,7 @@ mod tests {
         for w in path.windows(2) {
             acc += g.arc_weight(w[0], w[1]).expect("path edge") as u64;
         }
-        assert_eq!(acc, full.dist[goal as usize], "parents must telescope to the exact goal");
+        assert_eq!(acc, full.dist()[goal as usize], "parents must telescope to the exact goal");
     }
 
     #[test]
@@ -1872,7 +1830,8 @@ mod tests {
             .radius_stepping_solver_from_algorithm();
         assert_eq!((bf.engine, &bf.radii), (EngineKind::Frontier, &Radii::Infinite));
         assert!(bf.expander.is_some(), "shortcuts still apply");
-        assert_eq!(bf.solve(3).stats.steps, 1, "r ≡ ∞ survives preprocessing");
+        let out = bf.execute(&Query::single_source(3), &mut SolverScratch::new());
+        assert_eq!(out.stats().steps, 1, "r ≡ ∞ survives preprocessing");
         let unit = gen::grid2d(6, 6);
         let bfs = SolverBuilder::new(&unit)
             .algorithm(Algorithm::Bfs)
@@ -1883,19 +1842,18 @@ mod tests {
     #[test]
     fn one_to_many_settles_every_goal_in_one_solve() {
         let g = grid();
-        let solver = SolverBuilder::new(&g)
-            .radius_stepping_solver(EngineKind::Frontier, Radii::Constant(1_500));
-        let full = solver.solve(0);
+        let solver = frontier(&g, Radii::Constant(1_500));
+        let full = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
         let goals = [80u32, 3, 44, 3]; // duplicates + arbitrary order
         let mut scratch = SolverScratch::new();
         let resp = solver.execute(&Query::one_to_many(0, goals), &mut scratch);
         assert_eq!(scratch.solves(), 1, "k goals must cost exactly one solve");
         assert_eq!(
             resp.goal_distances(),
-            goals.iter().map(|&t| Some(full.dist[t as usize])).collect::<Vec<_>>(),
+            goals.iter().map(|&t| Some(full.dist()[t as usize])).collect::<Vec<_>>(),
             "per-goal distances exact, in requested order (duplicates answered)"
         );
-        for (v, (&b, &f)) in resp.dist().iter().zip(&full.dist).enumerate() {
+        for (v, (&b, &f)) in resp.dist().iter().zip(full.dist()).enumerate() {
             assert!(b >= f, "vertex {v}: goal-bounded entries are upper bounds");
         }
         // An empty goal set is trivially satisfied: source only.
@@ -1908,17 +1866,17 @@ mod tests {
     #[test]
     fn many_to_many_builds_the_distance_table() {
         let g = grid();
-        let solver =
-            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
+        let solver = frontier(&g, Radii::Zero);
         let sources = [0u32, 40, 80];
         let goals = [3u32, 77];
-        let resp = solver.execute(&Query::many_to_many(sources, goals), &mut SolverScratch::new());
+        let mut scratch = SolverScratch::new();
+        let resp = solver.execute(&Query::many_to_many(sources, goals), &mut scratch);
         assert_eq!(resp.rows().len(), sources.len());
         let table = resp.distance_table();
         for (i, &s) in sources.iter().enumerate() {
-            let full = solver.solve(s);
+            let full = solver.execute(&Query::single_source(s), &mut scratch);
             for (j, &t) in goals.iter().enumerate() {
-                assert_eq!(table[i][j], Some(full.dist[t as usize]), "cell ({i},{j})");
+                assert_eq!(table[i][j], Some(full.dist()[t as usize]), "cell ({i},{j})");
             }
         }
     }
@@ -1939,16 +1897,13 @@ mod tests {
         assert_eq!(batch.deduplicated(), 3);
         // Delivered responses keep their *requested* query key.
         let g = grid();
-        let solver =
-            SolverBuilder::new(&g).radius_stepping_solver(EngineKind::Frontier, Radii::Zero);
+        let solver = frontier(&g, Radii::Zero);
         let outcome = QueryBatch::new(&queries).execute(&solver);
         for (resp, q) in outcome.responses.iter().zip(&queries) {
             assert_eq!(&resp.query, q, "dedup must not rewrite the requested goal order");
         }
-        assert_eq!(outcome.responses[1].goal_distances()[0], {
-            let d = solver.solve(0).dist[7];
-            Some(d)
-        });
+        let full = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
+        assert_eq!(outcome.responses[1].goal_distances()[0], Some(full.dist()[7]));
         assert_eq!(outcome.stats.one_to_many, 4);
         assert_eq!(outcome.stats.many_to_many, 3);
         // 2 one-to-many uniques (1 row each) + 2 table uniques (2 rows
@@ -1959,8 +1914,7 @@ mod tests {
     #[test]
     fn streaming_batch_matches_materialised_execution() {
         let g = grid();
-        let solver = SolverBuilder::new(&g)
-            .radius_stepping_solver(EngineKind::Frontier, Radii::Constant(900));
+        let solver = frontier(&g, Radii::Constant(900));
         let queries = [
             Query::point_to_point(0, 80).with_paths(),
             Query::single_source(5),

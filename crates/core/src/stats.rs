@@ -38,18 +38,14 @@ impl SsspResult {
         SsspResult { dist, parent: None, stats }
     }
 
-    /// Derives and attaches the shortest-path tree from the distance array
-    /// (parallel over vertices; works for every algorithm because any
-    /// in-neighbor `u` with `dist[u] + w(u,v) = dist[v]` is a valid
-    /// predecessor on these symmetric graphs).
-    pub fn with_parents(mut self, g: &CsrGraph) -> SsspResult {
-        self.parent = Some(derive_parents(g, &self.dist));
-        self
-    }
-
     /// Reconstructs the shortest path `source → t` from the recorded
     /// parent array. Returns `None` when no parents were recorded, `t` is
     /// unreachable, or `t` was not settled by a goal-bounded solve.
+    ///
+    /// The walk follows the parents over the solver's graph, so for a
+    /// preprocessed solver the route keeps its (k, ρ) shortcut hops
+    /// unexpanded. Use [`crate::solver::QueryResponse::extract_path`] for
+    /// a route made only of input-graph edges.
     pub fn extract_path(&self, t: VertexId) -> Option<Vec<VertexId>> {
         extract_path(self.parent.as_deref()?, t)
     }
@@ -107,28 +103,19 @@ pub fn extract_path(parent: &[VertexId], t: VertexId) -> Option<Vec<VertexId>> {
     Some(path)
 }
 
-/// Sparse parent array covering exactly the shortest `source → goal` path:
-/// the chain is derived by walking the distance array backwards from
-/// `goal` (`dist[u] + w(u, goal) == dist[goal]` certifies a predecessor —
-/// every vertex on a shortest path to an exactly-settled goal is itself
-/// exact, so the walk always closes), and every off-path vertex stays
-/// `u32::MAX`. Costs `O(n)` for the array plus `O(path length · degree)`
-/// for the walk — no all-edges post-pass — which is what the goal-bounded
-/// `want_paths` serving path needs from the solvers whose parallel
-/// relaxation has no per-writer claim log (∆-stepping, the unweighted
-/// engine).
-pub fn goal_path_parents(g: &CsrGraph, dist: &[Dist], goal: VertexId) -> Vec<VertexId> {
-    goals_path_parents(g, dist, std::slice::from_ref(&goal))
-}
-
-/// Multi-goal form of [`goal_path_parents`]: one sparse parent array
-/// covering every `source → goal` path for the one-to-many serving shape.
-/// The backwards walk is deterministic per vertex (first certifying
-/// predecessor in adjacency order), so overlapping walks write identical
-/// entries and each extracted goal path is bit-identical to the one a
-/// single-goal walk over the same distance array would produce.
-/// Unreachable goals are skipped (their entries stay `u32::MAX`). Costs
-/// `O(n)` for the array plus `O(Σ path length · degree)` for the walks.
+/// Sparse parent array covering exactly the shortest `source → goal`
+/// paths: each chain is derived by walking the distance array backwards
+/// from its goal (`dist[u] + w(u, goal) == dist[goal]` certifies a
+/// predecessor — every vertex on a shortest path to an exactly-settled
+/// goal is itself exact, so the walk always closes), and every off-path
+/// vertex stays `u32::MAX`. The walk is deterministic per vertex (first
+/// certifying predecessor in adjacency order), so overlapping walks write
+/// identical entries and each goal path is the one a single-goal walk
+/// would produce. Unreachable goals are skipped. Costs `O(n)` for the
+/// array plus `O(Σ path length · degree)` for the walks — no all-edges
+/// post-pass — which is what the goal-bounded `want_paths` serving path
+/// needs from the solvers whose parallel relaxation has no per-writer
+/// claim log (∆-stepping, the unweighted engine).
 pub fn goals_path_parents(g: &CsrGraph, dist: &[Dist], goals: &[VertexId]) -> Vec<VertexId> {
     let mut parent = vec![u32::MAX; g.num_vertices()];
     for &goal in goals {
@@ -187,7 +174,7 @@ pub struct StepStats {
     /// True iff this solve ran entirely on pre-allocated
     /// [`crate::SolverScratch`] state (no working-array allocation) — the
     /// per-result face of the batch path's warm-scratch guarantee. Always
-    /// `false` for plain `solve()` calls, which build a fresh scratch.
+    /// `false` for a solve on a fresh, unwarmed scratch.
     pub scratch_reused: bool,
     /// Per-step trace, when requested via
     /// [`crate::EngineConfig::with_trace`].

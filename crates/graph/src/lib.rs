@@ -11,7 +11,7 @@
 //!   pathological Figure-2 gadget.
 //! * [`weights`] — the paper's weight models (unit, uniform integers in
 //!   `[1, 10_000]`).
-//! * [`edge_map`] — Ligra-style frontier traversal with sparse/dense
+//! * [`edge_map`](mod@edge_map) — Ligra-style frontier traversal with sparse/dense
 //!   switching, used by the parallel engines and baselines.
 //! * [`io`] — DIMACS `.gr` and fast binary serialisation.
 //! * [`analysis`] — connectivity, largest-component extraction, degree and

@@ -2,7 +2,7 @@
 //!
 //! Front-end and solver are decoupled: [`Server::submit`] does nothing
 //! but a cache-aware admission push (microseconds, never a solve), and
-//! lane workers — dedicated threads from [`rs_par::scope`], *not* pool
+//! lane workers — dedicated threads from [`rs_par::scope()`], *not* pool
 //! workers — drain their lane's queue, micro-batch what is waiting,
 //! serve cache hits, and run the misses through the query plane
 //! ([`QueryBatch::stream_bounded`] for a batch, a direct warm-scratch
@@ -121,8 +121,8 @@ pub struct Rejection {
     pub queued: usize,
     /// Suggested back-off before retrying, in microseconds: the queue it
     /// would wait behind divided by the lane's *observed drain rate* over
-    /// a recent window of completion timestamps, clamped to
-    /// [[`RETRY_MIN_US`], [`RETRY_MAX_US`]]. A lane with too few recent
+    /// a recent window of completion timestamps, clamped to 100 µs ..= 0.5 s
+    /// (`RETRY_MIN_US` ..= `RETRY_MAX_US`). A lane with too few recent
     /// completions to estimate a rate (idle, or just started) hands out
     /// the clamp floor — retry soon, rather than a hint derived from
     /// stale latency quantiles. Zero for an invalid query.
@@ -494,7 +494,7 @@ impl<'s> Server<'s> {
 }
 
 /// Runs a server over `solver` for the duration of `f`: lane workers
-/// spawn on dedicated threads ([`rs_par::scope`] — never pool workers,
+/// spawn on dedicated threads ([`rs_par::scope()`] — never pool workers,
 /// which must stay free for the solves themselves), `f` drives traffic
 /// through the [`Server`] handle, and when it returns the lanes close,
 /// drain, and join. Returns `f`'s result plus the final statistics.

@@ -33,7 +33,8 @@ fn main() {
         ),
     ];
 
-    let reference = SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build().solve(s).dist;
+    let reference = baselines::dijkstra_default(&g, s);
+    let (query, mut scratch) = (Query::single_source(s), SolverScratch::new());
 
     println!("{:<46} {:>9}   shape", "solver", "time");
     for (algorithm, preprocess) in spectrum {
@@ -43,7 +44,7 @@ fn main() {
         }
         let solver = builder.build();
         let t = Instant::now();
-        let out = solver.solve(s);
+        let out = solver.execute(&query, &mut scratch).into_result();
         let elapsed = t.elapsed().as_secs_f64() * 1000.0;
         assert_eq!(out.dist, reference, "{} disagrees with Dijkstra", solver.name());
         println!(

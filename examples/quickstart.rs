@@ -29,34 +29,46 @@ fn main() {
         solver.graph().num_edges() - g.num_edges()
     );
 
-    // Solve from a corner.
+    // Solve from a corner. One scratch serves every query below.
     let source = 0;
-    let out = solver.solve(source);
+    let mut scratch = SolverScratch::new();
+    let out = solver.execute(&Query::single_source(source), &mut scratch);
     let far = (g.num_vertices() - 1) as u32;
     println!(
         "sssp from {source}: dist to opposite corner = {}, {} steps, ≤ {} substeps/step",
-        out.dist[far as usize], out.stats.steps, out.stats.max_substeps_in_step
+        out.dist()[far as usize],
+        out.stats().steps,
+        out.stats().max_substeps_in_step
     );
 
-    // Reconstruct one route from the recorded shortest-path tree.
+    // Reconstruct one route from the recorded shortest-path tree. The
+    // response expands shortcut hops, so the route uses input edges only.
     let path = out.extract_path(far).expect("grid is connected");
     println!(
         "route to {far}: {} hops (first 6: {:?} ...)",
         path.len() - 1,
         &path[..6.min(path.len())]
     );
+    let mut length = 0;
+    for hop in path.windows(2) {
+        let w = g.arc_weight(hop[0], hop[1]).expect("every hop is an input-graph edge");
+        length += w as Dist;
+    }
+    assert_eq!(length, out.dist()[far as usize], "hop weights sum to the distance");
 
     // Point-to-point query: early termination once the goal settles.
     let mid = (g.num_vertices() / 2) as u32;
-    let bounded = solver.solve_to_goal(source, mid);
+    let bounded = solver.execute(&Query::point_to_point(source, mid), &mut scratch);
     println!(
         "goal-bounded solve to {mid}: {} steps (vs {} for the full solve)",
-        bounded.stats.steps, out.stats.steps
+        bounded.stats().steps,
+        out.stats().steps
     );
-    assert_eq!(bounded.dist[mid as usize], out.dist[mid as usize]);
+    assert_eq!(bounded.goal_distance(), Some(out.dist()[mid as usize]));
 
     // Cross-check against the sequential baseline, same interface.
     let dijkstra = SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build();
-    assert_eq!(out.dist, dijkstra.solve(source).dist, "must match Dijkstra exactly");
+    let reference = dijkstra.execute(&Query::single_source(source), &mut scratch);
+    assert_eq!(out.dist(), reference.dist(), "must match Dijkstra exactly");
     println!("verified: distances identical to Dijkstra");
 }

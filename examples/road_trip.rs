@@ -62,9 +62,10 @@ fn main() {
 
     // Compare against per-source sequential Dijkstra via the same trait.
     let dijkstra = SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build();
+    let mut scratch = SolverScratch::new();
     let t = Instant::now();
     for &depot in &depots {
-        let _ = dijkstra.solve(depot);
+        let _ = dijkstra.execute(&Query::single_source(depot), &mut scratch);
     }
     let dj_time = t.elapsed().as_secs_f64();
     println!(
@@ -77,7 +78,6 @@ fn main() {
     // Route between two specific junctions: a point-to-point query with
     // goal-bounded early exit and inline parent recording, on a warm
     // scratch (how a serving loop would run it).
-    let mut scratch = SolverScratch::new();
     solver.warm_scratch(&mut scratch);
     let trip =
         solver.execute(&Query::point_to_point(depots[0], depots[3]).with_paths(), &mut scratch);

@@ -17,6 +17,7 @@ fn main() {
     println!("   k |  rho | heuristic |  +edges (xm) | steps | max substeps");
     println!("-----+------+-----------+--------------+-------+-------------");
     let mut best: Option<(f64, String)> = None;
+    let mut scratch = SolverScratch::new();
     for &k in &[1u32, 3] {
         for &rho in &[25usize, 50, 100] {
             for h in [ShortcutHeuristic::Greedy, ShortcutHeuristic::Dp] {
@@ -25,7 +26,7 @@ fn main() {
                 }
                 let cfg = PreprocessConfig { k, rho, heuristic: h };
                 let pre = Preprocessed::build(&g, &cfg);
-                let out = pre.solve(0);
+                let out = pre.execute(&Query::single_source(0), &mut scratch).into_result();
                 let factor = pre.stats.added_edge_factor();
                 println!(
                     "{k:>4} | {rho:>4} | {h:>9?} | {factor:>12.2} | {:>5} | {:>12}",

@@ -27,9 +27,10 @@ fn main() {
     let source = 0u32;
     // Parallel BFS is the unweighted engine at r ≡ 0: one step per level.
     let bfs = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
-    let bfs_out = bfs.solve(source);
-    let bfs_rounds = bfs_out.stats.steps;
-    assert_eq!(bfs_out.dist, baselines::bfs_seq(&g, source), "BFS must match the oracle");
+    let mut scratch = SolverScratch::new();
+    let bfs_out = bfs.execute(&Query::single_source(source), &mut scratch);
+    let bfs_rounds = bfs_out.stats().steps;
+    assert_eq!(bfs_out.dist(), baselines::bfs_seq(&g, source), "BFS must match the oracle");
     println!("\nparallel BFS: {bfs_rounds} rounds (one per level)");
 
     println!("\n rho | steps | reduction vs BFS | relaxations");
@@ -39,8 +40,8 @@ fn main() {
         let solver = SolverBuilder::new(&g)
             .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii })
             .build();
-        let out = solver.solve(source);
-        assert_eq!(out.dist, bfs_out.dist, "hop distances must match BFS");
+        let out = solver.execute(&Query::single_source(source), &mut scratch).into_result();
+        assert_eq!(out.dist, bfs_out.dist(), "hop distances must match BFS");
         println!(
             "{rho:>4} | {:>5} | {:>16.2} | {:>10}",
             out.stats.steps,

@@ -54,11 +54,9 @@
 //! assert_eq!(route[0], 0);
 //! assert!(trip.stats().scratch_reused);
 //!
-//! // Full single-source solves ride the same entry point (the legacy
-//! // solve / solve_to_goal / solve_with_scratch wrappers still work).
+//! // Full single-source solves ride the same entry point.
 //! let full = solver.execute(&Query::single_source(0), &mut scratch);
 //! assert_eq!(trip.goal_distance(), Some(full.dist()[820]));
-//! assert_eq!(full.dist(), solver.solve(0).dist);
 //!
 //! // Fan-out routing: one solve answers a whole candidate set, with
 //! // per-goal distances and paths bit-identical to the point-to-point
@@ -88,7 +86,8 @@
 //! let dijkstra = SolverBuilder::new(&g)
 //!     .algorithm(Algorithm::Dijkstra)
 //!     .build();
-//! assert_eq!(full.dist(), dijkstra.solve(0).dist);
+//! let reference = dijkstra.execute(&Query::single_source(0), &mut scratch);
+//! assert_eq!(full.dist(), reference.dist());
 //! ```
 
 pub use rs_baselines as baselines;

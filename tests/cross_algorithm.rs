@@ -37,9 +37,11 @@ fn all_weighted_solvers_agree() {
     for (name, g) in graphs() {
         let source = (g.num_vertices() / 2) as u32;
         let reference = baselines::dijkstra_default(&g, source);
+        let mut scratch = SolverScratch::new();
         for algorithm in weighted_algorithms() {
             let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
-            assert_eq!(solver.solve(source).dist, reference, "{name}: {}", solver.name());
+            let out = solver.execute(&Query::single_source(source), &mut scratch);
+            assert_eq!(out.dist(), reference, "{name}: {}", solver.name());
         }
         // The frontier engine also takes the sequential oracle's steps.
         for radii in [RadiiSpec::Zero, RadiiSpec::Infinite, RadiiSpec::Constant(5_000)] {
@@ -60,6 +62,7 @@ fn unweighted_solvers_agree_with_bfs() {
     ] {
         let source = 1u32;
         let bfs = baselines::bfs_seq(&g, source);
+        let (query, mut scratch) = (Query::single_source(source), SolverScratch::new());
         for algorithm in [
             Algorithm::Bfs,
             Algorithm::Dijkstra,
@@ -67,10 +70,12 @@ fn unweighted_solvers_agree_with_bfs() {
             Algorithm::RadiusStepping { engine: EngineKind::Unweighted, radii: Radii::Zero },
         ] {
             let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
-            assert_eq!(solver.solve(source).dist, bfs, "{name}: {}", solver.name());
+            let out = solver.execute(&query, &mut scratch);
+            assert_eq!(out.dist(), bfs, "{name}: {}", solver.name());
         }
         let pre = SolverBuilder::new(&g).preprocess(PreprocessConfig::new(1, 10)).build();
-        assert_eq!(pre.solve(source).dist, bfs, "{name}: preprocessed radius stepping");
+        let out = pre.execute(&query, &mut scratch);
+        assert_eq!(out.dist(), bfs, "{name}: preprocessed radius stepping");
     }
 }
 
@@ -95,15 +100,16 @@ fn bellman_ford_and_infinite_radius_have_same_depth_structure() {
     // on the radius spectrum: the frontier engine at r ≡ ∞ (one step of
     // Bellman–Ford substeps) and the unweighted engine at r ≡ 0.
     fn assert_alias(name: &str, g: &CsrGraph, alias: Algorithm, engine: EngineKind, radii: Radii) {
-        let a = SolverBuilder::new(g).algorithm(alias).build().solve(2);
+        let (query, mut scratch) = (Query::single_source(2), SolverScratch::new());
+        let a = SolverBuilder::new(g).algorithm(alias).build().execute(&query, &mut scratch);
         let b = SolverBuilder::new(g)
             .algorithm(Algorithm::RadiusStepping { engine, radii })
             .build()
-            .solve(2);
-        assert_eq!(a.dist, b.dist, "{name}");
+            .execute(&query, &mut scratch);
+        assert_eq!(a.dist(), b.dist(), "{name}");
         assert_eq!(
-            (a.stats.steps, a.stats.substeps),
-            (b.stats.steps, b.stats.substeps),
+            (a.stats().steps, a.stats().substeps),
+            (b.stats().steps, b.stats().substeps),
             "{name}: steps/substeps"
         );
     }
@@ -115,6 +121,7 @@ fn bellman_ford_and_infinite_radius_have_same_depth_structure() {
     // One step; vertex 1 starts relaxed, 18 productive substeps reach
     // vertex 19, plus the final no-update check.
     let path = graph::gen::path(20);
-    let bf = SolverBuilder::new(&path).algorithm(Algorithm::BellmanFord).build().solve(0);
-    assert_eq!((bf.stats.steps, bf.stats.substeps), (1, 19));
+    let bf = SolverBuilder::new(&path).algorithm(Algorithm::BellmanFord).build();
+    let bf = bf.execute(&Query::single_source(0), &mut SolverScratch::new());
+    assert_eq!((bf.stats().steps, bf.stats().substeps), (1, 19));
 }

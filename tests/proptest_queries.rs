@@ -112,12 +112,12 @@ proptest! {
             let fresh = solver.execute(q, &mut SolverScratch::new());
             prop_assert_eq!(resp.dist(), fresh.dist(), "{:?}", q.shape);
             if q.is_goal_bounded() {
-                let full = solver.solve(q.source());
+                let full = solver.execute(&Query::single_source(q.source()), &mut SolverScratch::new());
                 for &goal in q.goals() {
                     // Every goal settled exactly (full solve = reference).
                     prop_assert_eq!(
                         resp.dist()[goal as usize],
-                        full.dist[goal as usize],
+                        full.dist()[goal as usize],
                         "{:?}", q.shape
                     );
                     if q.want_paths {

@@ -108,9 +108,10 @@ proptest! {
     }
 
     // Batch dedup must be observationally invisible: for ANY source
-    // multiset — duplicates, repeats, arbitrary order — `solve_batch`
-    // returns exactly what per-source `solve` returns, slot for slot, and
-    // the `QueryBatch` bookkeeping stays consistent.
+    // multiset — duplicates, repeats, arbitrary order — an all-sources
+    // `QueryBatch` returns exactly what per-source `single_source`
+    // executions return, slot for slot, and its bookkeeping stays
+    // consistent.
     #[test]
     fn solve_batch_with_duplicates_matches_per_source(
         g in arb_connected_graph(),
@@ -142,13 +143,15 @@ proptest! {
             outcome.stats.cold_solves + outcome.stats.scratch_reuses,
             outcome.stats.unique_solves
         );
+        let mut scratch = SolverScratch::new();
         for (out, &s) in outcome.responses.iter().zip(&sources) {
-            prop_assert_eq!(out.dist(), &solver.solve(s).dist[..], "source {}", s);
+            let reference = solver.execute(&Query::single_source(s), &mut scratch);
+            prop_assert_eq!(out.dist(), reference.dist(), "source {}", s);
         }
     }
 
     // Empty and singleton batches are well-behaved for every algorithm,
-    // and a singleton's result equals the plain solve.
+    // and a singleton's result equals the single-source execution.
     #[test]
     fn solve_batch_empty_and_singleton(g in arb_connected_graph(), s in 0u32..1000) {
         let n = g.num_vertices() as u32;
@@ -156,10 +159,11 @@ proptest! {
         let solver = SolverBuilder::new(&g)
             .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero })
             .build();
-        prop_assert!(solver.solve_batch(&[]).is_empty());
-        let single = solver.solve_batch(&[s]);
+        prop_assert!(QueryBatch::from_sources(&[]).execute(&*solver).responses.is_empty());
+        let single = QueryBatch::from_sources(&[s]).execute(&*solver).responses;
         prop_assert_eq!(single.len(), 1);
-        prop_assert_eq!(&single[0].dist, &solver.solve(s).dist);
+        let reference = solver.execute(&Query::single_source(s), &mut SolverScratch::new());
+        prop_assert_eq!(single[0].dist(), reference.dist());
         // All-duplicates batch: one unique solve, three identical answers.
         let dup = QueryBatch::from_sources(&[s, s, s]);
         prop_assert_eq!(dup.unique_queries(), &[Query::single_source(s)][..]);
@@ -185,8 +189,10 @@ proptest! {
         let mut scratch = SolverScratch::new();
         for s in schedule {
             let s = s % n;
-            let warm = solver.solve_with_scratch(s, &mut scratch);
-            prop_assert_eq!(&warm.dist, &solver.solve(s).dist, "source {}", s);
+            let q = Query::single_source(s);
+            let warm = solver.execute(&q, &mut scratch);
+            let fresh = solver.execute(&q, &mut SolverScratch::new());
+            prop_assert_eq!(warm.dist(), fresh.dist(), "source {}", s);
         }
     }
 }

@@ -244,7 +244,7 @@ fn unreachable_goals_terminate() {
         assert!(fan.goal_path_to(6).is_none(), "{}", solver.name());
         assert_eq!(
             fan.goal_distances()[0],
-            Some(solver.solve(0).dist[3]),
+            Some(solver.execute(&Query::single_source(0), &mut scratch).dist()[3]),
             "{}: reachable goal stays exact next to an unreachable one",
             solver.name()
         );
@@ -489,8 +489,8 @@ fn many_to_many_matches_rowwise_one_to_many() {
             sources
                 .iter()
                 .map(|&s| {
-                    let full = solver.solve(s);
-                    goals.iter().map(|&t| Some(full.dist[t as usize])).collect::<Vec<_>>()
+                    let full = solver.execute(&Query::single_source(s), &mut SolverScratch::new());
+                    goals.iter().map(|&t| Some(full.dist()[t as usize])).collect::<Vec<_>>()
                 })
                 .collect::<Vec<_>>(),
             "{}: table cells must be exact",
@@ -535,10 +535,11 @@ fn preprocessed_goal_paths_ride_input_graph_edges() {
             solver.name()
         );
         for (s, t) in [(0u32, n - 1), (n / 2, 1), (7, n / 3)] {
-            let resp = solver
-                .execute(&Query::point_to_point(s, t).with_paths(), &mut SolverScratch::new());
+            let mut scratch = SolverScratch::new();
+            let resp = solver.execute(&Query::point_to_point(s, t).with_paths(), &mut scratch);
             let path = resp.goal_path().expect("connected grid");
             assert_eq!((path[0], *path.last().unwrap()), (s, t), "{}", solver.name());
+            let full = reference.execute(&Query::single_source(s), &mut scratch);
             let mut acc = 0u64;
             for w in path.windows(2) {
                 let weight = g.arc_weight(w[0], w[1]).unwrap_or_else(|| {
@@ -553,7 +554,7 @@ fn preprocessed_goal_paths_ride_input_graph_edges() {
             }
             assert_eq!(
                 acc,
-                reference.solve(s).dist[t as usize],
+                full.dist()[t as usize],
                 "{}: input-graph route must telescope to the exact distance",
                 solver.name()
             );
@@ -576,6 +577,64 @@ fn preprocessed_goal_paths_ride_input_graph_edges() {
         }
     }
     std::fs::remove_file(&cache).ok();
+}
+
+/// `Preprocessed` and the builder's preprocessed radius-stepping solver run
+/// one shared `execute` body, so on the same (k, ρ) preprocessing they
+/// answer every shape identically: distances, counters, trace presence
+/// and distance tables. Goal paths must match by endpoints and telescope
+/// to the goal distance over input-graph edges; exact vertex sequences are
+/// compared only at one thread, because which of several equal-cost
+/// parents wins depends on the schedule at two or more.
+#[test]
+fn preprocessed_and_builder_solver_answer_identically() {
+    let w = |g: &CsrGraph, seed| graph::weights::reweight(g, WeightModel::paper_weighted(), seed);
+    let cases = [
+        (w(&graph::gen::grid2d(20, 20), 3), PreprocessConfig::new(1, 16)),
+        (w(&graph::gen::scale_free(500, 3, 5), 6), PreprocessConfig::new(3, 12)),
+    ];
+    for (g, cfg) in &cases {
+        let n = g.num_vertices() as u32;
+        let pre = Preprocessed::build(g, cfg);
+        let built = SolverBuilder::new(g).preprocess(*cfg).radius_stepping_solver_from_algorithm();
+        let goals = [n - 1, n / 3, 7];
+        let weight = |h: &[VertexId]| Dist::from(g.arc_weight(h[0], h[1]).expect("input edge"));
+        let mut scratch = SolverScratch::new();
+        for q in [
+            Query::single_source(0),
+            Query::single_source(n / 2).with_paths(),
+            Query::point_to_point(0, n - 1).with_paths(),
+            Query::one_to_many(n / 2, goals).with_paths(),
+            Query::many_to_many([0, n / 2, n - 1], goals).with_paths(),
+            Query::point_to_point(n - 1, 3).with_trace(),
+        ] {
+            let (a, b) = (pre.execute(&q, &mut scratch), built.execute(&q, &mut scratch));
+            let ctx = format!("n = {n}, {:?}", q.shape);
+            assert_eq!(a.distance_table(), b.distance_table(), "{ctx}");
+            let key = |r: &SsspResult| {
+                let s = &r.stats;
+                (r.dist.clone(), s.steps, s.substeps, s.relaxed_edges, s.settled, s.trace.is_some())
+            };
+            for (row, (ra, rb)) in a.rows().iter().zip(b.rows()).enumerate() {
+                assert_eq!(key(ra), key(rb), "{ctx}, row {row}");
+                assert_eq!(ra.stats.trace.is_some(), q.want_trace, "{ctx}, row {row}");
+                let targets = if q.is_goal_bounded() { q.goals() } else { &goals[..] };
+                for &t in targets {
+                    let (pa, pb) = (a.path_in_row(row, t), b.path_in_row(row, t));
+                    assert_eq!((pa.is_some(), pb.is_some()), (q.want_paths, q.want_paths), "{ctx}");
+                    for path in pa.iter().chain(&pb) {
+                        let ends = (path[0], *path.last().unwrap());
+                        assert_eq!(ends, (q.sources()[row], t), "{ctx}, row {row}");
+                        let length: Dist = path.windows(2).map(weight).sum();
+                        assert_eq!(length, ra.dist[t as usize], "{ctx}, row {row}, goal {t}");
+                    }
+                    if par::num_threads() == 1 {
+                        assert_eq!(pa, pb, "{ctx}, row {row}, goal {t}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Wraps a solver to gate one slow query and count completed solves — the

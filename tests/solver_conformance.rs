@@ -2,15 +2,16 @@
 //! construct must satisfy the same contract on random weighted and
 //! unit-weight graphs —
 //!
-//! * `solve` produces distances identical to the Dijkstra reference;
-//! * `solve_to_goal` settles the goal exactly and returns upper bounds
-//!   elsewhere (the full solve's settled prefix is preserved);
-//! * `solve_batch` matches per-source solves, deduplicates invisibly, and
-//!   reuses per-worker scratch state (no working-array allocation after
-//!   warmup);
-//! * `solve_with_scratch` on one long-lived scratch is bit-identical to
-//!   fresh per-source solvers, for every algorithm × heap — interleaved,
-//!   so any state leaking from a previous solve is caught;
+//! * a `single_source` execution produces distances identical to the
+//!   Dijkstra reference;
+//! * a `point_to_point` execution settles the goal exactly and returns
+//!   upper bounds elsewhere (the full solve's settled prefix is preserved);
+//! * an all-sources `QueryBatch` matches per-source executions,
+//!   deduplicates invisibly, and reuses per-worker scratch state (no
+//!   working-array allocation after warmup);
+//! * executions on one long-lived scratch are bit-identical to fresh
+//!   scratches, for every algorithm × heap — interleaved, so any state
+//!   leaking from a previous solve is caught;
 //! * recorded parent trees telescope to the distances.
 //!
 //! Batch results are deterministic for any pool size (the engines resolve
@@ -92,8 +93,10 @@ fn solve_matches_dijkstra_on_weighted_graphs() {
     for (name, g) in weighted_graphs() {
         let source = (g.num_vertices() / 3) as u32;
         let reference = baselines::dijkstra_default(&g, source);
+        let mut scratch = SolverScratch::new();
         for solver in weighted_solvers(&g) {
-            assert_eq!(solver.solve(source).dist, reference, "{name}: {}", solver.name());
+            let out = solver.execute(&Query::single_source(source), &mut scratch);
+            assert_eq!(out.dist(), reference, "{name}: {}", solver.name());
         }
     }
 }
@@ -113,29 +116,32 @@ fn solve_matches_bfs_on_unit_graphs() {
                 })
                 .build(),
         );
+        let mut scratch = SolverScratch::new();
         for solver in solvers {
-            assert_eq!(solver.solve(source).dist, reference, "{name}: {}", solver.name());
+            let out = solver.execute(&Query::single_source(source), &mut scratch);
+            assert_eq!(out.dist(), reference, "{name}: {}", solver.name());
         }
     }
 }
 
 #[test]
-fn solve_to_goal_matches_full_solve_prefix() {
+fn point_to_point_matches_full_solve_prefix() {
     for (name, g) in weighted_graphs().into_iter().take(4) {
         let source = 0u32;
         let n = g.num_vertices() as u32;
+        let mut scratch = SolverScratch::new();
         for solver in weighted_solvers(&g) {
-            let full = solver.solve(source);
+            let full = solver.execute(&Query::single_source(source), &mut scratch);
             for goal in [source, n / 4, n / 2, n - 1] {
-                let bounded = solver.solve_to_goal(source, goal);
+                let bounded = solver.execute(&Query::point_to_point(source, goal), &mut scratch);
                 assert_eq!(
-                    bounded.dist[goal as usize],
-                    full.dist[goal as usize],
+                    bounded.dist()[goal as usize],
+                    full.dist()[goal as usize],
                     "{name}: {} goal {goal} must be exact",
                     solver.name()
                 );
-                assert_eq!(bounded.dist[source as usize], 0, "{name}: {}", solver.name());
-                for (v, (&b, &f)) in bounded.dist.iter().zip(&full.dist).enumerate() {
+                assert_eq!(bounded.dist()[source as usize], 0, "{name}: {}", solver.name());
+                for (v, (&b, &f)) in bounded.dist().iter().zip(full.dist()).enumerate() {
                     assert!(
                         b >= f,
                         "{name}: {} vertex {v}: goal-bounded {b} below true distance {f}",
@@ -152,11 +158,13 @@ fn solve_batch_matches_per_source_solves() {
     for (name, g) in weighted_graphs().into_iter().take(3) {
         let n = g.num_vertices() as u32;
         let sources: Vec<VertexId> = (0..12).map(|i| i * (n / 12)).collect();
+        let mut scratch = SolverScratch::new();
         for solver in weighted_solvers(&g) {
-            let batch = solver.solve_batch(&sources);
+            let batch = QueryBatch::from_sources(&sources).execute(&*solver).responses;
             assert_eq!(batch.len(), sources.len(), "{name}: {}", solver.name());
             for (out, &s) in batch.iter().zip(&sources) {
-                assert_eq!(out.dist, solver.solve(s).dist, "{name}: {} source {s}", solver.name());
+                let reference = solver.execute(&Query::single_source(s), &mut scratch);
+                assert_eq!(out.dist(), reference.dist(), "{name}: {} source {s}", solver.name());
             }
         }
     }
@@ -174,20 +182,22 @@ fn interleaved_scratch_reuse_is_bit_identical() {
     for solver in weighted_solvers(&g) {
         let mut scratch = SolverScratch::new();
         for (i, &s) in schedule.iter().enumerate() {
-            let warm = solver.solve_with_scratch(s, &mut scratch);
-            let fresh = solver.solve(s);
+            let q = Query::single_source(s);
+            let warm = solver.execute(&q, &mut scratch);
+            let fresh = solver.execute(&q, &mut SolverScratch::new());
             assert_eq!(
-                warm.dist,
-                fresh.dist,
+                warm.dist(),
+                fresh.dist(),
                 "{name}: {} solve {i} from {s} diverged on a reused scratch",
                 solver.name()
             );
-            assert_eq!(warm.stats.steps, fresh.stats.steps, "{name}: {}", solver.name());
-            assert_eq!(warm.stats.substeps, fresh.stats.substeps, "{name}: {}", solver.name());
-            assert_eq!(warm.stats.settled, fresh.stats.settled, "{name}: {}", solver.name());
+            let (warm, fresh) = (warm.stats(), fresh.stats());
+            assert_eq!(warm.steps, fresh.steps, "{name}: {}", solver.name());
+            assert_eq!(warm.substeps, fresh.substeps, "{name}: {}", solver.name());
+            assert_eq!(warm.settled, fresh.settled, "{name}: {}", solver.name());
             if i > 0 {
                 assert!(
-                    warm.stats.scratch_reused,
+                    warm.scratch_reused,
                     "{name}: {} solve {i} reallocated on a warm scratch",
                     solver.name()
                 );
@@ -212,10 +222,11 @@ fn interleaved_scratch_reuse_on_unit_graphs() {
     for solver in solvers {
         let mut scratch = SolverScratch::new();
         for (i, s) in [0u32, 181, 90, 0, 11].into_iter().enumerate() {
-            let warm = solver.solve_with_scratch(s, &mut scratch);
-            let fresh = solver.solve(s);
-            assert_eq!(warm.dist, fresh.dist, "{name}: {} solve {i}", solver.name());
-            assert_eq!(warm.stats.scratch_reused, i > 0, "{name}: {}", solver.name());
+            let q = Query::single_source(s);
+            let warm = solver.execute(&q, &mut scratch);
+            let fresh = solver.execute(&q, &mut SolverScratch::new());
+            assert_eq!(warm.dist(), fresh.dist(), "{name}: {} solve {i}", solver.name());
+            assert_eq!(warm.stats().scratch_reused, i > 0, "{name}: {}", solver.name());
         }
     }
 }
@@ -228,16 +239,20 @@ fn solve_batch_dedup_is_invisible() {
     let (name, g) = weighted_graphs().swap_remove(0);
     let n = g.num_vertices() as u32;
     let sources: Vec<VertexId> = vec![4, n / 2, 4, 4, n - 1, n / 2, 4];
+    let mut scratch = SolverScratch::new();
     for solver in weighted_solvers(&g).into_iter().take(6) {
-        let batch = solver.solve_batch(&sources);
+        let batch = QueryBatch::from_sources(&sources).execute(&*solver).responses;
         assert_eq!(batch.len(), sources.len());
         for (out, &s) in batch.iter().zip(&sources) {
-            assert_eq!(out.dist, solver.solve(s).dist, "{name}: {} source {s}", solver.name());
+            let reference = solver.execute(&Query::single_source(s), &mut scratch);
+            assert_eq!(out.dist(), reference.dist(), "{name}: {} source {s}", solver.name());
         }
-        assert!(solver.solve_batch(&[]).is_empty(), "{name}: {}", solver.name());
-        let single = solver.solve_batch(&[n / 3]);
+        let empty = QueryBatch::from_sources(&[]).execute(&*solver);
+        assert!(empty.responses.is_empty(), "{name}: {}", solver.name());
+        let single = QueryBatch::from_sources(&[n / 3]).execute(&*solver).responses;
         assert_eq!(single.len(), 1);
-        assert_eq!(single[0].dist, solver.solve(n / 3).dist, "{name}: {}", solver.name());
+        let reference = solver.execute(&Query::single_source(n / 3), &mut scratch);
+        assert_eq!(single[0].dist(), reference.dist(), "{name}: {}", solver.name());
     }
 }
 
@@ -289,9 +304,10 @@ fn batch_on_100k_graph_reuses_scratch_after_warmup() {
         );
         // Spot-check bit-identity against cold per-source solves.
         for &i in &[0usize, 31, 63] {
+            let cold = solver.execute(&Query::single_source(sources[i]), &mut SolverScratch::new());
             assert_eq!(
                 outcome.responses[i].dist(),
-                solver.solve(sources[i]).dist,
+                cold.dist(),
                 "{} source {}",
                 solver.name(),
                 sources[i]
@@ -300,7 +316,7 @@ fn batch_on_100k_graph_reuses_scratch_after_warmup() {
     }
 }
 
-/// `solve_batch` must equal the sequential per-source reference at every
+/// An all-sources batch must equal the sequential per-source reference at every
 /// pool size. RS_NUM_THREADS is pinned once at pool creation, so the 1-
 /// vs-nproc comparison runs as two processes (CI's `batch` job); within
 /// one process this asserts batch == sequential reference, which makes the
@@ -313,10 +329,10 @@ fn solve_batch_equals_sequential_reference_at_any_thread_count() {
     for solver in weighted_solvers(&g) {
         let reference: Vec<Vec<Dist>> =
             sources.iter().map(|&s| baselines::dijkstra_default(solver.graph(), s)).collect();
-        let batch = solver.solve_batch(&sources);
+        let batch = QueryBatch::from_sources(&sources).execute(&*solver).responses;
         for ((out, &s), expect) in batch.iter().zip(&sources).zip(&reference) {
             assert_eq!(
-                &out.dist,
+                out.dist(),
                 expect,
                 "{name}: {} source {s} (RS_NUM_THREADS={})",
                 solver.name(),
@@ -330,9 +346,10 @@ fn solve_batch_equals_sequential_reference_at_any_thread_count() {
 fn recorded_parents_telescope_to_distances() {
     for (name, g) in weighted_graphs().into_iter().take(3) {
         let source = 1u32;
+        let mut scratch = SolverScratch::new();
         for algorithm in weighted_algorithms() {
             let solver = SolverBuilder::new(&g).algorithm(algorithm).record_parents(true).build();
-            let out = solver.solve(source);
+            let out = solver.execute(&Query::single_source(source), &mut scratch).into_result();
             let parent = out.parent.as_ref().expect("parents recorded");
             assert_eq!(parent[source as usize], source, "{name}: {}", solver.name());
             for t in 0..g.num_vertices() as u32 {
@@ -361,9 +378,10 @@ fn goal_bounded_path_extraction_reaches_goal() {
     let g =
         graph::weights::reweight(&graph::gen::grid2d(12, 12), WeightModel::paper_weighted(), 77);
     let goal = 143u32;
+    let mut scratch = SolverScratch::new();
     for algorithm in weighted_algorithms() {
         let solver = SolverBuilder::new(&g).algorithm(algorithm).record_parents(true).build();
-        let out = solver.solve_to_goal(0, goal);
+        let out = solver.execute(&Query::point_to_point(0, goal), &mut scratch);
         let path = out
             .extract_path(goal)
             .unwrap_or_else(|| panic!("{}: goal path must survive early exit", solver.name()));
@@ -373,6 +391,6 @@ fn goal_bounded_path_extraction_reaches_goal() {
         for w in path.windows(2) {
             acc += solver.graph().arc_weight(w[0], w[1]).expect("path edge") as u64;
         }
-        assert_eq!(acc, out.dist[goal as usize], "{}", solver.name());
+        assert_eq!(acc, out.dist()[goal as usize], "{}", solver.name());
     }
 }
