@@ -14,16 +14,14 @@ use rs_graph::{CsrGraph, Dist, VertexId, INF};
 /// reports the pops (settled count) and attempted edge relaxations. The
 /// heap is caller-provided (and must arrive empty with capacity ≥ `n`) so
 /// batch workloads can reuse one heap across sources — see
-/// [`rs_core::SolverScratch`]. With `parent` supplied (a `u32::MAX`-filled
-/// `n`-slice), the shortest-path tree is recorded inline — O(1) per
-/// relaxation, no post-pass — covering every improved vertex (settled
-/// entries telescope exactly).
-pub fn dijkstra_into_heap_with_parents(
+/// [`rs_core::SolverScratch`]. Paths are derived from the returned
+/// distances, like every other solver's
+/// ([`rs_core::solver::SolverConfig::finish_paths`]).
+pub fn dijkstra_into_heap(
     g: &CsrGraph,
     s: VertexId,
     goals: Goals<'_>,
     heap: &mut DaryHeap,
-    mut parent: Option<&mut [VertexId]>,
 ) -> (Vec<Dist>, usize, u64) {
     let n = g.num_vertices();
     debug_assert!(heap.is_empty() && heap.capacity() >= n, "heap must arrive empty and sized");
@@ -31,9 +29,6 @@ pub fn dijkstra_into_heap_with_parents(
     let mut settled = 0;
     let mut relaxations = 0u64;
     dist[s as usize] = 0;
-    if let Some(p) = parent.as_deref_mut() {
-        p[s as usize] = s;
-    }
     // Countdown of goals not yet popped; membership is a binary search, so
     // the per-pop cost is O(log k), not O(k). `Goals::Many` arrives sorted
     // and deduplicated (the query plane canonicalises; asserted below).
@@ -63,9 +58,6 @@ pub fn dijkstra_into_heap_with_parents(
             let cand = du + w as Dist;
             if cand < dist[v as usize] {
                 dist[v as usize] = cand;
-                if let Some(p) = parent.as_deref_mut() {
-                    p[v as usize] = u;
-                }
                 heap.push_or_decrease(v, cand);
             }
         }
@@ -76,13 +68,16 @@ pub fn dijkstra_into_heap_with_parents(
 /// Single-source shortest paths; `dist[v] = INF` if unreachable.
 pub fn dijkstra_default(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
     let mut heap = DaryHeap::with_capacity(g.num_vertices());
-    dijkstra_into_heap_with_parents(g, s, Goals::None, &mut heap, None).0
+    dijkstra_into_heap(g, s, Goals::None, &mut heap).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::BuildSolver;
+    use rs_core::solver::{Algorithm, Query, SolverBuilder, SsspSolver};
     use rs_core::stats::extract_path;
+    use rs_core::SolverScratch;
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel};
 
     fn diamond() -> CsrGraph {
@@ -109,15 +104,19 @@ mod tests {
         assert_eq!(d, vec![0, 7, INF]);
     }
 
+    fn dijkstra_solver(g: &CsrGraph) -> Box<dyn SsspSolver + '_> {
+        SolverBuilder::new(g).algorithm(Algorithm::Dijkstra).build()
+    }
+
     #[test]
     fn parents_form_shortest_paths() {
         let g = weights::reweight(&gen::scale_free(200, 3, 2), WeightModel::paper_weighted(), 5);
-        let mut parent = vec![u32::MAX; 200];
-        let mut heap = DaryHeap::with_capacity(200);
-        let (dist, ..) =
-            dijkstra_into_heap_with_parents(&g, 0, Goals::None, &mut heap, Some(&mut parent));
+        let out = dijkstra_solver(&g)
+            .execute(&Query::single_source(0).with_paths(), &mut SolverScratch::new())
+            .into_result();
+        let (dist, parent) = (&out.dist, out.parent.as_ref().expect("paths requested"));
         for t in 0..200u32 {
-            let path = extract_path(&parent, t).expect("connected");
+            let path = extract_path(parent, t).expect("connected");
             assert_eq!(path[0], 0);
             assert_eq!(*path.last().unwrap(), t);
             let mut acc = 0u64;
@@ -130,9 +129,9 @@ mod tests {
 
     #[test]
     fn source_distance_zero_path_trivial() {
-        let mut parent = vec![u32::MAX; 4];
-        let mut heap = DaryHeap::with_capacity(4);
-        dijkstra_into_heap_with_parents(&diamond(), 2, Goals::None, &mut heap, Some(&mut parent));
-        assert_eq!(extract_path(&parent, 2), Some(vec![2]));
+        let g = diamond();
+        let out = dijkstra_solver(&g)
+            .execute(&Query::single_source(2).with_paths(), &mut SolverScratch::new());
+        assert_eq!(out.extract_path(2), Some(vec![2]));
     }
 }

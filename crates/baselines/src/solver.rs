@@ -30,7 +30,7 @@ use rs_core::{ShortcutExpander, SolverScratch};
 use rs_graph::{CsrGraph, Dist, INF};
 
 use crate::delta_stepping::{delta_stepping_scratch, DeltaSteppingResult};
-use crate::dijkstra::dijkstra_into_heap_with_parents;
+use crate::dijkstra::dijkstra_into_heap;
 
 /// Completes [`SolverBuilder`] with a `build()` covering every
 /// [`Algorithm`] variant (the baseline adapters are defined here, above
@@ -75,15 +75,11 @@ impl DijkstraSolver<'_> {
         scratch.begin(n);
         let mut heap = scratch.checkout_heap();
         let mut goal_buf = Vec::new();
-        // Dijkstra is sequential, so parents are always recorded inline
-        // (deterministic, O(1) per relaxation) — never by post-pass.
-        let mut parent = self.config.wants_paths(query).then(|| vec![u32::MAX; n]);
-        let (dist, settled, relaxations) = dijkstra_into_heap_with_parents(
+        let (dist, settled, relaxations) = dijkstra_into_heap(
             &self.graph,
             query.source(),
             solve_goals(query, &mut goal_buf),
             &mut heap,
-            parent.as_deref_mut(),
         );
         scratch.return_heap(heap);
         // Dijkstra settles one vertex per extraction: steps = settled.
@@ -97,8 +93,7 @@ impl DijkstraSolver<'_> {
             scratch_reused: scratch.finish(),
             trace: None,
         };
-        let mut result = SsspResult::new(dist, stats);
-        result.parent = parent;
+        let result = self.config.finish_paths(&self.graph, query, SsspResult::new(dist, stats));
         QueryResponse::single(query.clone(), result).with_expander(self.expander.clone())
     }
 }
@@ -116,8 +111,7 @@ impl SsspSolver for DijkstraSolver<'_> {
         if query.is_many_to_many() {
             return execute_many_to_many(self, query).with_expander(self.expander.clone());
         }
-        let want_paths = self.config.wants_paths(query);
-        if let Some(out) = self.p2p.run(&self.graph, query, want_paths, scratch) {
+        if let Some(out) = self.p2p.run(&self.graph, query, scratch) {
             return QueryResponse::single(query.clone(), out).with_expander(self.expander.clone());
         }
         self.run_scratch(query, scratch)
@@ -169,8 +163,7 @@ impl SsspSolver for DeltaSteppingSolver<'_> {
         if query.is_many_to_many() {
             return execute_many_to_many(self, query).with_expander(self.expander.clone());
         }
-        let want_paths = self.config.wants_paths(query);
-        if let Some(out) = self.p2p.run(&self.graph, query, want_paths, scratch) {
+        if let Some(out) = self.p2p.run(&self.graph, query, scratch) {
             return QueryResponse::single(query.clone(), out).with_expander(self.expander.clone());
         }
         let mut goal_buf = Vec::new();
@@ -181,10 +174,6 @@ impl SsspSolver for DeltaSteppingSolver<'_> {
             solve_goals(query, &mut goal_buf),
             scratch,
         );
-        // The parallel bucket phases carry no per-writer identity, so
-        // `want_paths` is answered by finish_paths: one goal-path walk per
-        // goal for the bounded shapes, the parallel derivation for full
-        // solves.
         let result = self.config.finish_paths(&self.graph, query, self.to_result(out));
         QueryResponse::single(query.clone(), result).with_expander(self.expander.clone())
     }
@@ -301,8 +290,8 @@ mod tests {
         for algorithm in
             [Algorithm::Dijkstra, Algorithm::DeltaStepping { delta: 3_000 }, Algorithm::BellmanFord]
         {
-            let solver = SolverBuilder::new(&g).algorithm(algorithm).record_parents(true).build();
-            let out = solver.execute(&Query::single_source(0), &mut scratch);
+            let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
+            let out = solver.execute(&Query::single_source(0).with_paths(), &mut scratch);
             let path = out.extract_path(70).expect("connected grid");
             let mut acc = 0u64;
             for w in path.windows(2) {

@@ -38,7 +38,7 @@ use rs_graph::{CsrGraph, Dist, VertexId, INF};
 use rs_par::{par_min, AtomicBitset, EpochMinArray};
 
 use crate::radii::RadiiSpec;
-use crate::scratch::{ParentClaim, SolverScratch};
+use crate::scratch::SolverScratch;
 use crate::stats::{SsspResult, StepStats, StepTrace};
 use crate::{EngineConfig, Goals};
 
@@ -57,10 +57,6 @@ pub(crate) fn run_with(
     crate::scratch::assert_distance_range(g);
     scratch.begin(n);
     let mut stats = StepStats { trace: config.trace.then(Vec::new), ..Default::default() };
-    // The parent tree is part of the *result* (owned by the caller like
-    // `dist`), not working state: claims are resolved into it at substep
-    // end, so a settled vertex's parent always matches the winning writer.
-    let mut parent: Option<Vec<VertexId>> = config.record_parents.then(|| vec![u32::MAX; n]);
     let out_dist;
     {
         let view = scratch.view();
@@ -75,22 +71,13 @@ pub(crate) fn run_with(
         let next_dirty = view.verts_d;
         let fringe_adds = view.verts_e;
         let snapshot = view.pairs;
-        let claims = view.claims;
-        let record = parent.is_some();
 
         // Line 1–2: settle the source, relax its neighbours into the fringe.
         dist.store(source as usize, 0);
         settled.set(source as usize);
         stats.settled = 1;
-        if let Some(p) = parent.as_deref_mut() {
-            p[source as usize] = source;
-        }
         for (v, w) in g.edges(source) {
-            if dist.write_min(v as usize, w as Dist) {
-                if let Some(p) = parent.as_deref_mut() {
-                    p[v as usize] = source;
-                }
-            }
+            dist.write_min(v as usize, w as Dist);
             if in_fringe.set(v as usize) {
                 fringe.push(v);
             }
@@ -144,7 +131,6 @@ pub(crate) fn run_with(
                 snapshot.clear();
                 snapshot.extend(dirty.iter().map(|&u| (u, dist.load(u as usize))));
                 next_dirty.clear();
-                claims.clear();
                 let any_le = relax_substep(
                     g,
                     dist,
@@ -155,12 +141,7 @@ pub(crate) fn run_with(
                     di,
                     next_dirty,
                     fringe_adds,
-                    claims,
-                    record,
                 );
-                if let Some(p) = parent.as_deref_mut() {
-                    resolve_parent_claims(p, dist, claims);
-                }
                 for &v in next_dirty.iter() {
                     dirty_mark.clear(v as usize);
                     if in_active.set(v as usize) {
@@ -204,42 +185,11 @@ pub(crate) fn run_with(
         }
 
         out_dist = dist.snapshot(n);
-        if config.goals.bounded() {
-            if let Some(p) = parent.as_deref_mut() {
-                clear_unsettled_parents(p, settled);
-            }
-        }
     }
     stats.scratch_reused = scratch.finish();
     // Forward solves scan every edge they relax.
     stats.relaxed_edges = stats.relaxations;
-    let mut result = SsspResult::new(out_dist, stats);
-    result.parent = parent;
-    result
-}
-
-/// Applies one substep's [`ParentClaim`] log: a claim whose candidate
-/// still equals the current `δ(v)` came from the winning writer, so its
-/// predecessor is recorded.
-fn resolve_parent_claims(parent: &mut [VertexId], dist: &EpochMinArray, claims: &[ParentClaim]) {
-    for &(v, cand, u) in claims {
-        if dist.load(v as usize) == cand {
-            parent[v as usize] = u;
-        }
-    }
-}
-
-/// Drops parents of unsettled vertices after a goal-bounded early exit:
-/// their claims may be stale (the claimed predecessor's own distance can
-/// have improved without re-relaxing), so only settled vertices keep
-/// parents — one O(n) sweep, the same order as the result's distance
-/// snapshot.
-fn clear_unsettled_parents(parent: &mut [VertexId], settled: &AtomicBitset) {
-    for (v, slot) in parent.iter_mut().enumerate() {
-        if *slot != u32::MAX && !settled.get(v) {
-            *slot = u32::MAX;
-        }
-    }
+    SsspResult::new(out_dist, stats)
 }
 
 /// The mid-step goal exit, checked after every substep that continues the
@@ -273,12 +223,11 @@ fn goals_final(
 /// One substep: relax all out-edges of `dirty` (given as `(vertex, δ)`
 /// pairs snapshotted at substep start). Vertices whose δ dropped to ≤ `di`
 /// land in `next_dirty`, vertices newly reached above `di` are appended to
-/// `fringe_adds`, successful relaxations are appended to `claims` when
-/// `record` is set (one O(1) entry each — the inline-parent log), and the
-/// return value reports whether any update ≤ `di` happened (the
-/// loop-termination signal of line 9). The sequential path (< `SEQ_SUBSTEP`
-/// dirty vertices) writes straight into the caller's scratch buffers; the
-/// parallel path folds per-worker accumulators and appends them.
+/// `fringe_adds`, and the return value reports whether any update ≤ `di`
+/// happened (the loop-termination signal of line 9). The sequential path
+/// (< `SEQ_SUBSTEP` dirty vertices) writes straight into the caller's
+/// scratch buffers; the parallel path folds per-worker accumulators and
+/// appends them.
 #[allow(clippy::too_many_arguments)]
 fn relax_substep(
     g: &CsrGraph,
@@ -290,29 +239,22 @@ fn relax_substep(
     di: Dist,
     next_dirty: &mut Vec<VertexId>,
     fringe_adds: &mut Vec<VertexId>,
-    claims: &mut Vec<ParentClaim>,
-    record: bool,
 ) -> bool {
     #[derive(Default)]
     struct Acc {
         dirty: Vec<VertexId>,
         adds: Vec<VertexId>,
-        claims: Vec<ParentClaim>,
         any_le: bool,
     }
 
     let relax_one = |dirty_out: &mut Vec<VertexId>,
                      adds_out: &mut Vec<VertexId>,
-                     claims_out: &mut Vec<ParentClaim>,
                      any_le: &mut bool,
                      (u, du): (VertexId, Dist)| {
         for (v, w) in g.edges(u) {
             let cand = du + w as Dist;
             if dist.write_min(v as usize, cand) {
                 debug_assert!(!settled.get(v as usize), "relaxation lowered settled vertex {v}");
-                if record {
-                    claims_out.push((v, cand, u));
-                }
                 if cand <= di {
                     *any_le = true;
                     if dirty_mark.set(v as usize) {
@@ -328,26 +270,24 @@ fn relax_substep(
     if dirty.len() < SEQ_SUBSTEP {
         let mut any_le = false;
         for &pair in dirty {
-            relax_one(next_dirty, fringe_adds, claims, &mut any_le, pair);
+            relax_one(next_dirty, fringe_adds, &mut any_le, pair);
         }
         any_le
     } else {
         let mut acc = dirty
             .par_iter()
             .fold(Acc::default, |mut acc, &pair| {
-                relax_one(&mut acc.dirty, &mut acc.adds, &mut acc.claims, &mut acc.any_le, pair);
+                relax_one(&mut acc.dirty, &mut acc.adds, &mut acc.any_le, pair);
                 acc
             })
             .reduce(Acc::default, |mut a, mut b| {
                 a.dirty.append(&mut b.dirty);
                 a.adds.append(&mut b.adds);
-                a.claims.append(&mut b.claims);
                 a.any_le |= b.any_le;
                 a
             });
         next_dirty.append(&mut acc.dirty);
         fringe_adds.append(&mut acc.adds);
-        claims.append(&mut acc.claims);
         acc.any_le
     }
 }
@@ -355,6 +295,7 @@ fn relax_substep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{Algorithm, Query, Radii, SolverBuilder, SsspSolver};
     use crate::{radius_stepping_with, EngineKind};
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel, INF};
 
@@ -387,17 +328,20 @@ mod tests {
     }
 
     #[test]
-    fn inline_parents_telescope_goal_bounded_and_full() {
+    fn paths_from_distances_telescope_goal_bounded_and_full() {
         let g = weights::reweight(&gen::grid2d(12, 12), WeightModel::paper_weighted(), 9);
+        let solver = SolverBuilder::new(&g)
+            .algorithm(Algorithm::RadiusStepping {
+                engine: EngineKind::Frontier,
+                radii: Radii::Constant(900),
+            })
+            .radius_stepping_solver_from_algorithm();
+        let mut scratch = SolverScratch::new();
         let goal = 143u32;
-        let bounded = radius_stepping_with(
-            &g,
-            &RadiiSpec::Constant(900),
-            0,
-            EngineKind::Frontier,
-            EngineConfig { goals: Goals::One(goal), record_parents: true, ..Default::default() },
-        );
-        let parent = bounded.parent.as_ref().expect("inline parents recorded");
+        let bounded = solver
+            .execute(&Query::point_to_point(0, goal).with_paths(), &mut scratch)
+            .into_result();
+        let parent = bounded.parent.as_ref().expect("paths requested");
         let path = crate::stats::extract_path(parent, goal).expect("goal settled");
         assert_eq!(path[0], 0);
         assert_eq!(*path.last().unwrap(), goal);
@@ -405,17 +349,11 @@ mod tests {
         for w in path.windows(2) {
             acc += g.arc_weight(w[0], w[1]).expect("path edge") as u64;
         }
-        assert_eq!(acc, bounded.dist[goal as usize], "inline parents must telescope");
+        assert_eq!(acc, bounded.dist[goal as usize], "goal path must telescope");
 
-        // Full solve with inline recording: every reachable vertex's
-        // parent telescopes exactly.
-        let full = radius_stepping_with(
-            &g,
-            &RadiiSpec::Constant(900),
-            0,
-            EngineKind::Frontier,
-            EngineConfig { record_parents: true, ..Default::default() },
-        );
+        // Full solve: every reachable vertex's parent telescopes exactly.
+        let full =
+            solver.execute(&Query::single_source(0).with_paths(), &mut scratch).into_result();
         let parent = full.parent.as_ref().unwrap();
         assert_eq!(parent[0], 0);
         for v in 1..g.num_vertices() as u32 {
@@ -582,23 +520,22 @@ mod tests {
     fn preprocessed_grid_counters_are_pinned() {
         // Relaxations into settled vertices always fail the priority-write,
         // so whether `relax_substep` filters them first may move no
-        // counter and no parent: these values must hold either way.
+        // counter and no distance: these values must hold either way. The
+        // tree is the one `execute` derives from the distances.
         let g = weights::reweight(&gen::grid2d(16, 16), WeightModel::paper_weighted(), 1);
         let pre = crate::Preprocessed::build(&g, &crate::PreprocessConfig::new(1, 8));
         let pinned = [
-            (0u32, 12, 20, 2472, 0x8c0e_8ba0_68a0_31b6),
-            (135, 9, 15, 2455, 0xb217_76a2_0dd4_07ab),
+            (0u32, 12, 20, 2472, 0x24ed_6903_6d63_c5c2),
+            (135, 9, 15, 2455, 0x4711_ef9f_d450_1b02),
         ];
+        let mut scratch = SolverScratch::new();
         for (s, steps, substeps, relaxations, tree) in pinned {
-            let out = pre.sssp_with(
-                s,
-                EngineKind::Frontier,
-                EngineConfig { record_parents: true, ..Default::default() },
-            );
+            let out =
+                pre.execute(&Query::single_source(s).with_paths(), &mut scratch).into_result();
             assert_eq!(out.stats.steps, steps, "source {s}");
             assert_eq!(out.stats.substeps, substeps, "source {s}");
             assert_eq!(out.stats.relaxations, relaxations, "source {s}");
-            let parent = out.parent.as_ref().expect("inline parents recorded");
+            let parent = out.parent.as_ref().expect("paths requested");
             assert_eq!(parent_hash(parent), tree, "source {s}: parent tree moved");
         }
     }

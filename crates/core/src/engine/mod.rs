@@ -87,14 +87,6 @@ pub struct EngineConfig<'a> {
     /// are then exact; other vertices may hold tentative upper bounds or
     /// `INF`).
     pub goals: Goals<'a>,
-    /// Record the shortest-path tree *inline*: the frontier engine logs
-    /// one parent claim per successful relaxation (O(1) each) and
-    /// resolves claims at substep end; the unweighted engine derives the
-    /// goal paths by backwards level walks. Settled vertices get
-    /// telescoping parents; unsettled ones (goal-bounded early exit) stay
-    /// `u32::MAX`. This replaces the all-edges `derive_parents` post-pass
-    /// on the goal-bounded serving path.
-    pub record_parents: bool,
 }
 
 impl EngineConfig<'_> {

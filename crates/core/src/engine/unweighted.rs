@@ -100,19 +100,7 @@ pub(crate) fn run_with(
     stats.scratch_reused = scratch.finish();
     // Forward solves scan every edge they relax.
     stats.relaxed_edges = stats.relaxations;
-    let mut result = SsspResult::new(dist, stats);
-    if config.record_parents {
-        // Levels carry no per-relaxation writer identity (edge_map claims
-        // are anonymous), so "inline" here is the backwards level walk: a
-        // goal-bounded solve derives exactly the goal paths (no all-edges
-        // post-pass), a full solve falls back to the parallel derivation.
-        result.parent = Some(if config.goals.bounded() {
-            crate::stats::goals_path_parents(g, &result.dist, config.goals.as_slice())
-        } else {
-            crate::stats::derive_parents(g, &result.dist)
-        });
-    }
-    result
+    SsspResult::new(dist, stats)
 }
 
 #[cfg(test)]

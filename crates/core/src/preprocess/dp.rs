@@ -89,12 +89,6 @@ pub fn dp_shortcuts(ball: &Ball, k: u32) -> Vec<Edge> {
     out
 }
 
-/// The DP optimum (edge count) without materialising the edges; equals
-/// `Σ_{u ∈ children(source)} F(u, 0)`.
-pub fn dp_cost(ball: &Ball, k: u32) -> usize {
-    dp_shortcuts(ball, k).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

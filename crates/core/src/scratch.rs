@@ -40,13 +40,6 @@ use rs_ds::{BucketQueue, DaryHeap};
 use rs_graph::{CsrGraph, Dist, VertexId};
 use rs_par::{AtomicBitset, EpochMinArray};
 
-/// One successful relaxation recorded for inline parent derivation:
-/// `(vertex, candidate distance, relaxing predecessor)`. A claim is applied
-/// (`parent[v] = u`) only when the candidate still equals `dist[v]` at the
-/// end of the substep that produced it — i.e. when `u` turned out to be the
-/// winning writer.
-pub type ParentClaim = (VertexId, Dist, VertexId);
-
 /// Release-mode guard for the epoch encoding's 48-bit finite range: every
 /// solver that stores tentative distances in the scratch's
 /// [`EpochMinArray`] calls this with the graph's
@@ -97,9 +90,6 @@ pub struct ScratchView<'a> {
     /// Reusable `(vertex, distance)` buffer (emptied at view time) — the
     /// synchronous-substep snapshot, hoisted out of the substep loop.
     pub pairs: &'a mut Vec<(VertexId, Dist)>,
-    /// Reusable [`ParentClaim`] buffer (emptied at view time) — inline
-    /// parent recording for goal-bounded `want_paths` queries.
-    pub claims: &'a mut Vec<ParentClaim>,
 }
 
 /// The reverse half of a bidirectional point-to-point solve, produced by
@@ -149,7 +139,6 @@ pub struct SolverScratch {
     verts_d: Vec<VertexId>,
     verts_e: Vec<VertexId>,
     pairs: Vec<(VertexId, Dist)>,
-    claims: Vec<ParentClaim>,
     dist_rev: EpochMinArray,
     mark_d: AtomicBitset,
     heap: Option<DaryHeap>,
@@ -195,16 +184,10 @@ impl SolverScratch {
         self.solves -= 1;
     }
 
-    /// Reserves full-`n` capacity in every engine-side vertex/pair/claim
-    /// buffer — the engine half of [`SolverScratch::warm_up`], called by
-    /// the radius-stepping solvers' `warm_scratch`. The vertex sets are
-    /// bounded by `n`, so this covers them outright; the claims
-    /// log can exceed `n` in one substep on dense graphs (one entry per
-    /// *successful* relaxation), in which case it grows once to its
-    /// high-water capacity and stays there — amortised growth the scratch
-    /// counters deliberately do not flag (like all `Vec` capacity growth
-    /// here; the counters track the O(n) structures and the checked-out
-    /// heap/bucket).
+    /// Reserves full-`n` capacity in every engine-side vertex/pair buffer
+    /// — the engine half of [`SolverScratch::warm_up`], called by the
+    /// radius-stepping solvers' `warm_scratch`. Every one of them holds at
+    /// most `n` entries, so this covers them outright.
     pub fn warm_engine_buffers(&mut self, n: usize) {
         fn to_capacity<T>(v: &mut Vec<T>, n: usize) {
             v.reserve(n.saturating_sub(v.len()));
@@ -215,7 +198,6 @@ impl SolverScratch {
         to_capacity(&mut self.verts_d, n);
         to_capacity(&mut self.verts_e, n);
         to_capacity(&mut self.pairs, n);
-        to_capacity(&mut self.claims, n);
     }
 
     /// Opens a solve over `n` vertices. Must precede any borrow.
@@ -279,7 +261,6 @@ impl SolverScratch {
             verts_d: &mut self.verts_d,
             verts_e: &mut self.verts_e,
             pairs: &mut self.pairs,
-            claims: &mut self.claims,
         }
     }
 
@@ -312,7 +293,6 @@ impl SolverScratch {
                 verts_d: &mut self.verts_d,
                 verts_e: &mut self.verts_e,
                 pairs: &mut self.pairs,
-                claims: &mut self.claims,
             },
             ReverseScratch { dist: &self.dist_rev, settled: &self.mark_d },
         )
@@ -339,7 +319,6 @@ impl SolverScratch {
         self.verts_d.clear();
         self.verts_e.clear();
         self.pairs.clear();
-        self.claims.clear();
     }
 
     /// Pre-sizes the reverse distance array and settled bitset (plus the

@@ -13,13 +13,14 @@
 //!   parallel one-to-many rows) plus output options (`want_paths`,
 //!   `want_trace`).
 //! * [`SsspSolver::execute`] — the one way to run a solve, and the single
-//!   entry point every solver implements: goal-bounded, scratch-reusing,
-//!   with inline parent recording on the goal-bounded paths.
+//!   entry point every solver implements: goal-bounded and
+//!   scratch-reusing, with paths derived from the result's distances
+//!   ([`SolverConfig::finish_paths`]).
 //! * [`Algorithm`] — the algorithm selector (`RadiusStepping { engine,
 //!   radii }`, `Dijkstra`, `DeltaStepping { delta }`,
 //!   `BellmanFord`, `Bfs`).
 //! * [`SolverBuilder`] — picks the algorithm, optionally attaches
-//!   (k, ρ)-preprocessing, and toggles tracing / parent recording.
+//!   (k, ρ)-preprocessing, and sets tracing and the point-to-point mode.
 //! * [`QueryBatch`] — the mixed-shape batch layer: deduplicates by
 //!   canonical query key (goal sets sorted + deduplicated), fans the
 //!   unique queries over the work-stealing pool with one pre-warmed
@@ -111,11 +112,13 @@ pub enum QueryShape {
 pub struct Query {
     /// What to compute.
     pub shape: QueryShape,
-    /// Return a shortest-path tree. On a goal-bounded query parents are
-    /// recorded *inline* during relaxation (O(1) per relaxation, no
-    /// all-edges post-pass; see [`crate::EngineConfig::record_parents`]),
-    /// covering at least every goal path; on a `SingleSource` query the
-    /// full tree is derived by the parallel post-pass.
+    /// Return a shortest-path tree. Forward solves derive it from the
+    /// result's distances ([`SolverConfig::finish_paths`]), so the same
+    /// query returns the same path at every thread count; the sequential
+    /// bidirectional and goal-directed point-to-point kernels record their
+    /// own. On a goal-bounded query the tree covers the goal paths (no
+    /// all-edges post-pass); on a `SingleSource` query it is the full
+    /// tree.
     pub want_paths: bool,
     /// Record a per-step trace where the algorithm supports one.
     pub want_trace: bool,
@@ -530,9 +533,9 @@ pub trait SsspSolver: Sync {
     ///
     /// * `SingleSource` queries produce exact distances everywhere.
     /// * `PointToPoint` queries stop as soon as the goal is settled
-    ///   (`dist[goal]` exact, everything else an upper bound or `INF`),
-    ///   and with `want_paths` record parents inline during relaxation —
-    ///   no all-edges post-pass on the serving path.
+    ///   (`dist[goal]` exact, everything else an upper bound or `INF`);
+    ///   with `want_paths` the goal path is walked back over the
+    ///   distances — no all-edges post-pass on the serving path.
     /// * `OneToMany` queries run **one** solve that stops once every goal
     ///   is settled: per-goal distances and paths are bit-identical to
     ///   the per-goal `PointToPoint` answers at a fraction of the solves.
@@ -1022,10 +1025,10 @@ impl P2pKernel {
         &self,
         g: &CsrGraph,
         query: &Query,
-        want_paths: bool,
         scratch: &mut SolverScratch,
     ) -> Option<SsspResult> {
         let QueryShape::PointToPoint { source, goal } = query.shape else { return None };
+        let want_paths = query.want_paths;
         match self {
             P2pKernel::Forward => None,
             P2pKernel::Bidirectional => {
@@ -1060,30 +1063,27 @@ impl P2pKernel {
 pub struct SolverConfig {
     /// Record a per-step trace where the algorithm supports it.
     pub trace: bool,
-    /// Attach the shortest-path tree (`SsspResult::parent`) to results.
-    pub record_parents: bool,
     /// Point-to-point execution strategy (see [`P2pMode`]).
     pub p2p_mode: P2pMode,
 }
 
 impl SolverConfig {
-    /// Whether `query` should come back with a shortest-path tree: the
-    /// query's own option ORed with the builder-level toggle.
-    pub fn wants_paths(&self, query: &Query) -> bool {
-        self.record_parents || query.want_paths
-    }
-
-    /// Whether `query` should record a trace (same OR).
+    /// Whether `query` should record a trace: the query's own option ORed
+    /// with the builder-level toggle.
     pub fn wants_trace(&self, query: &Query) -> bool {
         self.trace || query.want_trace
     }
 
     /// Attaches the shortest-path tree to `result` if `query` asked for
-    /// one and the solve did not already record it inline: goal-bounded
-    /// queries derive exactly the goal paths (no all-edges post-pass,
-    /// one backwards walk per goal), single-source queries the full tree.
+    /// one — the one place every forward solve gets its parents. The tree
+    /// is a fixed function of `result.dist`: goal-bounded queries walk
+    /// back from each goal ([`crate::stats::goals_path_parents`], no
+    /// all-edges post-pass), single-source queries derive the full tree
+    /// ([`crate::stats::derive_parents`]). A settled vertex holds its
+    /// exact distance (Theorem 3.1), so the walk from a settled goal only
+    /// meets exact vertices even when the solve stopped early.
     pub fn finish_paths(&self, g: &CsrGraph, query: &Query, mut result: SsspResult) -> SsspResult {
-        if self.wants_paths(query) && result.parent.is_none() {
+        if query.want_paths {
             result.parent = Some(if query.is_goal_bounded() {
                 crate::stats::goals_path_parents(g, &result.dist, query.goals())
             } else {
@@ -1187,12 +1187,6 @@ impl<'g> SolverBuilder<'g> {
     /// Toggles per-step tracing (where the algorithm records one).
     pub fn trace(mut self, on: bool) -> Self {
         self.config.trace = on;
-        self
-    }
-
-    /// Toggles shortest-path-tree recording on every result.
-    pub fn record_parents(mut self, on: bool) -> Self {
-        self.config.record_parents = on;
         self
     }
 
@@ -1374,8 +1368,7 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
     }
 
     fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
-        let want_paths = self.config.wants_paths(query);
-        if let Some(out) = self.p2p.run(&self.graph, query, want_paths, scratch) {
+        if let Some(out) = self.p2p.run(&self.graph, query, scratch) {
             return QueryResponse::single(query.clone(), out).with_expander(self.expander.clone());
         }
         execute_radius_stepping(
@@ -1412,17 +1405,9 @@ fn execute_radius_stepping<S: SsspSolver>(
         return execute_many_to_many(solver, query).with_expander(expander);
     }
     let g = solver.graph();
-    let want_paths = config.wants_paths(query);
     let mut goal_buf = Vec::new();
-    let goals = solve_goals(query, &mut goal_buf);
-    let cfg = EngineConfig {
-        trace: config.wants_trace(query),
-        goals,
-        // Goal-bounded path requests record parents inline during
-        // relaxation; full solves keep the deterministic parallel
-        // derivation (applied below by finish_paths).
-        record_parents: want_paths && goals.bounded(),
-    };
+    let cfg =
+        EngineConfig { trace: config.wants_trace(query), goals: solve_goals(query, &mut goal_buf) };
     let out = radius_stepping_with_scratch(g, radii, query.source(), engine, cfg, scratch);
     let result = config.finish_paths(g, query, out);
     QueryResponse::single(query.clone(), result).with_expander(expander)
@@ -1488,11 +1473,8 @@ mod tests {
     #[test]
     fn builder_constructs_working_solver() {
         let g = grid();
-        let solver = SolverBuilder::new(&g)
-            .trace(true)
-            .record_parents(true)
-            .radius_stepping_solver_from_algorithm();
-        let out = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
+        let solver = SolverBuilder::new(&g).trace(true).radius_stepping_solver_from_algorithm();
+        let out = solver.execute(&Query::single_source(0).with_paths(), &mut SolverScratch::new());
         assert_eq!(out.dist()[0], 0);
         assert!(out.stats().trace.is_some(), "trace requested");
         let path = out.extract_path(80).expect("connected grid");

@@ -18,15 +18,14 @@ pub struct SsspResult {
     /// `dist[v]` = shortest-path distance from the source ([`rs_graph::INF`]
     /// if unreachable).
     pub dist: Vec<Dist>,
-    /// Shortest-path tree, when requested (via `Query::with_paths` or
-    /// `SolverBuilder::record_parents`): `parent[v]` is a predecessor of
-    /// `v` consistent with `dist` (`parent[source] = source`, `u32::MAX`
-    /// if unreachable), so every extracted path telescopes to `dist` of
-    /// its endpoint. After a goal-bounded solve the settled vertices —
-    /// in particular the whole goal path — are guaranteed covered;
-    /// unsettled vertices are either parentless (the parallel engines
-    /// clear them) or carry a predecessor telescoping to their tentative
-    /// upper bound (sequential Dijkstra, derived trees).
+    /// Shortest-path tree, when requested via `Query::with_paths`:
+    /// `parent[v]` is a predecessor of `v` consistent with `dist`
+    /// (`parent[source] = source`, `u32::MAX` if unreachable), so every
+    /// extracted path telescopes to `dist` of its endpoint. After a
+    /// goal-bounded forward solve exactly the goal paths are covered
+    /// ([`goals_path_parents`]) and every other vertex is parentless; the
+    /// bidirectional and goal-directed point-to-point kernels keep their
+    /// own search trees, which cover at least the goal path.
     pub parent: Option<Vec<VertexId>>,
     /// Execution counters.
     pub stats: StepStats,
@@ -65,17 +64,9 @@ impl SsspResult {
 pub fn derive_parents(g: &CsrGraph, dist: &[Dist]) -> Vec<VertexId> {
     (0..g.num_vertices() as VertexId)
         .into_par_iter()
-        .map(|v| {
-            let dv = dist[v as usize];
-            if dv == INF {
-                return u32::MAX;
-            }
-            if dv == 0 {
-                return v;
-            }
-            g.edges(v)
-                .find(|&(u, w)| dist[u as usize].saturating_add(w as Dist) == dv)
-                .map_or(u32::MAX, |(u, _)| u)
+        .map(|v| match dist[v as usize] {
+            INF => u32::MAX,
+            _ => predecessor(g, dist, v).unwrap_or(u32::MAX),
         })
         .collect()
 }
@@ -108,26 +99,40 @@ pub fn extract_path(parent: &[VertexId], t: VertexId) -> Option<Vec<VertexId>> {
 /// from its goal (`dist[u] + w(u, goal) == dist[goal]` certifies a
 /// predecessor — every vertex on a shortest path to an exactly-settled
 /// goal is itself exact, so the walk always closes), and every off-path
-/// vertex stays `u32::MAX`. The walk is deterministic per vertex (first
-/// certifying predecessor in adjacency order), so overlapping walks write
-/// identical entries and each goal path is the one a single-goal walk
-/// would produce. Unreachable goals are skipped. Costs `O(n)` for the
-/// array plus `O(Σ path length · degree)` for the walks — no all-edges
-/// post-pass — which is what the goal-bounded `want_paths` serving path
-/// needs from the solvers whose parallel relaxation has no per-writer
-/// claim log (∆-stepping, the unweighted engine).
+/// vertex stays `u32::MAX`. The walk picks the first certifying
+/// predecessor in adjacency order, a fixed function of `dist`, so each
+/// goal path is the one [`shortest_path_from_dist`] returns, and a walk
+/// that reaches a vertex an earlier walk already covered stops there.
+/// Unreachable goals are skipped. Costs `O(n)` for the array plus
+/// `O(degree)` per vertex on the union of the goal paths — no all-edges
+/// post-pass, and shared prefixes are walked once.
 pub fn goals_path_parents(g: &CsrGraph, dist: &[Dist], goals: &[VertexId]) -> Vec<VertexId> {
     let mut parent = vec![u32::MAX; g.num_vertices()];
     for &goal in goals {
-        let Some(path) = shortest_path_from_dist(g, dist, goal) else {
+        if dist[goal as usize] == INF {
             continue;
-        };
-        parent[path[0] as usize] = path[0];
-        for w in path.windows(2) {
-            parent[w[1] as usize] = w[0];
+        }
+        let mut cur = goal;
+        while parent[cur as usize] == u32::MAX {
+            let pred = predecessor(g, dist, cur).expect(INCONSISTENT);
+            parent[cur as usize] = pred;
+            cur = pred;
         }
     }
     parent
+}
+
+const INCONSISTENT: &str = "distance array inconsistent: no predecessor on a shortest path";
+
+/// The first in-neighbour `u` of `v` (in adjacency order) with
+/// `dist[u] + w(u, v) == dist[v]`, `v` itself where `dist[v] = 0`, and
+/// `None` where no in-neighbour certifies `dist[v]` (a tentative value).
+fn predecessor(g: &CsrGraph, dist: &[Dist], v: VertexId) -> Option<VertexId> {
+    let d = dist[v as usize];
+    if d == 0 {
+        return Some(v);
+    }
+    g.edges(v).find(|&(u, w)| dist[u as usize].saturating_add(w as Dist) == d).map(|(u, _)| u)
 }
 
 /// See [`SsspResult::path_to`].
@@ -138,14 +143,8 @@ pub fn shortest_path_from_dist(g: &CsrGraph, dist: &[Dist], t: VertexId) -> Opti
     let mut path = vec![t];
     let mut cur = t;
     while dist[cur as usize] != 0 {
-        let d = dist[cur as usize];
-        let pred = g
-            .edges(cur)
-            .find(|&(u, w)| dist[u as usize].saturating_add(w as Dist) == d)
-            .map(|(u, _)| u)
-            .expect("distance array inconsistent: no predecessor on a shortest path");
-        path.push(pred);
-        cur = pred;
+        cur = predecessor(g, dist, cur).expect(INCONSISTENT);
+        path.push(cur);
         assert!(path.len() <= dist.len(), "predecessor cycle: distances not from this graph");
     }
     path.reverse();
@@ -227,6 +226,44 @@ mod tests {
         assert_eq!(out.path_to(&g, 2), Some(vec![0, 1, 2]), "goes via the cheaper 2-hop route");
         assert_eq!(out.path_to(&g, 0), Some(vec![0]));
         assert_eq!(out.path_to(&g, 4), None, "unreachable");
+    }
+
+    #[test]
+    fn goal_walks_stopping_at_shared_prefixes_match_per_goal_paths() {
+        use crate::{radius_stepping, RadiiSpec};
+        use rs_graph::{gen, weights, EdgeListBuilder, WeightModel};
+        for base in [
+            gen::grid2d(12, 12),
+            weights::reweight(&gen::grid2d(12, 12), WeightModel::paper_weighted(), 3),
+        ] {
+            // The same grid plus one isolated vertex `n`, unreachable.
+            let n = base.num_vertices() as VertexId;
+            let mut b = EdgeListBuilder::new(n as usize + 1);
+            for u in 0..n {
+                for (v, w) in base.edges(u).filter(|&(v, _)| u < v) {
+                    b.add_edge(u, v, w);
+                }
+            }
+            let g = b.build();
+            let source = 17;
+            let dist = radius_stepping(&g, &RadiiSpec::Zero, source).dist;
+            // Overlapping goals: the source, the unreachable vertex, a
+            // repeat, and every seventh vertex (walks share long prefixes).
+            let mut goals = vec![source, n, 143, 143];
+            goals.extend((0..n).step_by(7));
+            let mut expected = vec![u32::MAX; g.num_vertices()];
+            for &goal in &goals {
+                let Some(path) = shortest_path_from_dist(&g, &dist, goal) else {
+                    assert_eq!(goal, n, "only the isolated vertex is unreachable");
+                    continue;
+                };
+                expected[path[0] as usize] = path[0];
+                for hop in path.windows(2) {
+                    expected[hop[1] as usize] = hop[0];
+                }
+            }
+            assert_eq!(goals_path_parents(&g, &dist, &goals), expected);
+        }
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //!
 //! * [`scan`] — sequential and blocked-parallel prefix sums, the backbone of
 //!   parallel packing and CSR construction (`O(n)` work, `O(log n)` depth).
-//! * [`pack`] — parallel filter/pack of indices or values by a predicate.
+//! * [`pack`] — parallel filter/pack of indices by a predicate.
 //! * [`atomic`] — the paper's *priority-write* (`WriteMin`) on `u64`
 //!   distances, plus an atomic bitset for concurrent membership flags.
 //! * [`epoch`] — the priority-write array with epoch-tagged entries, whose
 //!   logical reset to all-`∞` is O(1): the substrate of reusable solver
 //!   scratch state for batch workloads.
-//! * [`reduce`] — parallel min/argmin reductions used to select the round
+//! * [`reduce`] — the parallel min-reduction used to select the round
 //!   distance `d_i = min(δ(v) + r(v))`.
 //! * [`frontier`] — Ligra-style vertex subsets with sparse/dense duality.
 //! * [`worker`] — per-worker state handout ([`worker_map`]): fan a batch of
@@ -42,8 +42,8 @@ pub mod worker;
 pub use atomic::{atomic_vec, AtomicBitset, AtomicMinU64};
 pub use epoch::EpochMinArray;
 pub use frontier::VertexSubset;
-pub use pack::{pack_indices, pack_values};
-pub use reduce::{par_min, par_min_by_key};
+pub use pack::pack_indices;
+pub use reduce::par_min;
 pub use scan::{exclusive_scan, exclusive_scan_in_place};
 pub use scope::{scope, Scope};
 pub use worker::{worker_map, worker_map_sink};

@@ -46,20 +46,6 @@ where
     out
 }
 
-/// Values `items[i]` for which `keep(i, items[i])` holds, in order.
-pub fn pack_values<T, F>(items: &[T], keep: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(usize, T) -> bool + Sync,
-{
-    let idx = pack_indices(items.len(), |i| keep(i, items[i]));
-    if items.len() < SEQ_THRESHOLD {
-        idx.into_iter().map(|i| items[i as usize]).collect()
-    } else {
-        idx.into_par_iter().map(|i| items[i as usize]).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,14 +72,6 @@ mod tests {
         let pred = |i: usize| (i * 2654435761).is_multiple_of(5);
         let expect: Vec<u32> = (0..n).filter(|&i| pred(i)).map(|i| i as u32).collect();
         assert_eq!(pack_indices(n, pred), expect);
-    }
-
-    #[test]
-    fn pack_values_keeps_order() {
-        let items: Vec<u64> = (0..10_000).map(|i| i * 3 % 17).collect();
-        let got = pack_values(&items, |_, v| v > 8);
-        let expect: Vec<u64> = items.iter().copied().filter(|&v| v > 8).collect();
-        assert_eq!(got, expect);
     }
 }
 

@@ -1,9 +1,8 @@
 //! Parallel reductions.
 //!
 //! Radius stepping's round-distance selection (`d_i = min_{v∉S} δ(v)+r(v)`,
-//! Algorithm 1 line 4) is a parallel min-reduction over the fringe; these
-//! helpers provide deterministic (lowest-index-wins) argmin variants. Both
-//! run as chunked fold/reduce tasks on the work-stealing pool, so the
+//! Algorithm 1 line 4) is a parallel min-reduction over the fringe. It
+//! runs as chunked fold/reduce tasks on the work-stealing pool, so the
 //! reduction is `O(n)` work and `O(n/P + P)` span regardless of scheduling.
 
 use rayon::prelude::*;
@@ -22,37 +21,6 @@ where
     }
 }
 
-/// `(argmin, min)` of `f(i)` over `0..n`, ties broken toward the smallest
-/// index; `None` when `n == 0` or every value is `u64::MAX`.
-pub fn par_min_by_key<F>(n: usize, f: F) -> Option<(usize, u64)>
-where
-    F: Fn(usize) -> u64 + Sync + Send,
-{
-    let fold = |acc: Option<(usize, u64)>, i: usize| -> Option<(usize, u64)> {
-        let v = f(i);
-        match acc {
-            Some((bi, bv)) if bv < v || (bv == v && bi < i) => Some((bi, bv)),
-            _ => Some((i, v)),
-        }
-    };
-    let merge = |a: Option<(usize, u64)>, b: Option<(usize, u64)>| match (a, b) {
-        (Some((ai, av)), Some((bi, bv))) => {
-            if av < bv || (av == bv && ai < bi) {
-                Some((ai, av))
-            } else {
-                Some((bi, bv))
-            }
-        }
-        (x, None) | (None, x) => x,
-    };
-    let best = if n < SEQ_THRESHOLD {
-        (0..n).fold(None, fold)
-    } else {
-        (0..n).into_par_iter().fold(|| None, fold).reduce(|| None, merge)
-    };
-    best.filter(|&(_, v)| v != u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,20 +28,18 @@ mod tests {
     #[test]
     fn min_empty() {
         assert_eq!(par_min(0, |_| 0), u64::MAX);
-        assert_eq!(par_min_by_key(0, |_| 0), None);
     }
 
     #[test]
     fn min_small() {
         let vals = [5u64, 3, 9, 3, 7];
         assert_eq!(par_min(vals.len(), |i| vals[i]), 3);
-        // Tie at indices 1 and 3 broken toward 1.
-        assert_eq!(par_min_by_key(vals.len(), |i| vals[i]), Some((1, 3)));
     }
 
     #[test]
     fn all_infinite_is_none() {
-        assert_eq!(par_min_by_key(10, |_| u64::MAX), None);
+        // `u64::MAX` stands for "no finite minimum".
+        assert_eq!(par_min(10, |_| u64::MAX), u64::MAX);
     }
 
     #[test]
@@ -82,11 +48,5 @@ mod tests {
         let f = |i: usize| ((i as u64).wrapping_mul(2654435761)) % 1_000_003 + 1;
         let expect = (0..n).map(f).min().unwrap();
         assert_eq!(par_min(n, f), expect);
-        let (ai, av) = par_min_by_key(n, f).unwrap();
-        assert_eq!(av, expect);
-        assert_eq!(f(ai), av);
-        // Deterministic tie-break: the argmin must be the first attaining index.
-        let first = (0..n).find(|&i| f(i) == expect).unwrap();
-        assert_eq!(ai, first);
     }
 }

@@ -19,10 +19,7 @@ fn main() {
     // ρ ⇒ fewer, bigger steps (more parallelism); higher k ⇒ fewer
     // shortcut edges but more substeps. §5.4 recommends k ∈ {3, 4},
     // ρ ∈ [50, 100] in practice.
-    let solver = SolverBuilder::new(&g)
-        .preprocess(PreprocessConfig::new(1, 64))
-        .record_parents(true)
-        .build();
+    let solver = SolverBuilder::new(&g).preprocess(PreprocessConfig::new(1, 64)).build();
     println!(
         "solver: {} (+{} shortcut edges over the input)",
         solver.name(),
@@ -32,7 +29,7 @@ fn main() {
     // Solve from a corner. One scratch serves every query below.
     let source = 0;
     let mut scratch = SolverScratch::new();
-    let out = solver.execute(&Query::single_source(source), &mut scratch);
+    let out = solver.execute(&Query::single_source(source).with_paths(), &mut scratch);
     let far = (g.num_vertices() - 1) as u32;
     println!(
         "sssp from {source}: dist to opposite corner = {}, {} steps, ≤ {} substeps/step",
@@ -41,8 +38,8 @@ fn main() {
         out.stats().max_substeps_in_step
     );
 
-    // Reconstruct one route from the recorded shortest-path tree. The
-    // response expands shortcut hops, so the route uses input edges only.
+    // Reconstruct one route from the shortest-path tree. The response
+    // expands shortcut hops, so the route uses input edges only.
     let path = out.extract_path(far).expect("grid is connected");
     println!(
         "route to {far}: {} hops (first 6: {:?} ...)",

@@ -24,10 +24,7 @@ fn main() {
 
     // Build once with a bigger ball since we'll query many sources.
     let t = Instant::now();
-    let solver = SolverBuilder::new(&g)
-        .preprocess(PreprocessConfig::new(1, 96))
-        .record_parents(true)
-        .build();
+    let solver = SolverBuilder::new(&g).preprocess(PreprocessConfig::new(1, 96)).build();
     println!(
         "build ({}): {:.2}s, +{} edges",
         solver.name(),
@@ -76,8 +73,8 @@ fn main() {
     println!("(steps ≈ parallel depth: each step's relaxations all run concurrently)");
 
     // Route between two specific junctions: a point-to-point query with
-    // goal-bounded early exit and inline parent recording, on a warm
-    // scratch (how a serving loop would run it).
+    // goal-bounded early exit, its route walked back over the distances,
+    // on a warm scratch (how a serving loop would run it).
     solver.warm_scratch(&mut scratch);
     let trip =
         solver.execute(&Query::point_to_point(depots[0], depots[3]).with_paths(), &mut scratch);

@@ -45,8 +45,9 @@
 //!     .preprocess(PreprocessConfig::new(1, 32))
 //!     .build();
 //!
-//! // Point-to-point serving: goal-bounded early exit, inline parent
-//! // recording, and one long-lived scratch reused across requests.
+//! // Point-to-point serving: goal-bounded early exit, the route walked
+//! // back over the distances, and one long-lived scratch reused across
+//! // requests.
 //! let mut scratch = SolverScratch::new();
 //! solver.warm_scratch(&mut scratch); // even the first query runs warm
 //! let trip = solver.execute(&Query::point_to_point(0, 820).with_paths(), &mut scratch);

@@ -121,7 +121,7 @@ proptest! {
                         "{:?}", q.shape
                     );
                     if q.want_paths {
-                        // Inline parents telescope along every goal path.
+                        // Parents telescope along every goal path.
                         let path = resp.goal_path_to(goal).expect("connected graph");
                         prop_assert_eq!(path[0], q.source());
                         prop_assert_eq!(*path.last().unwrap(), goal);
@@ -257,7 +257,7 @@ proptest! {
 
     // One scratch, interleaved mixed queries: results stay bit-identical
     // to fresh executions no matter the order (stale-state fuzzing for the
-    // goal-bounded path, the inline-parent buffers and the epoch reset).
+    // goal-bounded path, the substep buffers and the epoch reset).
     #[test]
     fn interleaved_mixed_queries_never_leak_scratch_state(
         g in arb_connected_graph(),

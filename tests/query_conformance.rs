@@ -5,7 +5,7 @@
 //! * `execute(PointToPoint)` on a warm scratch is bit-identical to the
 //!   cold path, settles the goal to exactly the full solve's value, and
 //!   returns upper bounds everywhere else (the full-solve prefix);
-//! * inline parents telescope: along every extracted path,
+//! * paths telescope: along every extracted path,
 //!   `dist[v] == dist[parent[v]] + w(parent[v], v)`;
 //! * unreachable goals terminate (finite work, `INF` goal, no path);
 //! * a pre-warmed scratch (`warm_scratch`) makes even the *first* query
@@ -156,12 +156,12 @@ fn execute_point_to_point_conformance_unit() {
     }
 }
 
-/// Inline parents on `want_paths` point-to-point queries: the extracted
-/// goal path exists, starts at the source, ends at the goal, and
-/// telescopes (`dist[v] == dist[parent[v]] + w`) — for every algorithm,
-/// engine, and heap, on warm scratches.
+/// Parents on `want_paths` point-to-point queries: the extracted goal
+/// path exists, starts at the source, ends at the goal, and telescopes
+/// (`dist[v] == dist[parent[v]] + w`), and so does every other parent
+/// entry — for every algorithm and engine, on warm scratches.
 #[test]
-fn inline_parents_telescope_on_point_to_point_queries() {
+fn goal_path_parents_telescope_on_point_to_point_queries() {
     let g = weighted(77);
     let n = g.num_vertices() as u32;
     for solver in weighted_solvers(&g) {
@@ -185,9 +185,9 @@ fn inline_parents_telescope_on_point_to_point_queries() {
                 "{}: goal {goal} path does not telescope",
                 solver.name()
             );
-            // Contract sweep: EVERY recorded parent entry telescopes to
-            // the response's dist array (goal-bounded exits must not leak
-            // stale claims for unsettled fringe vertices).
+            // Contract sweep: EVERY parent entry telescopes to the
+            // response's dist array (a goal-bounded exit leaves tentative
+            // distances on unsettled vertices; no parent may point at one).
             let parent = resp.result().parent.as_ref().unwrap();
             for v in 0..n {
                 let p = parent[v as usize];
@@ -213,6 +213,63 @@ fn inline_parents_telescope_on_point_to_point_queries() {
             solver.execute(&Query::point_to_point(0, 143).with_paths(), &mut SolverScratch::new());
         let path = resp.goal_path().expect("connected grid");
         assert_eq!(path.len() as u64 - 1, resp.dist()[143], "{}: hops", solver.name());
+    }
+}
+
+/// A path does not depend on the schedule: on a unit-weight random graph
+/// (many equal-cost ties), the frontier engine at r ≡ ∞ returns, for
+/// point-to-point and one-to-many queries, exactly the path walked back
+/// over Dijkstra's distances, on every one of several fresh solves.
+#[test]
+fn paths_do_not_depend_on_the_schedule() {
+    let g = graph::gen::erdos_renyi(60_000, 300_000, 11);
+    let reference = baselines::dijkstra_default(&g, 0);
+    // The frontier engine relaxes a substep in parallel once its dirty
+    // set reaches 2048 vertices (its sequential cutover). At r ≡ ∞ each
+    // substep relaxes one BFS level, so the largest level must be well
+    // past that for the tie-breaking relaxations to run in parallel.
+    let reached = || reference.iter().copied().filter(|&d| d != INF);
+    let mut level_sizes = vec![0usize; reached().max().unwrap_or(0) as usize + 1];
+    for d in reached() {
+        level_sizes[d as usize] += 1;
+    }
+    let (widest, &size) = level_sizes.iter().enumerate().max_by_key(|&(_, &c)| c).unwrap();
+    assert!(size >= 4 * 2048, "widest level has {size} vertices: the substeps stay sequential");
+    // Goals on the widest level: the last hop of each path is chosen in
+    // a parallel substep.
+    let goals: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+        .filter(|&v| reference[v as usize] == widest as Dist)
+        .step_by(997)
+        .take(4)
+        .collect();
+    assert_eq!(goals.len(), 4);
+    let solver = SolverBuilder::new(&g)
+        .algorithm(Algorithm::RadiusStepping {
+            engine: EngineKind::Frontier,
+            radii: Radii::Infinite,
+        })
+        .build();
+    let expected: Vec<Vec<VertexId>> = goals
+        .iter()
+        .map(|&t| core::stats::shortest_path_from_dist(&g, &reference, t).expect("reachable"))
+        .collect();
+    for round in 0..8 {
+        let fan = solver
+            .execute(&Query::one_to_many(0, goals.clone()).with_paths(), &mut SolverScratch::new());
+        for (i, &t) in goals.iter().enumerate() {
+            assert_eq!(
+                fan.goal_path_to(t).as_ref(),
+                Some(&expected[i]),
+                "round {round}, one-to-many goal {t}"
+            );
+            let p2p = solver
+                .execute(&Query::point_to_point(0, t).with_paths(), &mut SolverScratch::new());
+            assert_eq!(
+                p2p.goal_path().as_ref(),
+                Some(&expected[i]),
+                "round {round}, point-to-point goal {t}"
+            );
+        }
     }
 }
 
@@ -628,9 +685,7 @@ fn preprocessed_and_builder_solver_answer_identically() {
                         let length: Dist = path.windows(2).map(weight).sum();
                         assert_eq!(length, ra.dist[t as usize], "{ctx}, row {row}, goal {t}");
                     }
-                    if par::num_threads() == 1 {
-                        assert_eq!(pa, pb, "{ctx}, row {row}, goal {t}");
-                    }
+                    assert_eq!(pa, pb, "{ctx}, row {row}, goal {t}");
                 }
             }
         }

@@ -348,8 +348,10 @@ fn recorded_parents_telescope_to_distances() {
         let source = 1u32;
         let mut scratch = SolverScratch::new();
         for algorithm in weighted_algorithms() {
-            let solver = SolverBuilder::new(&g).algorithm(algorithm).record_parents(true).build();
-            let out = solver.execute(&Query::single_source(source), &mut scratch).into_result();
+            let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
+            let out = solver
+                .execute(&Query::single_source(source).with_paths(), &mut scratch)
+                .into_result();
             let parent = out.parent.as_ref().expect("parents recorded");
             assert_eq!(parent[source as usize], source, "{name}: {}", solver.name());
             for t in 0..g.num_vertices() as u32 {
@@ -380,8 +382,8 @@ fn goal_bounded_path_extraction_reaches_goal() {
     let goal = 143u32;
     let mut scratch = SolverScratch::new();
     for algorithm in weighted_algorithms() {
-        let solver = SolverBuilder::new(&g).algorithm(algorithm).record_parents(true).build();
-        let out = solver.execute(&Query::point_to_point(0, goal), &mut scratch);
+        let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
+        let out = solver.execute(&Query::point_to_point(0, goal).with_paths(), &mut scratch);
         let path = out
             .extract_path(goal)
             .unwrap_or_else(|| panic!("{}: goal path must survive early exit", solver.name()));
