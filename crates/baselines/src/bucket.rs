@@ -26,7 +26,7 @@ impl BucketQueue {
     /// more than `max_weight` (the graph's heaviest edge `L`).
     pub fn new(capacity: usize, delta: u64, max_weight: u64) -> Self {
         assert!(delta > 0);
-        let span = Self::span_for(delta, max_weight);
+        let span = (max_weight / delta + 3) as usize;
         BucketQueue {
             delta,
             slots: (0..span).map(|_| Vec::new()).collect(),
@@ -34,65 +34,6 @@ impl BucketQueue {
             pos: vec![NONE; capacity],
             len: 0,
         }
-    }
-
-    /// The one sizing rule: cyclic window (slot count) needed for bucket
-    /// width `delta` and heaviest edge `max_weight`. Shared by
-    /// [`BucketQueue::new`] and [`BucketQueue::fits`] so they cannot
-    /// diverge.
-    fn span_for(delta: u64, max_weight: u64) -> usize {
-        (max_weight / delta + 3) as usize
-    }
-
-    /// Bucket width ∆.
-    pub fn delta(&self) -> u64 {
-        self.delta
-    }
-
-    /// The item universe the queue was created for (`0..capacity`).
-    pub fn capacity(&self) -> usize {
-        self.pos.len()
-    }
-
-    /// True when this queue can be reused (after [`BucketQueue::clear`])
-    /// for a run over `capacity` items with bucket width `delta` and
-    /// heaviest edge `max_weight` — the compatibility test scratch pools
-    /// key on.
-    pub fn fits(&self, capacity: usize, delta: u64, max_weight: u64) -> bool {
-        delta > 0
-            && self.delta == delta
-            && self.pos.len() >= capacity
-            && self.slots.len() >= Self::span_for(delta, max_weight)
-    }
-
-    /// Removes every item (live and stale) and rewinds the scan position
-    /// to bucket 0, preserving all allocations: `O(entries + span)` where
-    /// span = `⌈L/∆⌉ + 3` is the (small, constant) cyclic window — not
-    /// `O(capacity)`, because `pos` is only reset for items actually
-    /// queued. The classic ∆-stepping loop previously had to reallocate
-    /// the whole queue per source; after `clear()` it reuses one queue for
-    /// an entire batch.
-    pub fn clear(&mut self) {
-        for i in 0..self.slots.len() {
-            let mut slot = std::mem::take(&mut self.slots[i]);
-            for &item in &slot {
-                self.pos[item as usize] = NONE;
-            }
-            slot.clear();
-            self.slots[i] = slot;
-        }
-        self.cur = 0;
-        self.len = 0;
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Absolute bucket index for priority `p`.
@@ -125,17 +66,6 @@ impl BucketQueue {
         let slot = (b % self.slots.len() as u64) as usize;
         self.slots[slot].push(item);
         true
-    }
-
-    /// Removes `item` if queued; returns `true` iff it was queued.
-    pub fn remove(&mut self, item: u32) -> bool {
-        if self.pos[item as usize] == NONE {
-            false
-        } else {
-            self.pos[item as usize] = NONE;
-            self.len -= 1;
-            true
-        }
     }
 
     /// Advances to and returns the index of the next bucket holding at
@@ -180,15 +110,13 @@ mod tests {
     #[test]
     fn basic_flow() {
         let mut q = BucketQueue::new(10, 5, 20);
-        assert!(q.is_empty());
+        assert_eq!(q.next_nonempty_bucket(), None);
         assert!(q.insert_or_decrease(3, 12)); // bucket 2
         assert!(q.insert_or_decrease(4, 3)); // bucket 0
-        assert_eq!(q.len(), 2);
         assert_eq!(q.next_nonempty_bucket(), Some(0));
         assert_eq!(q.take_bucket(0), vec![4]);
         assert_eq!(q.next_nonempty_bucket(), Some(2));
         assert_eq!(q.take_bucket(2), vec![3]);
-        assert!(q.is_empty());
         assert_eq!(q.next_nonempty_bucket(), None);
     }
 
@@ -198,7 +126,6 @@ mod tests {
         q.insert_or_decrease(1, 95); // bucket 9
         assert!(q.insert_or_decrease(1, 15)); // moved to bucket 1
         assert!(!q.insert_or_decrease(1, 17), "same bucket: no change");
-        assert_eq!(q.len(), 1);
         assert_eq!(q.next_nonempty_bucket(), Some(1));
         assert_eq!(q.take_bucket(1), vec![1]);
         // The stale entry in bucket 9 must not resurrect the item.
@@ -219,16 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_hides_item() {
-        let mut q = BucketQueue::new(4, 10, 100);
-        q.insert_or_decrease(2, 25);
-        assert!(q.remove(2));
-        assert!(!q.remove(2));
-        assert!(q.is_empty());
-        assert_eq!(q.next_nonempty_bucket(), None);
-    }
-
-    #[test]
     fn cyclic_reuse_across_many_buckets() {
         let mut q = BucketQueue::new(2, 1, 4);
         let mut popped = Vec::new();
@@ -246,46 +163,6 @@ mod tests {
         }
         assert_eq!(popped.len(), 50);
         assert!(popped.windows(2).all(|w| w[0].1 <= w[1].1), "monotone buckets");
-    }
-
-    #[test]
-    fn clear_rewinds_and_preserves_capacity() {
-        let mut q = BucketQueue::new(8, 10, 100);
-        // Dirty state: live items, a stale (moved) entry, and an advanced
-        // scan position.
-        q.insert_or_decrease(1, 95);
-        q.insert_or_decrease(1, 15); // stale entry left in bucket 9
-        q.insert_or_decrease(2, 25);
-        q.insert_or_decrease(3, 5);
-        assert_eq!(q.next_nonempty_bucket(), Some(0));
-        assert_eq!(q.take_bucket(0), vec![3]);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.capacity(), 8);
-        assert_eq!(q.next_nonempty_bucket(), None);
-        // The cleared queue accepts priorities from 0 again (scan rewound)
-        // and behaves exactly like a fresh one.
-        let mut fresh = BucketQueue::new(8, 10, 100);
-        for (item, p) in [(4u32, 12u64), (5, 3), (1, 44)] {
-            assert_eq!(q.insert_or_decrease(item, p), fresh.insert_or_decrease(item, p));
-        }
-        while let Some(b) = q.next_nonempty_bucket() {
-            assert_eq!(Some(b), fresh.next_nonempty_bucket());
-            assert_eq!(q.take_bucket(b), fresh.take_bucket(b));
-        }
-        assert_eq!(fresh.next_nonempty_bucket(), None);
-    }
-
-    #[test]
-    fn fits_checks_all_parameters() {
-        let q = BucketQueue::new(10, 5, 20);
-        assert!(q.fits(10, 5, 20));
-        assert!(q.fits(4, 5, 20), "smaller universe fits");
-        assert!(q.fits(10, 5, 10), "lighter edges fit");
-        assert!(!q.fits(11, 5, 20), "larger universe does not fit");
-        assert!(!q.fits(10, 4, 20), "different delta does not fit");
-        assert!(!q.fits(10, 5, 500), "wider cyclic window does not fit");
-        assert!(!q.fits(10, 0, 20), "zero delta is invalid");
     }
 
     #[test]

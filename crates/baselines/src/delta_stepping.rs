@@ -12,12 +12,18 @@
 //! "can take Θ(n) substeps" per step: light phases per bucket are bounded
 //! only by the longest light-edge chain inside the bucket, which is what
 //! radius stepping's `k + 2` bound fixes.
+//!
+//! This is the comparator for `repro -- substeps` and the `sssp_compare`
+//! bench, not a solver: `Algorithm::DeltaStepping { delta }` builds the
+//! radius-stepping frontier engine at `r ≡ ∆`.
 
 use rayon::prelude::*;
 
-use rs_core::{Goals, SolverScratch};
-use rs_graph::{CsrGraph, Dist, VertexId, Weight, INF};
+use rs_core::SolverScratch;
+use rs_graph::{CsrGraph, Dist, VertexId, Weight};
 use rs_par::{AtomicBitset, EpochMinArray};
+
+use crate::bucket::BucketQueue;
 
 /// Outcome of a ∆-stepping run.
 #[derive(Debug, Clone)]
@@ -31,104 +37,66 @@ pub struct DeltaSteppingResult {
     /// Largest number of light phases any single bucket needed — the
     /// quantity radius stepping's `k + 2` bound improves on.
     pub max_phases_in_bucket: usize,
-    /// Edge relaxations attempted.
-    pub relaxations: u64,
-    /// True iff the run reused pre-allocated scratch state throughout
-    /// (see [`rs_core::StepStats::scratch_reused`]).
-    pub scratch_reused: bool,
 }
 
-/// Runs ∆-stepping from `source` with bucket width `delta`.
+/// Runs ∆-stepping from `source` with bucket width `delta ≥ 1`. The
+/// tentative distances and bitsets come from a local [`SolverScratch`].
 pub fn delta_stepping(g: &CsrGraph, source: VertexId, delta: Dist) -> DeltaSteppingResult {
-    delta_stepping_scratch(g, source, delta, Goals::None, &mut SolverScratch::new())
-}
-
-/// The full ∆-stepping worker on reusable scratch state: the tentative
-/// distances, the heavy-settled bitset and the bucket queue all come from
-/// `scratch`, so a warm batch run allocates nothing per source. Optionally
-/// stops once every goal in the bound is settled: when the scan reaches a
-/// bucket strictly beyond each goal's tentative distance, those distances
-/// are final (every remaining tentative value is at least the bucket's
-/// lower bound).
-pub fn delta_stepping_scratch(
-    g: &CsrGraph,
-    source: VertexId,
-    delta: Dist,
-    goals: Goals<'_>,
-    scratch: &mut SolverScratch,
-) -> DeltaSteppingResult {
     assert!(delta >= 1);
     let n = g.num_vertices();
     rs_core::scratch::assert_distance_range(g);
+    let mut scratch = SolverScratch::new();
     scratch.begin(n);
-    let mut queue = scratch.checkout_bucket(delta, g.max_weight() as u64);
+    let view = scratch.view();
+    let dist = view.dist;
+    let settled_heavy = view.settled; // vertices whose heavy edges were relaxed
+    let claimed = view.mark_a; // per-phase dedup, self-cleaning in relax_edges
+    let mut queue = BucketQueue::new(n, delta, g.max_weight() as u64);
     let mut buckets = 0;
     let mut phases = 0;
     let mut max_phases = 0;
-    let mut relaxations = 0u64;
-    let out_dist;
-    {
-        let view = scratch.view();
-        let dist = view.dist;
-        let settled_heavy = view.settled; // vertices whose heavy edges were relaxed
-        let claimed = view.mark_a; // per-phase dedup, self-cleaning in relax_edges
 
-        dist.store(source as usize, 0);
-        queue.insert_or_decrease(source, 0);
+    dist.store(source as usize, 0);
+    queue.insert_or_decrease(source, 0);
 
-        let light = |w: Weight| (w as Dist) <= delta;
+    let light = |w: Weight| (w as Dist) <= delta;
 
-        while let Some(b) = queue.next_nonempty_bucket() {
-            if goals.all_done(|t| {
-                let dt = dist.load(t as usize);
-                dt != INF && queue.bucket_of(dt) < b
-            }) {
+    while let Some(b) = queue.next_nonempty_bucket() {
+        buckets += 1;
+        // Light phases: drain bucket b until it stays empty.
+        let mut settled_here: Vec<VertexId> = Vec::new();
+        let mut phases_here = 0;
+        loop {
+            let frontier = queue.take_bucket(b);
+            if frontier.is_empty() {
                 break;
             }
-            buckets += 1;
-            // Light phases: drain bucket b until it stays empty.
-            let mut settled_here: Vec<VertexId> = Vec::new();
-            let mut phases_here = 0;
-            loop {
-                let frontier = queue.take_bucket(b);
-                if frontier.is_empty() {
-                    break;
-                }
-                phases += 1;
-                phases_here += 1;
-                relaxations += frontier.iter().map(|&u| g.degree(u) as u64).sum::<u64>();
-                let updated = relax_edges(g, dist, claimed, &frontier, light);
-                settled_here.extend_from_slice(&frontier);
-                // Re-bucket updated vertices; ones falling into bucket b
-                // loop.
-                for (v, d) in updated {
-                    if queue.bucket_of(d) >= b {
-                        queue.insert_or_decrease(v, d);
-                    }
-                }
-            }
-            max_phases = max_phases.max(phases_here);
-            // Heavy phase: relax heavy edges of everything settled in
-            // bucket b.
-            let heavy_sources: Vec<VertexId> =
-                settled_here.into_iter().filter(|&v| settled_heavy.set(v as usize)).collect();
-            relaxations += heavy_sources.iter().map(|&u| g.degree(u) as u64).sum::<u64>();
-            let updated = relax_edges(g, dist, claimed, &heavy_sources, |w| !light(w));
+            phases += 1;
+            phases_here += 1;
+            let updated = relax_edges(g, dist, claimed, &frontier, light);
+            settled_here.extend_from_slice(&frontier);
+            // Re-bucket updated vertices; ones falling into bucket b loop.
             for (v, d) in updated {
-                queue.insert_or_decrease(v, d);
+                if queue.bucket_of(d) >= b {
+                    queue.insert_or_decrease(v, d);
+                }
             }
         }
-
-        out_dist = dist.snapshot(n);
+        max_phases = max_phases.max(phases_here);
+        // Heavy phase: relax heavy edges of everything settled in bucket b.
+        let heavy_sources: Vec<VertexId> =
+            settled_here.into_iter().filter(|&v| settled_heavy.set(v as usize)).collect();
+        let updated = relax_edges(g, dist, claimed, &heavy_sources, |w| !light(w));
+        for (v, d) in updated {
+            queue.insert_or_decrease(v, d);
+        }
     }
-    scratch.return_bucket(queue);
+
     DeltaSteppingResult {
-        dist: out_dist,
+        dist: dist.snapshot(n),
         buckets,
         phases,
         max_phases_in_bucket: max_phases,
-        relaxations,
-        scratch_reused: scratch.finish(),
     }
 }
 
@@ -189,7 +157,7 @@ where
 mod tests {
     use super::*;
     use crate::dijkstra::dijkstra_default;
-    use rs_graph::{gen, weights, WeightModel};
+    use rs_graph::{gen, weights, WeightModel, INF};
 
     #[test]
     fn agrees_with_dijkstra_various_deltas() {

@@ -6,20 +6,24 @@
 //! * [`bfs`] — standard sequential BFS, the hop-distance oracle for
 //!   unit-weight tests.
 //! * [`delta_stepping`](mod@delta_stepping) — Meyer–Sanders ∆-stepping with the light/heavy
-//!   edge split, the algorithm radius stepping refines.
+//!   edge split on a cyclic bucket queue, the algorithm radius stepping
+//!   refines. It is the paper's comparator for the substep experiment,
+//!   not a solver.
 //!
-//! Bellman–Ford and parallel BFS are points on the radius spectrum, not
-//! separate code: `Algorithm::BellmanFord` is the frontier engine at
-//! `r ≡ ∞` and `Algorithm::Bfs` the unweighted engine at `r ≡ 0`.
+//! ∆-stepping, Bellman–Ford and parallel BFS as solvers are points on the
+//! radius spectrum, not separate code: `Algorithm::DeltaStepping { delta }`
+//! is the frontier engine at `r ≡ ∆`, `Algorithm::BellmanFord` the
+//! frontier engine at `r ≡ ∞` and `Algorithm::Bfs` the unweighted engine
+//! at `r ≡ 0`.
 //!
-//! Every solver returns exact distances (tested against each other), plus
-//! the step/phase counters used in the experiment harness. Dijkstra and
-//! ∆-stepping are also available behind the unified
-//! [`rs_core::solver::SsspSolver`] trait through the adapters in
+//! Every baseline returns exact distances (tested against each other).
+//! Dijkstra is also available behind the unified
+//! [`rs_core::solver::SsspSolver`] trait through the adapter in
 //! [`solver`], which additionally supplies the [`solver::BuildSolver`]
 //! extension completing `rs_core`'s `SolverBuilder`.
 
 pub mod bfs;
+mod bucket;
 pub mod delta_stepping;
 pub mod dijkstra;
 pub mod solver;
@@ -27,7 +31,7 @@ pub mod solver;
 pub use bfs::bfs_seq;
 pub use delta_stepping::{delta_stepping, DeltaSteppingResult};
 pub use dijkstra::dijkstra_default;
-pub use solver::{BuildSolver, DeltaSteppingSolver, DijkstraSolver};
+pub use solver::{BuildSolver, DijkstraSolver};
 
 /// `Algorithm::BellmanFord` as built through [`BuildSolver`]: the frontier
 /// engine at `r ≡ ∞`, one step whose substeps are the relaxation rounds.

@@ -1,21 +1,22 @@
-//! [`SsspSolver`] adapters for the two independent baselines, plus the
-//! [`BuildSolver`] extension that completes `rs_core::solver`'s builder.
+//! The [`SsspSolver`] adapter for Dijkstra, the one independent baseline,
+//! plus the [`BuildSolver`] extension that completes `rs_core::solver`'s
+//! builder.
 //!
 //! `rs_core` defines the trait, the [`Algorithm`] selector and the
 //! [`SolverBuilder`]; this crate sits above it in the dependency graph, so
-//! the adapters for its own algorithms — and therefore the `build()` that
-//! can construct *every* algorithm — live here. The facade prelude
-//! re-exports [`BuildSolver`], making `SolverBuilder::new(&g).build()` the
-//! one entry point applications see. `Algorithm::BellmanFord` and
-//! `Algorithm::Bfs` are points on the radius spectrum, so they build as
-//! [`RadiusSteppingSolver`]s.
+//! the Dijkstra adapter — and therefore the `build()` that can construct
+//! *every* algorithm — lives here. The facade prelude re-exports
+//! [`BuildSolver`], making `SolverBuilder::new(&g).build()` the one entry
+//! point applications see. `Algorithm::DeltaStepping`,
+//! `Algorithm::BellmanFord` and `Algorithm::Bfs` are points on the radius
+//! spectrum, so they build as [`RadiusSteppingSolver`]s.
 //!
 //! Counter mapping into [`rs_core::StepStats`]:
 //!
 //! | algorithm                    | `steps`          | `substeps`          |
 //! |------------------------------|------------------|---------------------|
 //! | Dijkstra                     | settled vertices | = steps             |
-//! | ∆-stepping                   | nonempty buckets | light phases        |
+//! | ∆-stepping (frontier, ∆)     | radius steps     | radius substeps     |
 //! | Bellman–Ford (frontier, ∞)   | 1                | relaxation rounds   |
 //! | BFS (unweighted engine, 0)   | levels           | = steps             |
 
@@ -27,13 +28,12 @@ use rs_core::solver::{
 };
 use rs_core::stats::{SsspResult, StepStats};
 use rs_core::{ShortcutExpander, SolverScratch};
-use rs_graph::{CsrGraph, Dist, INF};
+use rs_graph::CsrGraph;
 
-use crate::delta_stepping::{delta_stepping_scratch, DeltaSteppingResult};
 use crate::dijkstra::dijkstra_into_heap;
 
 /// Completes [`SolverBuilder`] with a `build()` covering every
-/// [`Algorithm`] variant (the baseline adapters are defined here, above
+/// [`Algorithm`] variant (the Dijkstra adapter is defined here, above
 /// `rs_core` in the dependency graph).
 pub trait BuildSolver<'g> {
     /// Builds the configured solver, running any attached preprocessing.
@@ -43,18 +43,14 @@ pub trait BuildSolver<'g> {
 impl<'g> BuildSolver<'g> for SolverBuilder<'g> {
     fn build(self) -> Box<dyn SsspSolver + 'g> {
         let parts = self.into_parts();
-        // Baselines run on the (possibly shortcut-augmented) graph;
-        // shortcuts preserve distances, so they stay exact — and carry the
+        // Dijkstra runs on the (possibly shortcut-augmented) graph;
+        // shortcuts preserve distances, so it stays exact — and carries the
         // expansion table so extracted paths unroll back to input-graph
         // edges.
         match parts.algorithm {
             Algorithm::Dijkstra => {
                 let ResolvedParts { graph, expander, p2p, .. } = parts.resolve();
                 Box::new(DijkstraSolver { graph, config: parts.config, expander, p2p })
-            }
-            Algorithm::DeltaStepping { delta } => {
-                let ResolvedParts { graph, expander, p2p, .. } = parts.resolve();
-                Box::new(DeltaSteppingSolver { graph, delta, config: parts.config, expander, p2p })
             }
             _ => Box::new(RadiusSteppingSolver::from_parts(parts)),
         }
@@ -120,67 +116,6 @@ impl SsspSolver for DijkstraSolver<'_> {
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
         scratch.warm_up(&self.graph);
         scratch.warm_heap(self.graph.num_vertices());
-        self.p2p.warm(&self.graph, scratch);
-    }
-}
-
-/// Meyer–Sanders ∆-stepping behind the solver interface.
-pub struct DeltaSteppingSolver<'g> {
-    pub graph: SolverGraph<'g>,
-    pub delta: Dist,
-    pub config: SolverConfig,
-    pub expander: Option<Arc<ShortcutExpander>>,
-    pub p2p: P2pKernel,
-}
-
-impl DeltaSteppingSolver<'_> {
-    fn to_result(&self, out: DeltaSteppingResult) -> SsspResult {
-        let settled = out.dist.iter().filter(|&&d| d != INF).count();
-        let stats = StepStats {
-            steps: out.buckets,
-            substeps: out.phases,
-            max_substeps_in_step: out.max_phases_in_bucket,
-            relaxations: out.relaxations,
-            relaxed_edges: out.relaxations,
-            settled,
-            scratch_reused: out.scratch_reused,
-            trace: None,
-        };
-        SsspResult::new(out.dist, stats)
-    }
-}
-
-impl SsspSolver for DeltaSteppingSolver<'_> {
-    fn name(&self) -> String {
-        format!("delta-stepping/{}", self.delta)
-    }
-
-    fn graph(&self) -> &CsrGraph {
-        &self.graph
-    }
-
-    fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
-        if query.is_many_to_many() {
-            return execute_many_to_many(self, query).with_expander(self.expander.clone());
-        }
-        if let Some(out) = self.p2p.run(&self.graph, query, scratch) {
-            return QueryResponse::single(query.clone(), out).with_expander(self.expander.clone());
-        }
-        let mut goal_buf = Vec::new();
-        let out = delta_stepping_scratch(
-            &self.graph,
-            query.source(),
-            self.delta,
-            solve_goals(query, &mut goal_buf),
-            scratch,
-        );
-        let result = self.config.finish_paths(&self.graph, query, self.to_result(out));
-        QueryResponse::single(query.clone(), result).with_expander(self.expander.clone())
-    }
-
-    fn warm_scratch(&self, scratch: &mut SolverScratch) {
-        scratch.warm_up(&self.graph);
-        scratch.warm_bucket(self.graph.num_vertices(), self.delta, self.graph.max_weight() as u64);
         self.p2p.warm(&self.graph, scratch);
     }
 }

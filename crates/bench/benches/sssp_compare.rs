@@ -29,8 +29,9 @@ fn sssp_compare(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("sssp/{name}"));
         group.sample_size(10);
         let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 32));
+        let radii = RadiiSpec::PerVertex(&pre.radii);
         group.bench_function(BenchmarkId::from_parameter("radius_stepping_rho32"), |b| {
-            b.iter(|| black_box(pre.sssp(0).dist[g.num_vertices() - 1]))
+            b.iter(|| black_box(radius_stepping(&pre.graph, &radii, 0).dist[g.num_vertices() - 1]))
         });
         group.bench_function(BenchmarkId::from_parameter("dijkstra"), |b| {
             b.iter(|| black_box(dijkstra_default(&g, 0)[g.num_vertices() - 1]))

@@ -8,7 +8,7 @@
 
 use rs_baselines::delta_stepping;
 use rs_core::preprocess::{PreprocessConfig, Preprocessed, ShortcutHeuristic};
-use rs_core::{EngineConfig, EngineKind};
+use rs_core::{radius_stepping_with, EngineConfig, EngineKind, RadiiSpec};
 
 use crate::suite::build_graph;
 use crate::table::Table;
@@ -43,7 +43,9 @@ pub fn run(cfg: &ExpConfig) -> Table {
     for k in [1u32, 2, 4] {
         let h = if k == 1 { ShortcutHeuristic::Full } else { ShortcutHeuristic::Dp };
         let pre = Preprocessed::build(&g, &PreprocessConfig { k, rho: 32, heuristic: h });
-        let out = pre.sssp_with(0, EngineKind::Frontier, EngineConfig::with_trace());
+        let radii = RadiiSpec::PerVertex(&pre.radii);
+        let cfg = EngineConfig::with_trace();
+        let out = radius_stepping_with(&pre.graph, &radii, 0, EngineKind::Frontier, cfg);
         assert!(out.stats.max_substeps_in_step <= k as usize + 2, "Theorem 3.2");
         t.push_row(vec![
             "radius-stepping".into(),
@@ -63,11 +65,26 @@ mod tests {
 
     #[test]
     fn radius_stepping_substep_bound_binds_delta_does_not() {
+        // Every radius-stepping row respects k + 2 (asserted inside run);
+        // ∆-stepping's max light phases per bucket grow with ∆. The rows
+        // are exact and the same at every thread count.
         let t = run(&ExpConfig::tiny());
-        assert_eq!(t.rows.len(), 7);
-        // All radius-stepping rows respect k+2 (asserted inside run); the
-        // delta rows exist for contrast.
-        assert!(t.rows.iter().any(|r| r[0] == "delta-stepping"));
-        assert!(t.rows.iter().any(|r| r[0] == "radius-stepping"));
+        let rows: Vec<[&str; 5]> = t
+            .rows
+            .iter()
+            .map(|r| [&r[0], &r[1], &r[2], &r[3], &r[4]].map(String::as_str))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ["delta-stepping", "delta=100", "808", "819", "2"],
+                ["delta-stepping", "delta=1000", "201", "265", "3"],
+                ["delta-stepping", "delta=10000", "24", "109", "8"],
+                ["delta-stepping", "delta=100000", "3", "73", "34"],
+                ["radius-stepping", "k=1, rho=32", "13", "21", "2"],
+                ["radius-stepping", "k=2, rho=32", "13", "23", "3"],
+                ["radius-stepping", "k=4, rho=32", "13", "40", "5"],
+            ]
+        );
     }
 }

@@ -22,12 +22,13 @@
 //! ```
 //! use rs_graph::{gen, weights, WeightModel};
 //! use rs_core::preprocess::{Preprocessed, PreprocessConfig};
+//! use rs_core::{Query, SolverScratch, SsspSolver};
 //!
 //! let g = weights::reweight(&gen::grid2d(20, 20), WeightModel::paper_weighted(), 1);
 //! let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 16));
-//! let out = pre.sssp(0);
-//! assert_eq!(out.dist[0], 0);
-//! assert!(out.stats.max_substeps_in_step <= 1 + 2); // Theorem 3.2, k = 1
+//! let out = pre.execute(&Query::single_source(0), &mut SolverScratch::new());
+//! assert_eq!(out.dist()[0], 0);
+//! assert!(out.stats().max_substeps_in_step <= 1 + 2); // Theorem 3.2, k = 1
 //! ```
 
 pub mod engine;

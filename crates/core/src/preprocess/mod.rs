@@ -6,8 +6,10 @@
 //! graph (duplicate edges keep the minimum weight). The result satisfies
 //! `r(v) ≤ r̄_k(v)` and `|B(v, r(v))| ≥ ρ` — the preconditions of
 //! Theorems 3.2 and 3.3 — whenever every vertex can reach at least ρ
-//! vertices, so each subsequent [`Preprocessed::sssp`] call takes at most
-//! `⌈n/ρ⌉(1 + ⌈log₂ ρL⌉)` steps of at most `k + 2` substeps.
+//! vertices, so each subsequent solve (the [`Preprocessed`] solver's
+//! `execute`, or the engine on [`Preprocessed::graph`] with
+//! [`Preprocessed::radii`]) takes at most `⌈n/ρ⌉(1 + ⌈log₂ ρL⌉)` steps of
+//! at most `k + 2` substeps.
 //!
 //! For step-count experiments at very large ρ (where `n·ρ` shortcut edges
 //! cannot be materialised — the paper's Tables 4–7 go to ρ = 10⁴ on
@@ -33,10 +35,6 @@ use rs_graph::builder::merge_edges;
 use rs_graph::{CsrGraph, Dist, Edge, VertexId};
 
 use self::expand::ChainLink;
-
-use crate::engine::{radius_stepping_with, EngineConfig, EngineKind};
-use crate::radii::RadiiSpec;
-use crate::stats::SsspResult;
 
 /// Which shortcut-selection rule to use (§4.1–4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -173,22 +171,6 @@ impl Preprocessed {
             expander: Arc::new(expander),
             stats: PreprocessStats { effective_new_edges: effective, ..stats },
         }
-    }
-
-    /// Solves SSSP from `source` on the preprocessed graph (frontier
-    /// engine).
-    pub fn sssp(&self, source: VertexId) -> SsspResult {
-        self.sssp_with(source, EngineKind::Frontier, EngineConfig::default())
-    }
-
-    /// Solves SSSP with an explicit engine/config.
-    pub fn sssp_with(
-        &self,
-        source: VertexId,
-        kind: EngineKind,
-        config: EngineConfig<'_>,
-    ) -> SsspResult {
-        radius_stepping_with(&self.graph, &RadiiSpec::PerVertex(&self.radii), source, kind, config)
     }
 
     /// Persists the preprocessing (augmented graph + radii + parameters) so
@@ -403,6 +385,8 @@ fn preprocess_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{radius_stepping, radius_stepping_with, EngineConfig, EngineKind};
+    use crate::radii::RadiiSpec;
     use rs_baselines::dijkstra_default;
     use rs_graph::{gen, weights, WeightModel, INF};
 
@@ -436,7 +420,9 @@ mod tests {
         for (k, rho) in [(1u32, 4usize), (1, 16), (2, 10), (3, 25), (4, 50)] {
             let pre = Preprocessed::build(&g, &PreprocessConfig::new(k, rho));
             for s in [0u32, 55] {
-                let out = pre.sssp_with(s, EngineKind::Frontier, EngineConfig::with_trace());
+                let radii = RadiiSpec::PerVertex(&pre.radii);
+                let cfg = EngineConfig::with_trace();
+                let out = radius_stepping_with(&pre.graph, &radii, s, EngineKind::Frontier, cfg);
                 assert_eq!(out.dist, dijkstra_default(&g, s));
                 assert!(
                     out.stats.max_substeps_in_step <= (k as usize) + 2,
@@ -455,7 +441,7 @@ mod tests {
         for rho in [2usize, 8, 32] {
             let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, rho));
             let bound = crate::verify::step_bound(n, rho, pre.graph.max_weight() as u64);
-            let out = pre.sssp(0);
+            let out = radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 0);
             assert!(
                 out.stats.steps <= bound,
                 "steps {} > bound {bound} at rho={rho}",
@@ -512,7 +498,9 @@ mod tests {
         assert_eq!(loaded.expander, pre.expander, "expansion chains round-trip");
         assert!(!pre.expander.is_empty(), "a (2,12) grid preprocessing records chains");
         assert_eq!(loaded.input_hash, g.content_hash(), "header records the input hash");
-        assert_eq!(loaded.sssp(9).dist, pre.sssp(9).dist);
+        let solve =
+            |p: &Preprocessed| radius_stepping(&p.graph, &RadiiSpec::PerVertex(&p.radii), 9);
+        assert_eq!(solve(&loaded).dist, solve(&pre).dist);
     }
 
     #[test]
@@ -530,7 +518,7 @@ mod tests {
         let g = weights::reweight(&gen::cycle(6), WeightModel::paper_weighted(), 3);
         let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 50));
         assert!(pre.radii.iter().all(|&r| r == INF));
-        let out = pre.sssp(2);
+        let out = radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 2);
         assert_eq!(out.dist, dijkstra_default(&g, 2));
         assert_eq!(out.stats.steps, 1);
     }

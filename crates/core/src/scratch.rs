@@ -3,9 +3,9 @@
 //! The paper's motivating use case (§5.4) runs SSSP "from multiple
 //! sources" over one preprocessed graph; a serving system runs it from
 //! millions. Allocating a fresh tentative-distance array, membership
-//! bitsets, frontier buffers, a heap and a bucket queue for every source is
-//! exactly the cost that dominates small queries — so [`SolverScratch`]
-//! owns all of it once and every solver re-enters through
+//! bitsets, frontier buffers and a heap for every source is exactly the
+//! cost that dominates small queries — so [`SolverScratch`] owns all of it
+//! once and every solver re-enters through
 //! [`crate::solver::SsspSolver::execute`].
 //!
 //! Reset costs per solve, after warmup:
@@ -16,8 +16,8 @@
 //! * membership bitsets are cleared wordwise (64 vertices per word, a
 //!   memset 64× denser than the distance array they shadow);
 //! * vertex buffers are `clear()`ed (length reset, capacity kept);
-//! * heaps and the bucket queue are `clear()`ed through the `rs_ds`
-//!   capacity-preserving contract.
+//! * heaps are `clear()`ed through the `rs_ds` capacity-preserving
+//!   contract.
 //!
 //! Nothing about a previous solve can leak into the next one: the epoch
 //! advance plus the wordwise clears restore every structure to its initial
@@ -36,7 +36,7 @@
 //! shortest paths of ~65 000 maximum-weight hops, far beyond every graph
 //! in the workspace, and debug builds assert the cap.
 
-use rs_ds::{BucketQueue, DaryHeap};
+use rs_ds::DaryHeap;
 use rs_graph::{CsrGraph, Dist, VertexId};
 use rs_par::{AtomicBitset, EpochMinArray};
 
@@ -112,7 +112,7 @@ pub struct ReverseScratch<'a> {
 /// 1. [`SolverScratch::begin`] with the graph's vertex count;
 /// 2. borrow what the algorithm needs — [`SolverScratch::view`] for the
 ///    atomic arrays/buffers, [`SolverScratch::checkout_heap`] /
-///    [`SolverScratch::checkout_bucket`] for the owned structures (returned
+///    [`SolverScratch::checkout_heap_rev`] for the owned heaps (returned
 ///    with the matching `return_*` call);
 /// 3. [`SolverScratch::finish`], whose return value — `true` iff the solve
 ///    ran entirely on pre-allocated state — lands in
@@ -143,7 +143,6 @@ pub struct SolverScratch {
     mark_d: AtomicBitset,
     heap: Option<DaryHeap>,
     heap_rev: Option<DaryHeap>,
-    bucket: Option<BucketQueue>,
 }
 
 impl SolverScratch {
@@ -160,10 +159,10 @@ impl SolverScratch {
     /// calls this (through `SsspSolver::warm_scratch`) when creating
     /// per-worker scratches; algorithm-specific structures — the
     /// engines' frontier/substep buffers
-    /// ([`SolverScratch::warm_engine_buffers`]), the heap, the bucket
-    /// queue — are warmed by the solvers' own
-    /// `warm_scratch` overrides (or sized on first use), so a Dijkstra or
-    /// ∆-stepping worker never pays for buffers only the engines read.
+    /// ([`SolverScratch::warm_engine_buffers`]) and the heaps — are warmed
+    /// by the solvers' own `warm_scratch` overrides (or sized on first
+    /// use), so a Dijkstra worker never pays for buffers only the engines
+    /// read.
     pub fn warm_up(&mut self, g: &CsrGraph) {
         self.begin(g.num_vertices());
         let _ = self.view();
@@ -360,29 +359,6 @@ impl SolverScratch {
         self.heap_rev = Some(heap);
     }
 
-    /// Checks out a cleared ∆-stepping bucket queue compatible with
-    /// `(current n, delta, max_weight)`, reusing the cached one when it
-    /// fits. Return it with [`SolverScratch::return_bucket`].
-    pub fn checkout_bucket(&mut self, delta: u64, max_weight: u64) -> BucketQueue {
-        debug_assert!(self.in_solve, "checkout_bucket() outside begin()/finish()");
-        match self.bucket.take() {
-            Some(mut q) if q.fits(self.n, delta, max_weight) => {
-                q.clear();
-                q
-            }
-            _ => {
-                self.allocated = true;
-                BucketQueue::new(self.n, delta, max_weight)
-            }
-        }
-    }
-
-    /// Returns a bucket queue checked out with
-    /// [`SolverScratch::checkout_bucket`].
-    pub fn return_bucket(&mut self, queue: BucketQueue) {
-        self.bucket = Some(queue);
-    }
-
     /// Pre-sizes the cached heap slot for graphs of `n` vertices without
     /// opening a solve — the heap half of [`SolverScratch::warm_up`],
     /// called by the `warm_scratch` of solvers that run a heap-based
@@ -395,16 +371,6 @@ impl SolverScratch {
     /// [`SolverScratch::warm_heap`].
     pub fn warm_heap_rev(&mut self, n: usize) {
         warm_slot(&mut self.heap_rev, n);
-    }
-
-    /// Pre-sizes the cached bucket queue without opening a solve — the
-    /// ∆-stepping half of [`SolverScratch::warm_up`].
-    pub fn warm_bucket(&mut self, n: usize, delta: u64, max_weight: u64) {
-        let queue = match self.bucket.take() {
-            Some(q) if q.fits(n, delta, max_weight) => q,
-            _ => BucketQueue::new(n, delta, max_weight),
-        };
-        self.bucket = Some(queue);
     }
 }
 
@@ -715,40 +681,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_heap_and_bucket_prewarm_slots() {
+    fn warm_heap_prewarms_slot() {
         let mut s = SolverScratch::new();
         s.warm_heap(64);
         s.begin(64);
         let h = s.checkout_heap();
         s.return_heap(h);
         assert!(s.finish(), "prewarmed heap checkout is warm");
-
-        s.warm_bucket(64, 5, 100);
-        s.begin(64);
-        let q = s.checkout_bucket(5, 100);
-        s.return_bucket(q);
-        assert!(s.finish(), "prewarmed bucket checkout is warm");
-    }
-
-    #[test]
-    fn bucket_reuse_keyed_on_parameters() {
-        let mut s = SolverScratch::new();
-        s.begin(40);
-        let q = s.checkout_bucket(5, 100);
-        s.return_bucket(q);
-        assert!(!s.finish());
-
-        s.begin(40);
-        let mut q = s.checkout_bucket(5, 100);
-        assert!(q.is_empty());
-        q.insert_or_decrease(3, 12);
-        s.return_bucket(q);
-        assert!(s.finish(), "same parameters reuse the queue");
-
-        s.begin(40);
-        let q = s.checkout_bucket(7, 100);
-        s.return_bucket(q);
-        assert!(!s.finish(), "different delta reallocates");
     }
 
     #[test]

@@ -555,7 +555,7 @@ pub trait SsspSolver: Sync {
     /// Pre-sizes `scratch` for this solver so a latency-critical *first*
     /// query skips the cold allocation spike. The default pre-sizes the
     /// shared working structures for [`SsspSolver::graph`]; solvers with
-    /// private structures (Dijkstra's heap, ∆-stepping's bucket queue)
+    /// private structures (the engines' buffers, Dijkstra's heap)
     /// override it to warm those too. [`QueryBatch::execute`] calls this
     /// when creating per-worker scratches.
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
@@ -949,7 +949,10 @@ pub enum Algorithm {
     RadiusStepping { engine: EngineKind, radii: Radii },
     /// Sequential Dijkstra on a 4-ary decrease-key heap.
     Dijkstra,
-    /// Meyer–Sanders ∆-stepping with bucket width ∆.
+    /// ∆-stepping as the paper places it (§3): the frontier engine at
+    /// `r ≡ ∆`, "almost ∆-stepping" without the light/heavy edge split.
+    /// Radii stay `∆` even with preprocessing attached (the shortcuts
+    /// still apply). `∆ = 0` is `r ≡ 0`.
     DeltaStepping { delta: Dist },
     /// Bellman–Ford as the paper defines it (§3): the frontier engine at
     /// `r ≡ ∞`, one step whose substeps run to a fixpoint. Radii stay
@@ -1213,11 +1216,11 @@ impl<'g> SolverBuilder<'g> {
 
     /// Builds a radius-stepping solver from the current `algorithm`
     /// selection (`RadiusStepping`, or one of the points on the radius
-    /// spectrum, `BellmanFord` and `Bfs`), applying any attached
-    /// preprocessing.
+    /// spectrum, `DeltaStepping`, `BellmanFord` and `Bfs`), applying any
+    /// attached preprocessing.
     ///
-    /// Panics on `Dijkstra` and `DeltaStepping` — those baselines are
-    /// built by `rs_baselines::solver::BuildSolver`.
+    /// Panics on `Dijkstra`, which `rs_baselines::solver::BuildSolver`
+    /// builds.
     pub fn radius_stepping_solver_from_algorithm(self) -> RadiusSteppingSolver<'g> {
         RadiusSteppingSolver::from_parts(self.into_parts())
     }
@@ -1315,16 +1318,17 @@ pub struct RadiusSteppingSolver<'g> {
 impl<'g> RadiusSteppingSolver<'g> {
     /// Construction from builder state. `RadiusStepping` takes its engine
     /// and radii, with preprocessing (when attached) replacing the radii
-    /// by `r_ρ(v)`; `BellmanFord` is the frontier engine at `r ≡ ∞` and
-    /// `Bfs` the unweighted engine at `r ≡ 0`, whatever is attached.
-    /// Preprocessing replaces the graph in every case.
+    /// by `r_ρ(v)`; `DeltaStepping { delta }` is the frontier engine at
+    /// `r ≡ ∆`, `BellmanFord` at `r ≡ ∞`, and `Bfs` the unweighted engine
+    /// at `r ≡ 0`, whatever is attached. Preprocessing replaces the graph
+    /// in every case.
     ///
-    /// Panics on `Dijkstra` / `DeltaStepping` (built by
-    /// `rs_baselines::solver::BuildSolver`), and on `Bfs` over a weighted
-    /// (or preprocessed) graph.
+    /// Panics on `Dijkstra` (built by `rs_baselines::solver::BuildSolver`),
+    /// and on `Bfs` over a weighted (or preprocessed) graph.
     pub fn from_parts(parts: BuilderParts<'g>) -> Self {
         let (engine, radii) = match &parts.algorithm {
             Algorithm::RadiusStepping { engine, radii } => (*engine, radii.clone()),
+            Algorithm::DeltaStepping { delta } => (EngineKind::Frontier, Radii::Constant(*delta)),
             Algorithm::BellmanFord => (EngineKind::Frontier, Radii::Infinite),
             Algorithm::Bfs => (EngineKind::Unweighted, Radii::Zero),
             other => panic!("{other:?} is not a radius-stepping point; use BuildSolver::build"),
@@ -1814,6 +1818,11 @@ mod tests {
         assert!(bf.expander.is_some(), "shortcuts still apply");
         let out = bf.execute(&Query::single_source(3), &mut SolverScratch::new());
         assert_eq!(out.stats().steps, 1, "r ≡ ∞ survives preprocessing");
+        let delta = SolverBuilder::new(&g)
+            .algorithm(Algorithm::DeltaStepping { delta: 700 })
+            .preprocess(PreprocessConfig::new(1, 8))
+            .radius_stepping_solver_from_algorithm();
+        assert_eq!((delta.engine, &delta.radii), (EngineKind::Frontier, &Radii::Constant(700)));
         let unit = gen::grid2d(6, 6);
         let bfs = SolverBuilder::new(&unit)
             .algorithm(Algorithm::Bfs)

@@ -20,8 +20,9 @@ fn main() {
 
     // Every point on the paper's algorithm spectrum, one builder each.
     // (§3: r=0 is Dijkstra-like, r=∆ almost ∆-stepping, and r=∞ is
-    // Bellman–Ford — `Algorithm::BellmanFord` builds exactly that frontier
-    // engine; preprocessed r_rho(v) gives the paper's bounds.)
+    // Bellman–Ford — `Algorithm::DeltaStepping` and `Algorithm::BellmanFord`
+    // build exactly those frontier engines; preprocessed r_rho(v) gives
+    // the paper's bounds. Dijkstra is the one separate implementation.)
     let spectrum: Vec<(Algorithm, Option<PreprocessConfig>)> = vec![
         (Algorithm::Dijkstra, None),
         (Algorithm::DeltaStepping { delta: 2_000 }, None),

@@ -13,12 +13,12 @@
 //!   kernels), preprocessing, the solver trait + builder, and the
 //!   sequential step oracle in `verify`.
 //! * [`graph`] (`rs_graph`) — CSR graphs, generators, weight models, I/O.
-//! * [`baselines`] (`rs_baselines`) — Dijkstra, ∆-stepping, and their
-//!   solver adapters, the sequential BFS oracle, and the builder's
-//!   `build()` (Bellman–Ford and BFS build as radius stepping at
-//!   `r ≡ ∞` / `r ≡ 0`).
-//! * [`ds`] (`rs_ds`) — the 4-ary decrease-key heap behind Dijkstra, the
-//!   ∆-stepping bucket queue, and the serving latency histogram.
+//! * [`baselines`] (`rs_baselines`) — Dijkstra and its solver adapter,
+//!   the Meyer–Sanders ∆-stepping comparator, the sequential BFS oracle,
+//!   and the builder's `build()` (∆-stepping, Bellman–Ford and BFS build
+//!   as radius stepping at `r ≡ ∆` / `r ≡ ∞` / `r ≡ 0`).
+//! * [`ds`] (`rs_ds`) — the 4-ary decrease-key heap behind Dijkstra and
+//!   the serving latency histogram.
 //! * [`par`] (`rs_par`) — parallel primitives (scan, pack, write-min,
 //!   frontiers).
 //!

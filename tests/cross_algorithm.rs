@@ -20,10 +20,13 @@ fn graphs() -> Vec<(&'static str, CsrGraph)> {
     ]
 }
 
+/// The bucket widths `Algorithm::DeltaStepping` is run at; `0` is `r ≡ 0`.
+const DELTAS: [Dist; 5] = [0, 1, 777, 10_000, 1 << 20];
+
 /// Every weighted algorithm the builder can construct.
 fn weighted_algorithms() -> Vec<Algorithm> {
     let mut algorithms = vec![Algorithm::Dijkstra, Algorithm::BellmanFord];
-    for delta in [1u64, 777, 10_000, 1 << 20] {
+    for delta in DELTAS {
         algorithms.push(Algorithm::DeltaStepping { delta });
     }
     for radii in [Radii::Zero, Radii::Infinite, Radii::Constant(5_000)] {
@@ -43,12 +46,20 @@ fn all_weighted_solvers_agree() {
             let out = solver.execute(&Query::single_source(source), &mut scratch);
             assert_eq!(out.dist(), reference, "{name}: {}", solver.name());
         }
-        // The frontier engine also takes the sequential oracle's steps.
-        for radii in [RadiiSpec::Zero, RadiiSpec::Infinite, RadiiSpec::Constant(5_000)] {
-            let cfg = EngineConfig::with_trace();
-            let out = core::radius_stepping_with(&g, &radii, source, EngineKind::Frontier, cfg);
-            let oracle = core::verify::step_trace(&g, &radii, source);
-            assert_eq!((out.dist, out.stats.trace.unwrap()), oracle, "{name}: {radii:?}");
+        // The frontier engine also takes the sequential oracle's steps, and
+        // `DeltaStepping { delta }` is exactly its `r ≡ ∆` point.
+        let frontier = |radii| Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii };
+        let points = [Radii::Zero, Radii::Infinite, Radii::Constant(5_000)]
+            .map(|radii| (frontier(radii.clone()), radii))
+            .into_iter()
+            .chain(
+                DELTAS.map(|delta| (Algorithm::DeltaStepping { delta }, Radii::Constant(delta))),
+            );
+        for (algorithm, radii) in points {
+            let solver = SolverBuilder::new(&g).algorithm(algorithm).trace(true).build();
+            let out = solver.execute(&Query::single_source(source), &mut scratch).into_result();
+            let oracle = core::verify::step_trace(&g, &radii.as_spec(), source);
+            assert_eq!((out.dist, out.stats.trace.unwrap()), oracle, "{name}: {}", solver.name());
         }
     }
 }

@@ -84,10 +84,11 @@ fn preprocessing_on_disconnected_graph() {
     }
     let g = b.build();
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 3));
-    let out = pre.sssp(0);
+    let radii = RadiiSpec::PerVertex(&pre.radii);
+    let out = radius_stepping(&pre.graph, &radii, 0);
     assert_eq!(out.dist[3], 15);
     assert!(out.dist[4..].iter().all(|&d| d == INF));
-    let out2 = pre.sssp(7);
+    let out2 = radius_stepping(&pre.graph, &radii, 7);
     assert_eq!(out2.dist[4], 9);
     assert!(out2.dist[..4].iter().all(|&d| d == INF));
 }
@@ -103,7 +104,10 @@ fn duplicate_and_reverse_edges_collapse() {
     let g = b.build();
     assert_eq!(g.arc_weight(0, 1), Some(4));
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 2));
-    assert_eq!(pre.sssp(0).dist, vec![0, 4, 6]);
+    assert_eq!(
+        radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 0).dist,
+        vec![0, 4, 6]
+    );
 }
 
 #[test]
@@ -117,9 +121,11 @@ fn stress_determinism_across_runs_and_engines() {
         18,
     );
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(2, 20));
-    let oracle = step_trace(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 5);
+    let radii = RadiiSpec::PerVertex(&pre.radii);
+    let oracle = step_trace(&pre.graph, &radii, 5);
     for _ in 0..2 {
-        let out = pre.sssp_with(5, EngineKind::Frontier, EngineConfig::with_trace());
+        let cfg = EngineConfig::with_trace();
+        let out = radius_stepping_with(&pre.graph, &radii, 5, EngineKind::Frontier, cfg);
         assert_eq!(out.dist, oracle.0);
         assert_eq!(out.stats.trace.unwrap(), oracle.1, "step traces must be deterministic");
     }
@@ -137,6 +143,6 @@ fn weight_one_and_weight_l_extremes_in_same_graph() {
     b.add_edge(0, 5, 10_000);
     let g = b.build();
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 2));
-    let out = pre.sssp(0);
+    let out = radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 0);
     assert_eq!(out.dist, baselines::dijkstra_default(&g, 0));
 }

@@ -4,7 +4,7 @@
 use radius_stepping::prelude::*;
 use rs_core::preprocess::ShortcutHeuristic;
 use rs_core::verify::{check_k_rho_graph, step_bound, step_trace, substep_bound};
-use rs_core::{EngineConfig, EngineKind};
+use rs_core::{radius_stepping_with, EngineConfig, EngineKind};
 
 fn family(seed: u64) -> Vec<(&'static str, CsrGraph)> {
     vec![
@@ -48,7 +48,9 @@ fn full_pipeline_all_configs() {
         ] {
             let pre = Preprocessed::build(&g, &PreprocessConfig { k, rho, heuristic: h });
             pre.graph.check_invariants().unwrap();
-            let out = pre.sssp_with(3, EngineKind::Frontier, EngineConfig::with_trace());
+            let radii = RadiiSpec::PerVertex(&pre.radii);
+            let cfg = EngineConfig::with_trace();
+            let out = radius_stepping_with(&pre.graph, &radii, 3, EngineKind::Frontier, cfg);
             assert_eq!(out.dist, reference, "{name} k={k} rho={rho} {h:?}");
             assert!(
                 out.stats.max_substeps_in_step <= substep_bound(k),
@@ -94,8 +96,11 @@ fn pipeline_is_deterministic() {
     assert_eq!(a.graph, b.graph);
     assert_eq!(a.radii, b.radii);
     assert_eq!(a.stats, b.stats);
-    let ra = a.sssp_with(0, EngineKind::Frontier, EngineConfig::with_trace());
-    let rb = b.sssp_with(0, EngineKind::Frontier, EngineConfig::with_trace());
+    let solve = |p: &Preprocessed| {
+        let radii = RadiiSpec::PerVertex(&p.radii);
+        radius_stepping_with(&p.graph, &radii, 0, EngineKind::Frontier, EngineConfig::with_trace())
+    };
+    let (ra, rb) = (solve(&a), solve(&b));
     assert_eq!(ra.dist, rb.dist);
     assert_eq!(ra.stats.steps, rb.stats.steps);
     assert_eq!(ra.stats.substeps, rb.stats.substeps);
@@ -121,8 +126,10 @@ fn multi_source_reuse() {
     let g =
         graph::weights::reweight(&graph::gen::grid2d(12, 12), WeightModel::paper_weighted(), 77);
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 16));
+    let radii = RadiiSpec::PerVertex(&pre.radii);
     for s in 0..24u32 {
-        assert_eq!(pre.sssp(s * 6).dist, baselines::dijkstra_default(&g, s * 6));
+        let out = radius_stepping(&pre.graph, &radii, s * 6);
+        assert_eq!(out.dist, baselines::dijkstra_default(&g, s * 6));
     }
 }
 
@@ -134,7 +141,7 @@ fn path_extraction_on_preprocessed_graph() {
         3,
     );
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 10));
-    let out = pre.sssp(0);
+    let out = radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 0);
     for t in [1u32, 50, 99] {
         let path = out.path_to(&pre.graph, t).expect("connected road network");
         assert_eq!(path[0], 0);

@@ -84,7 +84,8 @@ proptest! {
             return Err(TestCaseError::fail(format!("{h:?} k={k} rho={rho}: {msg} at {v}")));
         }
         // And the theorems' conclusions.
-        let out = pre.sssp_with(0, EngineKind::Frontier, EngineConfig::with_trace());
+        let radii = RadiiSpec::PerVertex(&pre.radii);
+        let out = radius_stepping_with(&pre.graph, &radii, 0, EngineKind::Frontier, EngineConfig::with_trace());
         prop_assert!(out.stats.max_substeps_in_step <= substep_bound(k));
         prop_assert!(out.stats.steps <= step_bound(n, rho, pre.graph.max_weight() as u64));
         prop_assert_eq!(out.dist, baselines::dijkstra_default(&g, 0));

@@ -322,8 +322,8 @@ fn unreachable_goals_terminate() {
 /// Satellite acceptance: after `warm_scratch`, the *first* query performs
 /// zero scratch-managed allocations for every solver — each override
 /// warms exactly its own structures (engine buffers for radius stepping,
-/// the heap for Dijkstra, the bucket queue for ∆-stepping; Bellman–Ford
-/// needs only the shared state).
+/// including its ∆-stepping and Bellman–Ford points, and the heap for
+/// Dijkstra).
 #[test]
 fn first_query_runs_warm_after_warm_scratch() {
     let g = weighted(5);
