@@ -16,7 +16,7 @@ use rs_graph::{CsrGraph, Dist, VertexId, INF};
 /// batch workloads can reuse one heap across sources — see
 /// [`rs_core::SolverScratch`]. Paths are derived from the returned
 /// distances, like every other solver's
-/// ([`rs_core::solver::SolverConfig::finish_paths`]).
+/// ([`rs_core::solver::finish_paths`]).
 pub fn dijkstra_into_heap(
     g: &CsrGraph,
     s: VertexId,

@@ -9,7 +9,11 @@
 //! [`BuildSolver`], making `SolverBuilder::new(&g).build()` the one entry
 //! point applications see. `Algorithm::DeltaStepping`,
 //! `Algorithm::BellmanFord` and `Algorithm::Bfs` are points on the radius
-//! spectrum, so they build as [`RadiusSteppingSolver`]s.
+//! spectrum, so they build as `RadiusSteppingSolver`s through
+//! [`SolverBuilder::radius_stepping_solver_from_algorithm`]; only
+//! `Algorithm::Dijkstra` builds here, on the graph, shortcut expansion
+//! table and point-to-point kernel that [`SolverBuilder::resolve`]
+//! returns.
 //!
 //! Counter mapping into [`rs_core::StepStats`]:
 //!
@@ -20,11 +24,12 @@
 //! | Bellman–Ford (frontier, ∞)   | 1                | relaxation rounds   |
 //! | BFS (unweighted engine, 0)   | levels           | = steps             |
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use rs_core::solver::{
-    execute_many_to_many, solve_goals, Algorithm, P2pKernel, Query, QueryResponse,
-    RadiusSteppingSolver, ResolvedParts, SolverBuilder, SolverConfig, SolverGraph, SsspSolver,
+    execute_many_to_many, finish_paths, solve_goals, Algorithm, P2pKernel, Query, QueryResponse,
+    ResolvedParts, SolverBuilder, SsspSolver,
 };
 use rs_core::stats::{SsspResult, StepStats};
 use rs_core::{ShortcutExpander, SolverScratch};
@@ -42,27 +47,24 @@ pub trait BuildSolver<'g> {
 
 impl<'g> BuildSolver<'g> for SolverBuilder<'g> {
     fn build(self) -> Box<dyn SsspSolver + 'g> {
-        let parts = self.into_parts();
+        if *self.selected_algorithm() != Algorithm::Dijkstra {
+            return Box::new(self.radius_stepping_solver_from_algorithm());
+        }
         // Dijkstra runs on the (possibly shortcut-augmented) graph;
         // shortcuts preserve distances, so it stays exact — and carries the
         // expansion table so extracted paths unroll back to input-graph
         // edges.
-        match parts.algorithm {
-            Algorithm::Dijkstra => {
-                let ResolvedParts { graph, expander, p2p, .. } = parts.resolve();
-                Box::new(DijkstraSolver { graph, config: parts.config, expander, p2p })
-            }
-            _ => Box::new(RadiusSteppingSolver::from_parts(parts)),
-        }
+        let ResolvedParts { graph, expander, p2p, .. } = self.resolve();
+        Box::new(DijkstraSolver { graph, expander, p2p })
     }
 }
 
-/// Sequential Dijkstra behind the solver interface.
+/// Sequential Dijkstra behind the solver interface; built by
+/// [`BuildSolver::build`].
 pub struct DijkstraSolver<'g> {
-    pub graph: SolverGraph<'g>,
-    pub config: SolverConfig,
-    pub expander: Option<Arc<ShortcutExpander>>,
-    pub p2p: P2pKernel,
+    graph: Cow<'g, CsrGraph>,
+    expander: Option<Arc<ShortcutExpander>>,
+    p2p: P2pKernel,
 }
 
 impl DijkstraSolver<'_> {
@@ -89,7 +91,7 @@ impl DijkstraSolver<'_> {
             scratch_reused: scratch.finish(),
             trace: None,
         };
-        let result = self.config.finish_paths(&self.graph, query, SsspResult::new(dist, stats));
+        let result = finish_paths(&self.graph, query, SsspResult::new(dist, stats));
         QueryResponse::single(query.clone(), result).with_expander(self.expander.clone())
     }
 }
@@ -164,6 +166,41 @@ mod tests {
     fn bfs_solver_rejects_weighted() {
         let g = weighted();
         let _ = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
+    }
+
+    /// `Algorithm::RadiusStepping` on the unweighted engine, over a
+    /// weighted grid with or without preprocessing: rejected at build, not
+    /// at the first solve.
+    fn unweighted_engine_on_weighted(preprocess: Option<PreprocessConfig>) {
+        let g = weights::reweight(&gen::grid2d(8, 8), WeightModel::paper_weighted(), 1);
+        let algorithm =
+            Algorithm::RadiusStepping { engine: EngineKind::Unweighted, radii: Radii::Zero };
+        let mut builder = SolverBuilder::new(&g).algorithm(algorithm);
+        if let Some(cfg) = preprocess {
+            builder = builder.preprocess(cfg);
+        }
+        let _ = builder.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "unit-weighted")]
+    fn unweighted_engine_rejects_weighted() {
+        unweighted_engine_on_weighted(None);
+    }
+
+    #[test]
+    #[should_panic(expected = "unit-weighted")]
+    fn unweighted_engine_rejects_preprocessed() {
+        unweighted_engine_on_weighted(Some(PreprocessConfig::new(1, 8)));
+    }
+
+    #[test]
+    #[should_panic(expected = "has 10 radii but the graph has 64 vertices")]
+    fn per_vertex_radii_length_checked_at_build() {
+        let g = weights::reweight(&gen::grid2d(8, 8), WeightModel::paper_weighted(), 1);
+        let radii = Radii::PerVertex(vec![1_000; 10].into());
+        let algorithm = Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii };
+        let _ = SolverBuilder::new(&g).algorithm(algorithm).build();
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use rs_baselines::{delta_stepping, dijkstra_default};
 use rs_core::preprocess::{PreprocessConfig, Preprocessed};
-use rs_core::{radius_stepping, RadiiSpec};
+use rs_core::{radius_stepping, Radii};
 use rs_graph::{gen, weights, WeightModel};
 
 fn sssp_compare(c: &mut Criterion) {
@@ -29,9 +29,10 @@ fn sssp_compare(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("sssp/{name}"));
         group.sample_size(10);
         let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 32));
-        let radii = RadiiSpec::PerVertex(&pre.radii);
         group.bench_function(BenchmarkId::from_parameter("radius_stepping_rho32"), |b| {
-            b.iter(|| black_box(radius_stepping(&pre.graph, &radii, 0).dist[g.num_vertices() - 1]))
+            b.iter(|| {
+                black_box(radius_stepping(&pre.graph, &pre.radii, 0).dist[g.num_vertices() - 1])
+            })
         });
         group.bench_function(BenchmarkId::from_parameter("dijkstra"), |b| {
             b.iter(|| black_box(dijkstra_default(&g, 0)[g.num_vertices() - 1]))
@@ -41,7 +42,7 @@ fn sssp_compare(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::from_parameter("bellman_ford"), |b| {
             b.iter(|| {
-                black_box(radius_stepping(&g, &RadiiSpec::Infinite, 0).dist[g.num_vertices() - 1])
+                black_box(radius_stepping(&g, &Radii::Infinite, 0).dist[g.num_vertices() - 1])
             })
         });
         group.finish();

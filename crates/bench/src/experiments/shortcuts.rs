@@ -110,7 +110,7 @@ pub fn run(cfg: &ExpConfig) -> ShortcutReport {
                 continue;
             }
             let (greedy, dp, radii) = shortcut_counts_and_radii(g, rho, &K_SHORTCUT);
-            let spec = rs_core::RadiiSpec::PerVertex(&radii);
+            let spec = rs_core::Radii::PerVertex(radii.into());
             let steps_at_rho = crate::mean(
                 &sources
                     .iter()

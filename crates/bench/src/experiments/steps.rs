@@ -38,7 +38,7 @@ pub fn mean_steps(g: &CsrGraph, rho: usize, sources: &[VertexId]) -> f64 {
         // exactly Dijkstra-with-batched-ties / standard BFS.
         Radii::Zero
     } else {
-        Radii::PerVertex(compute_radii(g, rho))
+        Radii::PerVertex(compute_radii(g, rho).into())
     };
     let solver = SolverBuilder::new(g)
         .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii })

@@ -37,7 +37,7 @@ use rayon::prelude::*;
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
 use rs_par::{par_min, AtomicBitset, EpochMinArray};
 
-use crate::radii::RadiiSpec;
+use crate::radii::Radii;
 use crate::scratch::SolverScratch;
 use crate::stats::{SsspResult, StepStats, StepTrace};
 use crate::{EngineConfig, Goals};
@@ -48,7 +48,7 @@ const SEQ_SUBSTEP: usize = 2048;
 
 pub(crate) fn run_with(
     g: &CsrGraph,
-    radii: &RadiiSpec,
+    radii: &Radii,
     source: VertexId,
     config: EngineConfig<'_>,
     scratch: &mut SolverScratch,
@@ -299,7 +299,7 @@ mod tests {
     use crate::{radius_stepping_with, EngineKind};
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel, INF};
 
-    fn solve(g: &CsrGraph, radii: &RadiiSpec, s: VertexId) -> SsspResult {
+    fn solve(g: &CsrGraph, radii: &Radii, s: VertexId) -> SsspResult {
         radius_stepping_with(g, radii, s, EngineKind::Frontier, EngineConfig::with_trace())
     }
 
@@ -310,14 +310,9 @@ mod tests {
         // Interleave sources on one scratch; every run must equal a fresh
         // solve, and every run after the first must be allocation-free.
         for (i, s) in [0u32, 80, 40, 0, 13].into_iter().enumerate() {
-            let warm = run_with(
-                &g,
-                &RadiiSpec::Constant(700),
-                s,
-                EngineConfig::with_trace(),
-                &mut scratch,
-            );
-            let cold = solve(&g, &RadiiSpec::Constant(700), s);
+            let warm =
+                run_with(&g, &Radii::Constant(700), s, EngineConfig::with_trace(), &mut scratch);
+            let cold = solve(&g, &Radii::Constant(700), s);
             assert_eq!(warm.dist, cold.dist, "source {s}");
             assert_eq!(warm.stats.steps, cold.stats.steps);
             assert_eq!(warm.stats.substeps, cold.stats.substeps);
@@ -375,7 +370,7 @@ mod tests {
         b.add_edge(0, 2, 1);
         b.add_edge(1, 3, 2);
         let g = b.build();
-        let out = solve(&g, &RadiiSpec::Zero, 0);
+        let out = solve(&g, &Radii::Zero, 0);
         assert_eq!(out.dist, vec![0, 1, 1, 3]);
         // Distinct nonzero distance values: {1, 3} -> 2 steps.
         assert_eq!(out.stats.steps, 2);
@@ -387,7 +382,7 @@ mod tests {
     #[test]
     fn infinite_radii_is_bellman_ford_single_step() {
         let g = gen::path(12);
-        let out = solve(&g, &RadiiSpec::Infinite, 0);
+        let out = solve(&g, &Radii::Infinite, 0);
         assert_eq!(out.stats.steps, 1);
         assert_eq!(out.dist[11], 11);
         // Vertex 1 starts relaxed; substeps walk the chain to vertex 11
@@ -400,11 +395,11 @@ mod tests {
         // On a long path, a goal near the source must stop after roughly
         // its hop count, not the full 499-substep fixpoint.
         let g = gen::path(500);
-        let full = solve(&g, &RadiiSpec::Infinite, 0);
+        let full = solve(&g, &Radii::Infinite, 0);
         assert_eq!(full.stats.substeps, 499);
         let bounded = radius_stepping_with(
             &g,
-            &RadiiSpec::Infinite,
+            &Radii::Infinite,
             0,
             EngineKind::Frontier,
             EngineConfig { goals: Goals::One(10), ..Default::default() },
@@ -434,7 +429,7 @@ mod tests {
             for goal in goals {
                 let out = radius_stepping_with(
                     &g,
-                    &RadiiSpec::Infinite,
+                    &Radii::Infinite,
                     7,
                     EngineKind::Frontier,
                     EngineConfig { goals: Goals::One(goal), ..Default::default() },
@@ -443,7 +438,7 @@ mod tests {
             }
             let many = radius_stepping_with(
                 &g,
-                &RadiiSpec::Infinite,
+                &Radii::Infinite,
                 7,
                 EngineKind::Frontier,
                 EngineConfig { goals: Goals::Many(&goals), ..Default::default() },
@@ -461,7 +456,7 @@ mod tests {
         let g = b.build();
         let out = radius_stepping_with(
             &g,
-            &RadiiSpec::Infinite,
+            &Radii::Infinite,
             0,
             EngineKind::Frontier,
             EngineConfig { goals: Goals::One(2), ..Default::default() },
@@ -474,7 +469,7 @@ mod tests {
         let mut b = EdgeListBuilder::new(4);
         b.add_edge(0, 1, 3);
         let g = b.build();
-        let out = solve(&g, &RadiiSpec::Constant(5), 0);
+        let out = solve(&g, &Radii::Constant(5), 0);
         assert_eq!(out.dist, vec![0, 3, INF, INF]);
         assert_eq!(out.stats.settled, 2);
     }
@@ -482,7 +477,7 @@ mod tests {
     #[test]
     fn trace_is_consistent() {
         let g = weights::reweight(&gen::grid2d(8, 8), WeightModel::paper_weighted(), 2);
-        let out = solve(&g, &RadiiSpec::Constant(500), 0);
+        let out = solve(&g, &Radii::Constant(500), 0);
         let trace = out.stats.trace.as_ref().unwrap();
         assert_eq!(trace.len(), out.stats.steps);
         // d_i strictly increasing; settled counts sum to reachable count.
@@ -495,7 +490,7 @@ mod tests {
     #[test]
     fn singleton_graph() {
         let g = CsrGraph::empty(1);
-        let out = solve(&g, &RadiiSpec::Zero, 0);
+        let out = solve(&g, &Radii::Zero, 0);
         assert_eq!(out.dist, vec![0]);
         assert_eq!(out.stats.steps, 0);
     }
@@ -503,7 +498,7 @@ mod tests {
     #[test]
     fn star_settles_in_one_step_with_big_radius() {
         let g = gen::star(50);
-        let out = solve(&g, &RadiiSpec::Constant(10), 0);
+        let out = solve(&g, &Radii::Constant(10), 0);
         assert_eq!(out.stats.steps, 1, "all leaves within d_1 = 1 + 10");
         assert!(out.dist[1..].iter().all(|&d| d == 1));
     }

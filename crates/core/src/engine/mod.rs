@@ -20,7 +20,7 @@ pub mod unweighted;
 
 use rs_graph::{CsrGraph, VertexId};
 
-use crate::radii::RadiiSpec;
+use crate::radii::Radii;
 use crate::scratch::SolverScratch;
 use crate::stats::SsspResult;
 
@@ -100,14 +100,14 @@ impl EngineConfig<'_> {
 ///
 /// Correct for any `radii` (Theorem 3.1 holds regardless); the radii govern
 /// only how many steps and substeps the run takes.
-pub fn radius_stepping(g: &CsrGraph, radii: &RadiiSpec, source: VertexId) -> SsspResult {
+pub fn radius_stepping(g: &CsrGraph, radii: &Radii, source: VertexId) -> SsspResult {
     radius_stepping_with(g, radii, source, EngineKind::Frontier, EngineConfig::default())
 }
 
 /// Solves SSSP with an explicit engine and configuration.
 pub fn radius_stepping_with(
     g: &CsrGraph,
-    radii: &RadiiSpec,
+    radii: &Radii,
     source: VertexId,
     kind: EngineKind,
     config: EngineConfig<'_>,
@@ -121,7 +121,7 @@ pub fn radius_stepping_with(
 /// solvers' [`crate::solver::SsspSolver::execute`].
 pub fn radius_stepping_with_scratch(
     g: &CsrGraph,
-    radii: &RadiiSpec,
+    radii: &Radii,
     source: VertexId,
     kind: EngineKind,
     config: EngineConfig<'_>,
@@ -145,13 +145,13 @@ mod tests {
         // matches the sequential step oracle.
         let g = gen::cycle(8);
         let run =
-            |kind| radius_stepping_with(&g, &RadiiSpec::Zero, 0, kind, EngineConfig::with_trace());
+            |kind| radius_stepping_with(&g, &Radii::Zero, 0, kind, EngineConfig::with_trace());
         let (f, u) = (run(EngineKind::Frontier), run(EngineKind::Unweighted));
         assert_eq!(f.dist, u.dist);
         assert!(f.dist.iter().all(|&d| d != INF));
         assert_eq!(
             (f.dist, f.stats.trace.unwrap()),
-            crate::verify::step_trace(&g, &RadiiSpec::Zero, 0)
+            crate::verify::step_trace(&g, &Radii::Zero, 0)
         );
     }
 
@@ -159,6 +159,6 @@ mod tests {
     #[should_panic(expected = "source out of range")]
     fn source_bounds_checked() {
         let g = gen::path(3);
-        radius_stepping(&g, &RadiiSpec::Zero, 99);
+        radius_stepping(&g, &Radii::Zero, 99);
     }
 }

@@ -282,7 +282,7 @@ mod tests {
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel};
 
     fn reference(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
-        crate::radius_stepping(g, &crate::RadiiSpec::Zero, s).dist
+        crate::radius_stepping(g, &crate::Radii::Zero, s).dist
     }
 
     fn weighted(seed: u64) -> CsrGraph {

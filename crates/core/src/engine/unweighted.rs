@@ -15,14 +15,14 @@
 use rs_graph::{edge_map, CsrGraph, Dist, VertexId, INF};
 use rs_par::{par_min, VertexSubset};
 
-use crate::radii::RadiiSpec;
+use crate::radii::Radii;
 use crate::scratch::SolverScratch;
 use crate::stats::{SsspResult, StepStats, StepTrace};
 use crate::EngineConfig;
 
 pub(crate) fn run_with(
     g: &CsrGraph,
-    radii: &RadiiSpec,
+    radii: &Radii,
     source: VertexId,
     config: EngineConfig<'_>,
     scratch: &mut SolverScratch,
@@ -110,7 +110,7 @@ mod tests {
     use crate::{radius_stepping_with, EngineKind};
     use rs_graph::gen;
 
-    fn assert_matches_general(g: &CsrGraph, radii: &RadiiSpec, s: VertexId) {
+    fn assert_matches_general(g: &CsrGraph, radii: &Radii, s: VertexId) {
         let bfs_mode =
             radius_stepping_with(g, radii, s, EngineKind::Unweighted, EngineConfig::with_trace());
         let general =
@@ -126,10 +126,10 @@ mod tests {
     #[test]
     fn matches_general_engine_across_radii() {
         for g in [gen::grid2d(15, 16), gen::scale_free(400, 3, 3), gen::path(30)] {
-            for radii in [RadiiSpec::Zero, RadiiSpec::Constant(3), RadiiSpec::Constant(10)] {
+            for radii in [Radii::Zero, Radii::Constant(3), Radii::Constant(10)] {
                 assert_matches_general(&g, &radii, 0);
             }
-            assert_matches_general(&g, &RadiiSpec::Infinite, 2);
+            assert_matches_general(&g, &Radii::Infinite, 2);
         }
     }
 
@@ -137,8 +137,8 @@ mod tests {
     fn matches_with_preprocessed_radii() {
         let g = gen::webgraph(600, 3, 0.3, 15, 7);
         for rho in [2usize, 8, 32] {
-            let radii = compute_radii(&g, rho);
-            assert_matches_general(&g, &RadiiSpec::PerVertex(&radii), 0);
+            let radii = Radii::PerVertex(compute_radii(&g, rho).into());
+            assert_matches_general(&g, &radii, 0);
         }
     }
 
@@ -147,7 +147,7 @@ mod tests {
         let g = gen::grid2d(10, 10);
         let out = radius_stepping_with(
             &g,
-            &RadiiSpec::Zero,
+            &Radii::Zero,
             0,
             EngineKind::Unweighted,
             EngineConfig::default(),
@@ -166,12 +166,6 @@ mod tests {
             rs_graph::WeightModel::UniformInt { lo: 2, hi: 9 },
             1,
         );
-        radius_stepping_with(
-            &g,
-            &RadiiSpec::Zero,
-            0,
-            EngineKind::Unweighted,
-            EngineConfig::default(),
-        );
+        radius_stepping_with(&g, &Radii::Zero, 0, EngineKind::Unweighted, EngineConfig::default());
     }
 }

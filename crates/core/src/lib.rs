@@ -11,7 +11,7 @@
 //! Two entry points:
 //!
 //! * [`radius_stepping`] — run Algorithm 1 on any graph with any
-//!   [`RadiiSpec`] (correct for *all* radii; the radii only steer the
+//!   [`Radii`] (correct for *all* radii; the radii only steer the
 //!   step/substep trade-off: `Zero` ≈ Dijkstra, `Infinite` ≈ Bellman–Ford,
 //!   `Constant(∆)` ≈ ∆-stepping).
 //! * [`preprocess::Preprocessed`] — the full pipeline: build a
@@ -46,12 +46,11 @@ pub use engine::{
 };
 pub use landmarks::{Landmarks, DEFAULT_LANDMARKS};
 pub use preprocess::{PreprocessConfig, Preprocessed, ShortcutExpander};
-pub use radii::RadiiSpec;
+pub use radii::Radii;
 pub use scratch::{global_scratch_pool, PooledScratch, ScratchPool, SolverScratch};
 pub use solver::{
     execute_many_to_many, execute_many_to_many_pooled, Algorithm, BatchOutcome, BatchStats,
-    InvalidQuery, P2pMode, Query, QueryBatch, QueryResponse, QueryShape, Radii, SolverBuilder,
-    SolverConfig, SsspSolver,
+    InvalidQuery, P2pMode, Query, QueryBatch, QueryResponse, QueryShape, SolverBuilder, SsspSolver,
 };
 pub use stats::{
     derive_parents, extract_path, goals_path_parents, SsspResult, StepStats, StepTrace,

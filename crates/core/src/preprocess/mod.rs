@@ -35,6 +35,7 @@ use rs_graph::builder::merge_edges;
 use rs_graph::{CsrGraph, Dist, Edge, VertexId};
 
 use self::expand::ChainLink;
+use crate::radii::Radii;
 
 /// Which shortcut-selection rule to use (§4.1–4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -131,8 +132,9 @@ impl PreprocessStats {
 pub struct Preprocessed {
     /// The (k, ρ)-graph: input plus shortcut edges.
     pub graph: CsrGraph,
-    /// `r(v) = r_ρ(v)` (distance to the ρ-th closest vertex, counting `v`).
-    pub radii: Vec<Dist>,
+    /// `r(v) = r_ρ(v)` (distance to the ρ-th closest vertex, counting `v`),
+    /// always [`Radii::PerVertex`]: pass `&pre.radii` to the engines.
+    pub radii: Radii,
     /// Parameters used.
     pub config: PreprocessConfig,
     /// [`CsrGraph::content_hash`] of the *input* graph (pre-shortcut).
@@ -165,7 +167,7 @@ impl Preprocessed {
         let effective = graph.num_edges() - g.num_edges();
         Preprocessed {
             graph,
-            radii,
+            radii: Radii::PerVertex(radii.into()),
             config: *cfg,
             input_hash: g.content_hash(),
             expander: Arc::new(expander),
@@ -199,9 +201,10 @@ impl Preprocessed {
         ] {
             w.write_all(&s.to_le_bytes())?;
         }
-        w.write_all(&(self.radii.len() as u64).to_le_bytes())?;
-        for &r in &self.radii {
-            w.write_all(&r.to_le_bytes())?;
+        let n = self.graph.num_vertices();
+        w.write_all(&(n as u64).to_le_bytes())?;
+        for v in 0..n as VertexId {
+            w.write_all(&self.radii.get(v).to_le_bytes())?;
         }
         w.write_all(&(self.expander.len() as u64).to_le_bytes())?;
         for (src, member, parent, dist) in self.expander.iter() {
@@ -273,7 +276,7 @@ impl Preprocessed {
         }
         Ok(Preprocessed {
             graph,
-            radii,
+            radii: Radii::PerVertex(radii.into()),
             config: PreprocessConfig { k, rho, heuristic },
             input_hash,
             expander: Arc::new(expander),
@@ -386,7 +389,6 @@ fn preprocess_parts(
 mod tests {
     use super::*;
     use crate::engine::{radius_stepping, radius_stepping_with, EngineConfig, EngineKind};
-    use crate::radii::RadiiSpec;
     use rs_baselines::dijkstra_default;
     use rs_graph::{gen, weights, WeightModel, INF};
 
@@ -420,9 +422,9 @@ mod tests {
         for (k, rho) in [(1u32, 4usize), (1, 16), (2, 10), (3, 25), (4, 50)] {
             let pre = Preprocessed::build(&g, &PreprocessConfig::new(k, rho));
             for s in [0u32, 55] {
-                let radii = RadiiSpec::PerVertex(&pre.radii);
                 let cfg = EngineConfig::with_trace();
-                let out = radius_stepping_with(&pre.graph, &radii, s, EngineKind::Frontier, cfg);
+                let out =
+                    radius_stepping_with(&pre.graph, &pre.radii, s, EngineKind::Frontier, cfg);
                 assert_eq!(out.dist, dijkstra_default(&g, s));
                 assert!(
                     out.stats.max_substeps_in_step <= (k as usize) + 2,
@@ -441,7 +443,7 @@ mod tests {
         for rho in [2usize, 8, 32] {
             let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, rho));
             let bound = crate::verify::step_bound(n, rho, pre.graph.max_weight() as u64);
-            let out = radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 0);
+            let out = radius_stepping(&pre.graph, &pre.radii, 0);
             assert!(
                 out.stats.steps <= bound,
                 "steps {} > bound {bound} at rho={rho}",
@@ -498,8 +500,7 @@ mod tests {
         assert_eq!(loaded.expander, pre.expander, "expansion chains round-trip");
         assert!(!pre.expander.is_empty(), "a (2,12) grid preprocessing records chains");
         assert_eq!(loaded.input_hash, g.content_hash(), "header records the input hash");
-        let solve =
-            |p: &Preprocessed| radius_stepping(&p.graph, &RadiiSpec::PerVertex(&p.radii), 9);
+        let solve = |p: &Preprocessed| radius_stepping(&p.graph, &p.radii, 9);
         assert_eq!(solve(&loaded).dist, solve(&pre).dist);
     }
 
@@ -517,8 +518,8 @@ mod tests {
         // to Bellman-Ford but stays correct.
         let g = weights::reweight(&gen::cycle(6), WeightModel::paper_weighted(), 3);
         let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 50));
-        assert!(pre.radii.iter().all(|&r| r == INF));
-        let out = radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 2);
+        assert!((0..6).all(|v| pre.radii.get(v) == INF));
+        let out = radius_stepping(&pre.graph, &pre.radii, 2);
         assert_eq!(out.dist, dijkstra_default(&g, 2));
         assert_eq!(out.stats.steps, 1);
     }
@@ -534,7 +535,8 @@ mod tests {
         links.sort_unstable();
         let words =
             links.iter().flat_map(|&(s, m, p, d)| [(s as u64) << 32 | m as u64, p as u64, d]);
-        (pre.graph.content_hash(), fnv(pre.radii.iter().copied()), fnv(words), pre.stats.clone())
+        let radii = (0..pre.graph.num_vertices() as VertexId).map(|v| pre.radii.get(v));
+        (pre.graph.content_hash(), fnv(radii), fnv(words), pre.stats.clone())
     }
 
     #[test]

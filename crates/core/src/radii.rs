@@ -7,12 +7,17 @@
 //! algorithm is *correct* for every choice; the radii only trade steps
 //! against substeps.
 
+use std::sync::Arc;
+
 use rs_graph::{Dist, VertexId, INF};
 
-/// A radius assignment `r(v)`.
-#[derive(Debug, Clone)]
-pub enum RadiiSpec<'a> {
+/// A radius assignment `r(v)`: what the engines, the step oracle and
+/// [`crate::solver::Algorithm::RadiusStepping`] take. Cloning is O(1)
+/// (`PerVertex` shares its array).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Radii {
     /// `r(v) = 0`: Dijkstra-like; settles one distance level per step.
+    #[default]
     Zero,
     /// `r(v) = ∞`: Bellman–Ford-like; one step, substeps to fixpoint.
     Infinite,
@@ -20,19 +25,20 @@ pub enum RadiiSpec<'a> {
     /// ∆-stepping, but not quite since ∆ is added to the distance of the
     /// nearest frontier vertex instead of to `d_{i-1}`").
     Constant(Dist),
-    /// Per-vertex radii, e.g. `r_ρ(v)` from preprocessing.
-    PerVertex(&'a [Dist]),
+    /// Per-vertex radii, e.g. `r_ρ(v)` from preprocessing; one entry per
+    /// vertex.
+    PerVertex(Arc<[Dist]>),
 }
 
-impl<'a> RadiiSpec<'a> {
+impl Radii {
     /// `r(v)`.
     #[inline]
     pub fn get(&self, v: VertexId) -> Dist {
         match self {
-            RadiiSpec::Zero => 0,
-            RadiiSpec::Infinite => INF,
-            RadiiSpec::Constant(d) => *d,
-            RadiiSpec::PerVertex(r) => r[v as usize],
+            Radii::Zero => 0,
+            Radii::Infinite => INF,
+            Radii::Constant(d) => *d,
+            Radii::PerVertex(r) => r[v as usize],
         }
     }
 
@@ -49,17 +55,16 @@ mod tests {
 
     #[test]
     fn spectrum_values() {
-        assert_eq!(RadiiSpec::Zero.get(3), 0);
-        assert_eq!(RadiiSpec::Infinite.get(3), INF);
-        assert_eq!(RadiiSpec::Constant(7).get(3), 7);
-        let r = vec![1, 2, 3];
-        assert_eq!(RadiiSpec::PerVertex(&r).get(2), 3);
+        assert_eq!(Radii::Zero.get(3), 0);
+        assert_eq!(Radii::Infinite.get(3), INF);
+        assert_eq!(Radii::Constant(7).get(3), 7);
+        assert_eq!(Radii::PerVertex([1, 2, 3].into()).get(2), 3);
     }
 
     #[test]
     fn key_saturates() {
-        assert_eq!(RadiiSpec::Infinite.key(0, 5), INF);
-        assert_eq!(RadiiSpec::Constant(2).key(0, INF - 1), INF);
-        assert_eq!(RadiiSpec::Constant(2).key(0, 10), 12);
+        assert_eq!(Radii::Infinite.key(0, 5), INF);
+        assert_eq!(Radii::Constant(2).key(0, INF - 1), INF);
+        assert_eq!(Radii::Constant(2).key(0, 10), 12);
     }
 }

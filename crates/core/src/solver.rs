@@ -15,12 +15,12 @@
 //! * [`SsspSolver::execute`] — the one way to run a solve, and the single
 //!   entry point every solver implements: goal-bounded and
 //!   scratch-reusing, with paths derived from the result's distances
-//!   ([`SolverConfig::finish_paths`]).
+//!   ([`finish_paths`]).
 //! * [`Algorithm`] — the algorithm selector (`RadiusStepping { engine,
 //!   radii }`, `Dijkstra`, `DeltaStepping { delta }`,
 //!   `BellmanFord`, `Bfs`).
 //! * [`SolverBuilder`] — picks the algorithm, optionally attaches
-//!   (k, ρ)-preprocessing, and sets tracing and the point-to-point mode.
+//!   (k, ρ)-preprocessing, and sets the point-to-point mode.
 //! * [`QueryBatch`] — the mixed-shape batch layer: deduplicates by
 //!   canonical query key (goal sets sorted + deduplicated), fans the
 //!   unique queries over the work-stealing pool with one pre-warmed
@@ -58,6 +58,7 @@
 //! assert!(again.stats().scratch_reused);
 //! ```
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
@@ -65,7 +66,7 @@ use rs_graph::{CsrGraph, Dist, VertexId, INF};
 use crate::engine::{p2p, radius_stepping_with_scratch, EngineConfig, EngineKind, Goals};
 use crate::landmarks::{Landmarks, DEFAULT_LANDMARKS};
 use crate::preprocess::{PreprocessConfig, Preprocessed, ShortcutExpander};
-use crate::radii::RadiiSpec;
+pub use crate::radii::Radii;
 use crate::scratch::SolverScratch;
 use crate::stats::{SsspResult, StepStats};
 
@@ -113,7 +114,7 @@ pub struct Query {
     /// What to compute.
     pub shape: QueryShape,
     /// Return a shortest-path tree. Forward solves derive it from the
-    /// result's distances ([`SolverConfig::finish_paths`]), so the same
+    /// result's distances ([`finish_paths`]), so the same
     /// query returns the same path at every thread count; the sequential
     /// bidirectional and goal-directed point-to-point kernels record their
     /// own. On a goal-bounded query the tree covers the goal paths (no
@@ -913,33 +914,6 @@ impl BatchStats {
     }
 }
 
-/// Owned radius assignment (the builder cannot borrow like
-/// [`RadiiSpec`] does).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum Radii {
-    /// `r ≡ 0`: Dijkstra-like (one distance level per step).
-    #[default]
-    Zero,
-    /// `r ≡ ∞`: Bellman–Ford-like (one step, substeps to fixpoint).
-    Infinite,
-    /// `r ≡ ∆`: ∆-stepping-like.
-    Constant(Dist),
-    /// Per-vertex radii, e.g. `r_ρ(v)` from preprocessing.
-    PerVertex(Vec<Dist>),
-}
-
-impl Radii {
-    /// Borrowing view for the engines.
-    pub fn as_spec(&self) -> RadiiSpec<'_> {
-        match self {
-            Radii::Zero => RadiiSpec::Zero,
-            Radii::Infinite => RadiiSpec::Infinite,
-            Radii::Constant(d) => RadiiSpec::Constant(*d),
-            Radii::PerVertex(r) => RadiiSpec::PerVertex(r),
-        }
-    }
-}
-
 /// Algorithm selector: the five families of the paper's evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Algorithm {
@@ -1061,59 +1035,23 @@ impl P2pKernel {
     }
 }
 
-/// Cross-algorithm output options.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverConfig {
-    /// Record a per-step trace where the algorithm supports it.
-    pub trace: bool,
-    /// Point-to-point execution strategy (see [`P2pMode`]).
-    pub p2p_mode: P2pMode,
-}
-
-impl SolverConfig {
-    /// Whether `query` should record a trace: the query's own option ORed
-    /// with the builder-level toggle.
-    pub fn wants_trace(&self, query: &Query) -> bool {
-        self.trace || query.want_trace
+/// Attaches the shortest-path tree to `result` if `query` asked for one —
+/// the one place every forward solve gets its parents. The tree is a fixed
+/// function of `result.dist`: goal-bounded queries walk back from each goal
+/// ([`crate::stats::goals_path_parents`], no all-edges post-pass),
+/// single-source queries derive the full tree
+/// ([`crate::stats::derive_parents`]). A settled vertex holds its exact
+/// distance (Theorem 3.1), so the walk from a settled goal only meets exact
+/// vertices even when the solve stopped early.
+pub fn finish_paths(g: &CsrGraph, query: &Query, mut result: SsspResult) -> SsspResult {
+    if query.want_paths {
+        result.parent = Some(if query.is_goal_bounded() {
+            crate::stats::goals_path_parents(g, &result.dist, query.goals())
+        } else {
+            crate::stats::derive_parents(g, &result.dist)
+        });
     }
-
-    /// Attaches the shortest-path tree to `result` if `query` asked for
-    /// one — the one place every forward solve gets its parents. The tree
-    /// is a fixed function of `result.dist`: goal-bounded queries walk
-    /// back from each goal ([`crate::stats::goals_path_parents`], no
-    /// all-edges post-pass), single-source queries derive the full tree
-    /// ([`crate::stats::derive_parents`]). A settled vertex holds its
-    /// exact distance (Theorem 3.1), so the walk from a settled goal only
-    /// meets exact vertices even when the solve stopped early.
-    pub fn finish_paths(&self, g: &CsrGraph, query: &Query, mut result: SsspResult) -> SsspResult {
-        if query.want_paths {
-            result.parent = Some(if query.is_goal_bounded() {
-                crate::stats::goals_path_parents(g, &result.dist, query.goals())
-            } else {
-                crate::stats::derive_parents(g, &result.dist)
-            });
-        }
-        result
-    }
-}
-
-/// The graph a solver runs on: borrowed from the caller, or owned when
-/// preprocessing replaced it with the shortcut-augmented (k, ρ)-graph.
-#[derive(Debug, Clone)]
-pub enum SolverGraph<'g> {
-    Borrowed(&'g CsrGraph),
-    Owned(CsrGraph),
-}
-
-impl std::ops::Deref for SolverGraph<'_> {
-    type Target = CsrGraph;
-
-    fn deref(&self) -> &CsrGraph {
-        match self {
-            SolverGraph::Borrowed(g) => g,
-            SolverGraph::Owned(g) => g,
-        }
-    }
+    result
 }
 
 /// Fluent construction of any [`SsspSolver`].
@@ -1130,10 +1068,11 @@ impl std::ops::Deref for SolverGraph<'_> {
 ///         radii: Radii::Zero, // replaced by r_rho(v) below
 ///     })
 ///     .preprocess(PreprocessConfig::new(1, 16))
-///     .trace(true)
 ///     .radius_stepping_solver_from_algorithm(); // or `.build()` via rs_baselines
-/// let out = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
+/// let query = Query::single_source(0).with_trace();
+/// let out = solver.execute(&query, &mut SolverScratch::new());
 /// assert_eq!(out.dist()[0], 0);
+/// assert_eq!(out.stats().trace.as_ref().map(Vec::len), Some(out.stats().steps));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolverBuilder<'g> {
@@ -1141,7 +1080,7 @@ pub struct SolverBuilder<'g> {
     algorithm: Algorithm,
     preprocess: Option<PreprocessConfig>,
     preprocess_cache: Option<std::path::PathBuf>,
-    config: SolverConfig,
+    p2p_mode: P2pMode,
 }
 
 impl<'g> SolverBuilder<'g> {
@@ -1153,7 +1092,7 @@ impl<'g> SolverBuilder<'g> {
             algorithm: Algorithm::default(),
             preprocess: None,
             preprocess_cache: None,
-            config: SolverConfig::default(),
+            p2p_mode: P2pMode::default(),
         }
     }
 
@@ -1161,6 +1100,12 @@ impl<'g> SolverBuilder<'g> {
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
         self
+    }
+
+    /// The selected algorithm (read by `rs_baselines::solver::BuildSolver`
+    /// to pick the solver it builds).
+    pub fn selected_algorithm(&self) -> &Algorithm {
+        &self.algorithm
     }
 
     /// Attaches (k, ρ)-preprocessing: at build time the graph is replaced
@@ -1187,85 +1132,87 @@ impl<'g> SolverBuilder<'g> {
         self
     }
 
-    /// Toggles per-step tracing (where the algorithm records one).
-    pub fn trace(mut self, on: bool) -> Self {
-        self.config.trace = on;
-        self
-    }
-
     /// Selects the point-to-point execution strategy (see [`P2pMode`]);
     /// every solver `build()` constructs honours it. `GoalDirected` elects
     /// a landmark table at build time (`DEFAULT_LANDMARKS` sequential
     /// Dijkstras).
     pub fn p2p_mode(mut self, mode: P2pMode) -> Self {
-        self.config.p2p_mode = mode;
+        self.p2p_mode = mode;
         self
     }
 
-    /// Decomposes the builder (used by `rs_baselines::solver::BuildSolver`,
-    /// which constructs the baseline adapters this crate cannot name).
-    pub fn into_parts(self) -> BuilderParts<'g> {
-        BuilderParts {
-            graph: self.graph,
-            algorithm: self.algorithm,
-            preprocess: self.preprocess,
-            preprocess_cache: self.preprocess_cache,
-            config: self.config,
-        }
+    /// Resolves the attached preprocessing (loading from / saving to the
+    /// cache path when one was supplied) and the point-to-point kernel —
+    /// what every solver the builder constructs runs on.
+    pub fn resolve(&self) -> ResolvedParts<'g> {
+        let (graph, expander, radii) = match &self.preprocess {
+            None => (Cow::Borrowed(self.graph), None, None),
+            Some(cfg) => {
+                let pre = resolve_preprocessed(self.graph, cfg, self.preprocess_cache.as_deref());
+                (Cow::Owned(pre.graph), Some(pre.expander), Some(pre.radii))
+            }
+        };
+        // Shortcuts preserve distances, so landmarks elected on the
+        // resolved graph bound input-graph distances too.
+        let p2p = P2pKernel::resolve(self.p2p_mode, &graph);
+        ResolvedParts { graph, expander, p2p, radii }
     }
 
     /// Builds a radius-stepping solver from the current `algorithm`
-    /// selection (`RadiusStepping`, or one of the points on the radius
-    /// spectrum, `DeltaStepping`, `BellmanFord` and `Bfs`), applying any
-    /// attached preprocessing.
+    /// selection, applying any attached preprocessing. `RadiusStepping`
+    /// takes its engine and radii, with preprocessing (when attached)
+    /// replacing the radii by `r_ρ(v)`; `DeltaStepping { delta }` is the
+    /// frontier engine at `r ≡ ∆`, `BellmanFord` at `r ≡ ∞`, and `Bfs` the
+    /// unweighted engine at `r ≡ 0`, whatever is attached. Preprocessing
+    /// replaces the graph in every case.
     ///
     /// Panics on `Dijkstra`, which `rs_baselines::solver::BuildSolver`
-    /// builds.
+    /// builds; on the unweighted engine over a weighted (or preprocessed)
+    /// graph; and on `PerVertex` radii whose length is not the vertex
+    /// count.
     pub fn radius_stepping_solver_from_algorithm(self) -> RadiusSteppingSolver<'g> {
-        RadiusSteppingSolver::from_parts(self.into_parts())
+        let (engine, radii) = match &self.algorithm {
+            Algorithm::RadiusStepping { engine, radii } => (*engine, radii.clone()),
+            Algorithm::DeltaStepping { delta } => (EngineKind::Frontier, Radii::Constant(*delta)),
+            Algorithm::BellmanFord => (EngineKind::Frontier, Radii::Infinite),
+            Algorithm::Bfs => (EngineKind::Unweighted, Radii::Zero),
+            other => panic!("{other:?} is not a radius-stepping point; use BuildSolver::build"),
+        };
+        let ResolvedParts { graph, expander, p2p, radii: pre_radii } = self.resolve();
+        assert!(
+            engine != EngineKind::Unweighted || graph.is_unit_weighted(),
+            "the unweighted engine (Algorithm::Bfs) requires a unit-weighted graph (and no \
+             preprocessing)"
+        );
+        let radii = match pre_radii {
+            Some(r) if matches!(self.algorithm, Algorithm::RadiusStepping { .. }) => r,
+            _ => radii,
+        };
+        if let Radii::PerVertex(r) = &radii {
+            let n = graph.num_vertices();
+            assert!(
+                r.len() == n,
+                "Radii::PerVertex has {} radii but the graph has {n} vertices",
+                r.len()
+            );
+        }
+        RadiusSteppingSolver { graph, radii, engine, expander, p2p }
     }
 }
 
-/// The builder's decomposed state (consumed by the `build()` extension).
-pub struct BuilderParts<'g> {
-    pub graph: &'g CsrGraph,
-    pub algorithm: Algorithm,
-    pub preprocess: Option<PreprocessConfig>,
-    pub preprocess_cache: Option<std::path::PathBuf>,
-    pub config: SolverConfig,
-}
-
-/// What [`BuilderParts::resolve`] produces: everything the attached
+/// What [`SolverBuilder::resolve`] produces: everything the attached
 /// preprocessing and the configured [`P2pMode`] contribute to a solver.
 pub struct ResolvedParts<'g> {
     /// The graph to run on: the shortcut-augmented (k, ρ)-graph when
     /// preprocessing is attached (distances are preserved, so every solver
     /// stays exact), else the caller's graph.
-    pub graph: SolverGraph<'g>,
+    pub graph: Cow<'g, CsrGraph>,
     /// Shortcut expansion table for input-graph-exact path extraction.
     pub expander: Option<Arc<ShortcutExpander>>,
     /// The point-to-point kernel the configured [`P2pMode`] resolves to.
     pub p2p: P2pKernel,
     /// The preprocessing's `r_ρ(v)` radii.
-    pub radii: Option<Vec<Dist>>,
-}
-
-impl<'g> BuilderParts<'g> {
-    /// Resolves the attached preprocessing (loading from / saving to the
-    /// cache path when one was supplied) and the point-to-point kernel.
-    pub fn resolve(&self) -> ResolvedParts<'g> {
-        let (graph, expander, radii) = match &self.preprocess {
-            None => (SolverGraph::Borrowed(self.graph), None, None),
-            Some(cfg) => {
-                let pre = resolve_preprocessed(self.graph, cfg, self.preprocess_cache.as_deref());
-                (SolverGraph::Owned(pre.graph), Some(pre.expander), Some(pre.radii))
-            }
-        };
-        // Shortcuts preserve distances, so landmarks elected on the
-        // resolved graph bound input-graph distances too.
-        let p2p = P2pKernel::resolve(self.config.p2p_mode, &graph);
-        ResolvedParts { graph, expander, p2p, radii }
-    }
+    pub radii: Option<Radii>,
 }
 
 /// Loads a compatible preprocessing from `cache`, or builds one (saving it
@@ -1305,47 +1252,13 @@ pub fn resolve_preprocessed(
 /// Radius stepping (either engine, any radii, optional preprocessing)
 /// behind the [`SsspSolver`] interface.
 pub struct RadiusSteppingSolver<'g> {
-    graph: SolverGraph<'g>,
+    graph: Cow<'g, CsrGraph>,
     radii: Radii,
     engine: EngineKind,
-    config: SolverConfig,
     /// Shortcut expansion table when preprocessing replaced the graph —
     /// attached to every response so extracted paths ride input edges.
     expander: Option<Arc<ShortcutExpander>>,
     p2p: P2pKernel,
-}
-
-impl<'g> RadiusSteppingSolver<'g> {
-    /// Construction from builder state. `RadiusStepping` takes its engine
-    /// and radii, with preprocessing (when attached) replacing the radii
-    /// by `r_ρ(v)`; `DeltaStepping { delta }` is the frontier engine at
-    /// `r ≡ ∆`, `BellmanFord` at `r ≡ ∞`, and `Bfs` the unweighted engine
-    /// at `r ≡ 0`, whatever is attached. Preprocessing replaces the graph
-    /// in every case.
-    ///
-    /// Panics on `Dijkstra` (built by `rs_baselines::solver::BuildSolver`),
-    /// and on `Bfs` over a weighted (or preprocessed) graph.
-    pub fn from_parts(parts: BuilderParts<'g>) -> Self {
-        let (engine, radii) = match &parts.algorithm {
-            Algorithm::RadiusStepping { engine, radii } => (*engine, radii.clone()),
-            Algorithm::DeltaStepping { delta } => (EngineKind::Frontier, Radii::Constant(*delta)),
-            Algorithm::BellmanFord => (EngineKind::Frontier, Radii::Infinite),
-            Algorithm::Bfs => (EngineKind::Unweighted, Radii::Zero),
-            other => panic!("{other:?} is not a radius-stepping point; use BuildSolver::build"),
-        };
-        let ResolvedParts { graph, expander, p2p, radii: pre_radii } = parts.resolve();
-        assert!(
-            parts.algorithm != Algorithm::Bfs || graph.is_unit_weighted(),
-            "Algorithm::Bfs requires a unit-weighted graph (and no preprocessing)"
-        );
-        let radii = match pre_radii {
-            Some(r) if matches!(parts.algorithm, Algorithm::RadiusStepping { .. }) => {
-                Radii::PerVertex(r)
-            }
-            _ => radii,
-        };
-        RadiusSteppingSolver { graph, radii, engine, config: parts.config, expander, p2p }
-    }
 }
 
 impl SsspSolver for RadiusSteppingSolver<'_> {
@@ -1377,9 +1290,8 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
         }
         execute_radius_stepping(
             self,
-            &self.radii.as_spec(),
+            &self.radii,
             self.engine,
-            &self.config,
             self.expander.clone(),
             query,
             scratch,
@@ -1394,13 +1306,13 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
 
 /// The radius-stepping `execute` body shared by [`RadiusSteppingSolver`]
 /// and [`Preprocessed`]: many-to-many tables fan out row-wise; every other
-/// shape is one engine run on `scratch` over `solver`'s graph, with paths
-/// finished per `config` and `expander` attached to the response.
+/// shape is one engine run on `scratch` over `solver`'s graph, traced if
+/// the query asks, with paths finished by [`finish_paths`] and `expander`
+/// attached to the response.
 fn execute_radius_stepping<S: SsspSolver>(
     solver: &S,
-    radii: &RadiiSpec<'_>,
+    radii: &Radii,
     engine: EngineKind,
-    config: &SolverConfig,
     expander: Option<Arc<ShortcutExpander>>,
     query: &Query,
     scratch: &mut SolverScratch,
@@ -1410,11 +1322,9 @@ fn execute_radius_stepping<S: SsspSolver>(
     }
     let g = solver.graph();
     let mut goal_buf = Vec::new();
-    let cfg =
-        EngineConfig { trace: config.wants_trace(query), goals: solve_goals(query, &mut goal_buf) };
+    let cfg = EngineConfig { trace: query.want_trace, goals: solve_goals(query, &mut goal_buf) };
     let out = radius_stepping_with_scratch(g, radii, query.source(), engine, cfg, scratch);
-    let result = config.finish_paths(g, query, out);
-    QueryResponse::single(query.clone(), result).with_expander(expander)
+    QueryResponse::single(query.clone(), finish_paths(g, query, out)).with_expander(expander)
 }
 
 /// Engine-aware scratch warm-up: shared state plus the frontier/substep
@@ -1443,15 +1353,8 @@ impl SsspSolver for Preprocessed {
     }
 
     fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
-        execute_radius_stepping(
-            self,
-            &RadiiSpec::PerVertex(&self.radii),
-            EngineKind::Frontier,
-            &SolverConfig::default(),
-            Some(self.expander.clone()),
-            query,
-            scratch,
-        )
+        let expander = Some(self.expander.clone());
+        execute_radius_stepping(self, &self.radii, EngineKind::Frontier, expander, query, scratch)
     }
 
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
@@ -1477,10 +1380,12 @@ mod tests {
     #[test]
     fn builder_constructs_working_solver() {
         let g = grid();
-        let solver = SolverBuilder::new(&g).trace(true).radius_stepping_solver_from_algorithm();
-        let out = solver.execute(&Query::single_source(0).with_paths(), &mut SolverScratch::new());
+        let solver = SolverBuilder::new(&g).radius_stepping_solver_from_algorithm();
+        let query = Query::single_source(0).with_paths().with_trace();
+        let out = solver.execute(&query, &mut SolverScratch::new());
         assert_eq!(out.dist()[0], 0);
-        assert!(out.stats().trace.is_some(), "trace requested");
+        let (dist, trace) = crate::verify::step_trace(&g, &Radii::Zero, 0);
+        assert_eq!((out.dist(), out.stats().trace.as_ref()), (&dist[..], Some(&trace)));
         let path = out.extract_path(80).expect("connected grid");
         assert_eq!(path[0], 0);
         assert_eq!(*path.last().unwrap(), 80);

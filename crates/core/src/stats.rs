@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn path_reconstruction() {
-        use crate::{radius_stepping, RadiiSpec};
+        use crate::{radius_stepping, Radii};
         use rs_graph::EdgeListBuilder;
         let mut b = EdgeListBuilder::new(5);
         b.add_edge(0, 1, 2);
@@ -222,7 +222,7 @@ mod tests {
         b.add_edge(0, 2, 5);
         b.add_edge(3, 4, 1); // separate component
         let g = b.build();
-        let out = radius_stepping(&g, &RadiiSpec::Zero, 0);
+        let out = radius_stepping(&g, &Radii::Zero, 0);
         assert_eq!(out.path_to(&g, 2), Some(vec![0, 1, 2]), "goes via the cheaper 2-hop route");
         assert_eq!(out.path_to(&g, 0), Some(vec![0]));
         assert_eq!(out.path_to(&g, 4), None, "unreachable");
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn goal_walks_stopping_at_shared_prefixes_match_per_goal_paths() {
-        use crate::{radius_stepping, RadiiSpec};
+        use crate::{radius_stepping, Radii};
         use rs_graph::{gen, weights, EdgeListBuilder, WeightModel};
         for base in [
             gen::grid2d(12, 12),
@@ -246,7 +246,7 @@ mod tests {
             }
             let g = b.build();
             let source = 17;
-            let dist = radius_stepping(&g, &RadiiSpec::Zero, source).dist;
+            let dist = radius_stepping(&g, &Radii::Zero, source).dist;
             // Overlapping goals: the source, the unreachable vertex, a
             // repeat, and every seventh vertex (walks share long prefixes).
             let mut goals = vec![source, n, 143, 143];

@@ -16,7 +16,7 @@ use std::collections::BinaryHeap;
 
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
 
-use crate::radii::RadiiSpec;
+use crate::radii::Radii;
 use crate::stats::StepTrace;
 
 /// Exact `(distance, min-hop)` pairs from `source` (full Dijkstra ordered
@@ -66,12 +66,12 @@ pub fn ball_size(g: &CsrGraph, u: VertexId, r: Dist) -> usize {
 /// test-scale graphs only.
 pub fn check_k_rho_graph(
     g: &CsrGraph,
-    radii: &[Dist],
+    radii: &Radii,
     k: u32,
     rho: usize,
 ) -> Result<(), (VertexId, String)> {
     for v in 0..g.num_vertices() as VertexId {
-        let r = radii[v as usize];
+        let r = radii.get(v);
         let rk = k_radius(g, v, k);
         if r > rk {
             return Err((v, format!("r({v}) = {r} exceeds k-radius {rk}")));
@@ -106,11 +106,7 @@ pub fn substep_bound(k: u32) -> usize {
 /// previous substep's updated vertices (Jacobi), and a step ends after
 /// the first substep with no update `≤ d_i`. `O(n)` per step — test-scale
 /// graphs only.
-pub fn step_trace(
-    g: &CsrGraph,
-    radii: &RadiiSpec,
-    source: VertexId,
-) -> (Vec<Dist>, Vec<StepTrace>) {
+pub fn step_trace(g: &CsrGraph, radii: &Radii, source: VertexId) -> (Vec<Dist>, Vec<StepTrace>) {
     let n = g.num_vertices();
     let mut dist = vec![INF; n];
     let mut settled = vec![false; n];
@@ -175,7 +171,7 @@ mod tests {
 
     /// The frontier engine's distances and full step trace equal the
     /// oracle's.
-    fn assert_matches_oracle(g: &CsrGraph, radii: &RadiiSpec, s: VertexId) {
+    fn assert_matches_oracle(g: &CsrGraph, radii: &Radii, s: VertexId) {
         let cfg = crate::EngineConfig::with_trace();
         let out = crate::radius_stepping_with(g, radii, s, crate::EngineKind::Frontier, cfg);
         assert_eq!((out.dist, out.stats.trace.unwrap()), step_trace(g, radii, s), "{radii:?}");
@@ -184,21 +180,21 @@ mod tests {
     #[test]
     fn oracle_matches_frontier_across_radii() {
         let g = weights::reweight(&gen::grid2d(10, 12), WeightModel::paper_weighted(), 6);
-        for radii in [RadiiSpec::Zero, RadiiSpec::Constant(1000), RadiiSpec::Constant(20_000)] {
+        for radii in [Radii::Zero, Radii::Constant(1000), Radii::Constant(20_000)] {
             assert_matches_oracle(&g, &radii, 0);
         }
-        assert_matches_oracle(&g, &RadiiSpec::Infinite, 17);
+        assert_matches_oracle(&g, &Radii::Infinite, 17);
     }
 
     #[test]
     fn oracle_matches_frontier_on_scale_free() {
         let g = weights::reweight(&gen::scale_free(300, 3, 4), WeightModel::paper_weighted(), 8);
-        let radii: Vec<Dist> = (0..300).map(|v| (v as Dist * 37) % 5000).collect();
-        assert_matches_oracle(&g, &RadiiSpec::PerVertex(&radii), 5);
+        let radii = Radii::PerVertex((0..300).map(|v| (v as Dist * 37) % 5000).collect());
+        assert_matches_oracle(&g, &radii, 5);
         // Big enough that Bellman–Ford substeps cross the engine's
         // parallel cutover.
         let g = weights::reweight(&gen::scale_free(20_000, 3, 4), WeightModel::paper_weighted(), 8);
-        for radii in [RadiiSpec::Infinite, RadiiSpec::Constant(50_000)] {
+        for radii in [Radii::Infinite, Radii::Constant(50_000)] {
             assert_matches_oracle(&g, &radii, 5);
         }
     }
@@ -207,8 +203,8 @@ mod tests {
     fn unreachable_vertices() {
         // From a leaf, everything is reachable via the center.
         let g = gen::star(6);
-        assert_matches_oracle(&g, &RadiiSpec::Zero, 3);
-        let (_, trace) = step_trace(&g, &RadiiSpec::Zero, 3);
+        assert_matches_oracle(&g, &Radii::Zero, 3);
+        let (_, trace) = step_trace(&g, &Radii::Zero, 3);
         assert_eq!(trace.iter().map(|t| t.settled).sum::<usize>(), 5);
         // Unreached vertices stay at ∞ and out of every step, also at
         // r ≡ ∞, where their key saturates to d_i.
@@ -216,17 +212,17 @@ mod tests {
         b.add_edge(0, 1, 3);
         b.add_edge(1, 2, 4);
         let g = b.build();
-        for radii in [RadiiSpec::Zero, RadiiSpec::Infinite] {
+        for radii in [Radii::Zero, Radii::Infinite] {
             assert_matches_oracle(&g, &radii, 0);
         }
-        assert_eq!(step_trace(&g, &RadiiSpec::Infinite, 0).0, vec![0, 3, 7, INF, INF]);
+        assert_eq!(step_trace(&g, &Radii::Infinite, 0).0, vec![0, 3, 7, INF, INF]);
     }
 
     #[test]
     fn oracle_counts_steps_and_substeps_by_hand() {
         // r ≡ ∞ on a unit path: one step; vertex 1 starts relaxed, ten
         // productive substeps reach vertex 11, plus the final check.
-        let (dist, trace) = step_trace(&gen::path(12), &RadiiSpec::Infinite, 0);
+        let (dist, trace) = step_trace(&gen::path(12), &Radii::Infinite, 0);
         assert_eq!(dist[11], 11);
         let step = StepTrace { d_i: INF, settled: 11, substeps: 11, active_size: 11 };
         assert_eq!(trace, vec![step]);
@@ -235,7 +231,7 @@ mod tests {
         b.add_edge(0, 1, 1);
         b.add_edge(0, 2, 1);
         b.add_edge(1, 3, 2);
-        let (dist, trace) = step_trace(&b.build(), &RadiiSpec::Zero, 0);
+        let (dist, trace) = step_trace(&b.build(), &Radii::Zero, 0);
         assert_eq!(dist, vec![0, 1, 1, 3]);
         let d_s: Vec<(Dist, usize, usize)> =
             trace.iter().map(|t| (t.d_i, t.settled, t.substeps)).collect();

@@ -60,16 +60,15 @@ fn main() {
     // The parallel frontier engine takes exactly the steps of Algorithm 1
     // run sequentially — show it directly on the preprocessed graph.
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 64));
-    let radii = RadiiSpec::PerVertex(&pre.radii);
     let out = core::radius_stepping_with(
         &pre.graph,
-        &radii,
+        &pre.radii,
         s,
         EngineKind::Frontier,
         EngineConfig::with_trace(),
     );
     let trace = out.stats.trace.expect("trace requested");
-    let (oracle_dist, oracle_trace) = core::verify::step_trace(&pre.graph, &radii, s);
+    let (oracle_dist, oracle_trace) = core::verify::step_trace(&pre.graph, &pre.radii, s);
     assert_eq!((&out.dist, &trace), (&oracle_dist, &oracle_trace));
     println!(
         "\nall algorithms agree; the frontier engine matches the sequential step oracle ({} steps)",

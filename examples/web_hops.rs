@@ -36,7 +36,8 @@ fn main() {
     println!("\n rho | steps | reduction vs BFS | relaxations");
     println!("-----+-------+------------------+------------");
     for rho in [1usize, 10, 100, 1000] {
-        let radii = if rho == 1 { Radii::Zero } else { Radii::PerVertex(compute_radii(&g, rho)) };
+        let radii =
+            if rho == 1 { Radii::Zero } else { Radii::PerVertex(compute_radii(&g, rho).into()) };
         let solver = SolverBuilder::new(&g)
             .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii })
             .build();

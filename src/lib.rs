@@ -106,10 +106,10 @@ pub mod prelude {
     };
     pub use rs_core::solver::{
         Algorithm, BatchOutcome, BatchStats, P2pMode, Query, QueryBatch, QueryResponse, QueryShape,
-        Radii, SolverBuilder, SolverConfig, SsspSolver,
+        SolverBuilder, SsspSolver,
     };
     pub use rs_core::{
-        radius_stepping, EngineConfig, EngineKind, Goals, RadiiSpec, SolverScratch, SsspResult,
+        radius_stepping, EngineConfig, EngineKind, Goals, Radii, SolverScratch, SsspResult,
         StepStats,
     };
     pub use rs_graph::{CsrGraph, Dist, EdgeListBuilder, VertexId, Weight, WeightModel, INF};

@@ -56,9 +56,10 @@ fn all_weighted_solvers_agree() {
                 DELTAS.map(|delta| (Algorithm::DeltaStepping { delta }, Radii::Constant(delta))),
             );
         for (algorithm, radii) in points {
-            let solver = SolverBuilder::new(&g).algorithm(algorithm).trace(true).build();
-            let out = solver.execute(&Query::single_source(source), &mut scratch).into_result();
-            let oracle = core::verify::step_trace(&g, &radii.as_spec(), source);
+            let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
+            let query = Query::single_source(source).with_trace();
+            let out = solver.execute(&query, &mut scratch).into_result();
+            let oracle = core::verify::step_trace(&g, &radii, source);
             assert_eq!((out.dist, out.stats.trace.unwrap()), oracle, "{name}: {}", solver.name());
         }
     }
@@ -96,7 +97,7 @@ fn zero_radius_step_count_equals_distinct_distances() {
     // ρ = 1 ≈ "Dijkstra extracting equal distances together").
     for (name, g) in graphs() {
         let source = 0u32;
-        let out = core::radius_stepping(&g, &RadiiSpec::Zero, source);
+        let out = core::radius_stepping(&g, &Radii::Zero, source);
         let mut finite: Vec<Dist> =
             out.dist.iter().copied().filter(|&d| d != INF && d > 0).collect();
         finite.sort_unstable();

@@ -11,7 +11,7 @@ fn two_vertex_graph() {
     let mut b = EdgeListBuilder::new(2);
     b.add_edge(0, 1, 7);
     let g = b.build();
-    for radii in [RadiiSpec::Zero, RadiiSpec::Infinite, RadiiSpec::Constant(3)] {
+    for radii in [Radii::Zero, Radii::Infinite, Radii::Constant(3)] {
         let out =
             radius_stepping_with(&g, &radii, 0, EngineKind::Frontier, EngineConfig::with_trace());
         assert_eq!(out.dist, vec![0, 7]);
@@ -22,7 +22,7 @@ fn two_vertex_graph() {
 #[test]
 fn isolated_source() {
     let g = CsrGraph::empty(5);
-    let out = core::radius_stepping(&g, &RadiiSpec::Constant(10), 2);
+    let out = core::radius_stepping(&g, &Radii::Constant(10), 2);
     assert_eq!(out.dist[2], 0);
     assert_eq!(out.dist.iter().filter(|&&d| d == INF).count(), 4);
     assert_eq!(out.stats.steps, 0);
@@ -36,7 +36,7 @@ fn maximum_weight_edges() {
     b.add_edge(1, 2, u32::MAX);
     b.add_edge(2, 3, u32::MAX);
     let g = b.build();
-    let out = core::radius_stepping(&g, &RadiiSpec::Zero, 0);
+    let out = core::radius_stepping(&g, &Radii::Zero, 0);
     assert_eq!(out.dist[3], 3 * (u32::MAX as u64));
     assert_eq!(out.dist, baselines::dijkstra_default(&g, 0));
     // ∆-stepping with small ∆ would need 3·2³² buckets; the cyclic queue
@@ -47,7 +47,7 @@ fn maximum_weight_edges() {
 #[test]
 fn radii_larger_than_graph_diameter() {
     let g = graph::weights::reweight(&graph::gen::cycle(12), WeightModel::paper_weighted(), 3);
-    let out = core::radius_stepping(&g, &RadiiSpec::Constant(u64::MAX / 2), 0);
+    let out = core::radius_stepping(&g, &Radii::Constant(u64::MAX / 2), 0);
     assert_eq!(out.stats.steps, 1, "everything inside the first annulus");
     assert_eq!(out.dist, baselines::dijkstra_default(&g, 0));
 }
@@ -58,7 +58,7 @@ fn rho_equals_n() {
     let g = graph::weights::reweight(&graph::gen::grid2d(5, 5), WeightModel::paper_weighted(), 8);
     let radii = compute_radii(&g, 25);
     assert!(radii.iter().all(|&r| r != INF));
-    let out = core::radius_stepping(&g, &RadiiSpec::PerVertex(&radii), 0);
+    let out = core::radius_stepping(&g, &Radii::PerVertex(radii.into()), 0);
     assert_eq!(out.dist, baselines::dijkstra_default(&g, 0));
 }
 
@@ -67,7 +67,7 @@ fn rho_exceeding_n_gives_inf_radii_and_one_step() {
     let g = graph::gen::path(6);
     let radii = compute_radii(&g, 100);
     assert!(radii.iter().all(|&r| r == INF));
-    let out = core::radius_stepping(&g, &RadiiSpec::PerVertex(&radii), 0);
+    let out = core::radius_stepping(&g, &Radii::PerVertex(radii.into()), 0);
     assert_eq!(out.stats.steps, 1);
     assert_eq!(out.dist[5], 5);
 }
@@ -84,11 +84,10 @@ fn preprocessing_on_disconnected_graph() {
     }
     let g = b.build();
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 3));
-    let radii = RadiiSpec::PerVertex(&pre.radii);
-    let out = radius_stepping(&pre.graph, &radii, 0);
+    let out = radius_stepping(&pre.graph, &pre.radii, 0);
     assert_eq!(out.dist[3], 15);
     assert!(out.dist[4..].iter().all(|&d| d == INF));
-    let out2 = radius_stepping(&pre.graph, &radii, 7);
+    let out2 = radius_stepping(&pre.graph, &pre.radii, 7);
     assert_eq!(out2.dist[4], 9);
     assert!(out2.dist[..4].iter().all(|&d| d == INF));
 }
@@ -104,10 +103,7 @@ fn duplicate_and_reverse_edges_collapse() {
     let g = b.build();
     assert_eq!(g.arc_weight(0, 1), Some(4));
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 2));
-    assert_eq!(
-        radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 0).dist,
-        vec![0, 4, 6]
-    );
+    assert_eq!(radius_stepping(&pre.graph, &pre.radii, 0).dist, vec![0, 4, 6]);
 }
 
 #[test]
@@ -121,11 +117,10 @@ fn stress_determinism_across_runs_and_engines() {
         18,
     );
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(2, 20));
-    let radii = RadiiSpec::PerVertex(&pre.radii);
-    let oracle = step_trace(&pre.graph, &radii, 5);
+    let oracle = step_trace(&pre.graph, &pre.radii, 5);
     for _ in 0..2 {
         let cfg = EngineConfig::with_trace();
-        let out = radius_stepping_with(&pre.graph, &radii, 5, EngineKind::Frontier, cfg);
+        let out = radius_stepping_with(&pre.graph, &pre.radii, 5, EngineKind::Frontier, cfg);
         assert_eq!(out.dist, oracle.0);
         assert_eq!(out.stats.trace.unwrap(), oracle.1, "step traces must be deterministic");
     }
@@ -143,6 +138,6 @@ fn weight_one_and_weight_l_extremes_in_same_graph() {
     b.add_edge(0, 5, 10_000);
     let g = b.build();
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 2));
-    let out = radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 0);
+    let out = radius_stepping(&pre.graph, &pre.radii, 0);
     assert_eq!(out.dist, baselines::dijkstra_default(&g, 0));
 }

@@ -101,11 +101,11 @@ fn substeps_track_k_across_suite() {
         ] {
             let h = if k == 1 { ShortcutHeuristic::Full } else { ShortcutHeuristic::Dp };
             let pre = Preprocessed::build(&g, &PreprocessConfig { k, rho: 16, heuristic: h });
-            let radii = RadiiSpec::PerVertex(&pre.radii);
+            let radii = &pre.radii;
             for s in sample_sources(g.num_vertices(), 3, 3) {
                 let cfg = EngineConfig::with_trace();
                 let out =
-                    core::radius_stepping_with(&pre.graph, &radii, s, EngineKind::Frontier, cfg);
+                    core::radius_stepping_with(&pre.graph, radii, s, EngineKind::Frontier, cfg);
                 assert!(
                     out.stats.max_substeps_in_step <= k as usize + 2,
                     "{name} k={k}: {}",

@@ -48,9 +48,8 @@ fn full_pipeline_all_configs() {
         ] {
             let pre = Preprocessed::build(&g, &PreprocessConfig { k, rho, heuristic: h });
             pre.graph.check_invariants().unwrap();
-            let radii = RadiiSpec::PerVertex(&pre.radii);
             let cfg = EngineConfig::with_trace();
-            let out = radius_stepping_with(&pre.graph, &radii, 3, EngineKind::Frontier, cfg);
+            let out = radius_stepping_with(&pre.graph, &pre.radii, 3, EngineKind::Frontier, cfg);
             assert_eq!(out.dist, reference, "{name} k={k} rho={rho} {h:?}");
             assert!(
                 out.stats.max_substeps_in_step <= substep_bound(k),
@@ -61,7 +60,7 @@ fn full_pipeline_all_configs() {
                 out.stats.steps <= step_bound(g.num_vertices(), rho, pre.graph.max_weight() as u64),
                 "{name} rho={rho}: step bound violated"
             );
-            let oracle = step_trace(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 3);
+            let oracle = step_trace(&pre.graph, &pre.radii, 3);
             assert_eq!(out.stats.trace.unwrap(), oracle.1, "{name} k={k} rho={rho} {h:?}");
         }
     }
@@ -97,8 +96,8 @@ fn pipeline_is_deterministic() {
     assert_eq!(a.radii, b.radii);
     assert_eq!(a.stats, b.stats);
     let solve = |p: &Preprocessed| {
-        let radii = RadiiSpec::PerVertex(&p.radii);
-        radius_stepping_with(&p.graph, &radii, 0, EngineKind::Frontier, EngineConfig::with_trace())
+        let cfg = EngineConfig::with_trace();
+        radius_stepping_with(&p.graph, &p.radii, 0, EngineKind::Frontier, cfg)
     };
     let (ra, rb) = (solve(&a), solve(&b));
     assert_eq!(ra.dist, rb.dist);
@@ -126,9 +125,8 @@ fn multi_source_reuse() {
     let g =
         graph::weights::reweight(&graph::gen::grid2d(12, 12), WeightModel::paper_weighted(), 77);
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 16));
-    let radii = RadiiSpec::PerVertex(&pre.radii);
     for s in 0..24u32 {
-        let out = radius_stepping(&pre.graph, &radii, s * 6);
+        let out = radius_stepping(&pre.graph, &pre.radii, s * 6);
         assert_eq!(out.dist, baselines::dijkstra_default(&g, s * 6));
     }
 }
@@ -141,7 +139,7 @@ fn path_extraction_on_preprocessed_graph() {
         3,
     );
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 10));
-    let out = radius_stepping(&pre.graph, &RadiiSpec::PerVertex(&pre.radii), 0);
+    let out = radius_stepping(&pre.graph, &pre.radii, 0);
     for t in [1u32, 50, 99] {
         let path = out.path_to(&pre.graph, t).expect("connected road network");
         assert_eq!(path[0], 0);

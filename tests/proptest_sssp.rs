@@ -44,7 +44,7 @@ proptest! {
         let radii: Vec<Dist> = (0..n).map(|i| radii_seed[i % radii_seed.len()]).collect();
         let reference = baselines::dijkstra_default(&g, source);
         let out = radius_stepping_with(
-            &g, &RadiiSpec::PerVertex(&radii), source, EngineKind::Frontier, EngineConfig::default());
+            &g, &Radii::PerVertex(radii.into()), source, EngineKind::Frontier, EngineConfig::default());
         prop_assert_eq!(&out.dist, &reference);
     }
 
@@ -59,7 +59,7 @@ proptest! {
     ) {
         let per_vertex: Vec<Dist> =
             (0..g.num_vertices()).map(|i| radii_seed[i % radii_seed.len()]).collect();
-        for radii in [RadiiSpec::Constant(r), RadiiSpec::PerVertex(&per_vertex)] {
+        for radii in [Radii::Constant(r), Radii::PerVertex(per_vertex.into())] {
             let out = radius_stepping_with(
                 &g, &radii, source, EngineKind::Frontier, EngineConfig::with_trace());
             prop_assert_eq!(
@@ -84,8 +84,7 @@ proptest! {
             return Err(TestCaseError::fail(format!("{h:?} k={k} rho={rho}: {msg} at {v}")));
         }
         // And the theorems' conclusions.
-        let radii = RadiiSpec::PerVertex(&pre.radii);
-        let out = radius_stepping_with(&pre.graph, &radii, 0, EngineKind::Frontier, EngineConfig::with_trace());
+        let out = radius_stepping_with(&pre.graph, &pre.radii, 0, EngineKind::Frontier, EngineConfig::with_trace());
         prop_assert!(out.stats.max_substeps_in_step <= substep_bound(k));
         prop_assert!(out.stats.steps <= step_bound(n, rho, pre.graph.max_weight() as u64));
         prop_assert_eq!(out.dist, baselines::dijkstra_default(&g, 0));
@@ -105,7 +104,7 @@ proptest! {
     fn delta_stepping_and_bf_agree_on_random_graphs(g in arb_connected_graph(), delta in 1u64..200) {
         let reference = baselines::dijkstra_default(&g, 0);
         prop_assert_eq!(baselines::delta_stepping(&g, 0, delta).dist, reference.clone());
-        prop_assert_eq!(core::radius_stepping(&g, &RadiiSpec::Infinite, 0).dist, reference);
+        prop_assert_eq!(core::radius_stepping(&g, &Radii::Infinite, 0).dist, reference);
     }
 
     // Batch dedup must be observationally invisible: for ANY source
