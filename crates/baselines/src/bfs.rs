@@ -1,9 +1,8 @@
 //! Sequential breadth-first search: the hop-distance oracle.
 //!
-//! The parallel, level-synchronous BFS of the paper's Tables 4–5 is the
-//! unweighted radius-stepping engine at `r ≡ 0` (`Algorithm::Bfs`), one
-//! level per step; [`bfs_seq`] is the queue-based reference it is tested
-//! against.
+//! The parallel, level-synchronous BFS of the paper's Tables 4–5 is radius
+//! stepping at `r ≡ 0` on a unit-weight graph (§3.4), one level per step;
+//! [`bfs_seq`] is the queue-based reference it is tested against.
 
 use std::collections::VecDeque;
 
@@ -30,14 +29,19 @@ pub fn bfs_seq(g: &CsrGraph, s: VertexId) -> Vec<Dist> {
 mod tests {
     use super::*;
     use crate::BuildSolver;
-    use rs_core::{Algorithm, Query, SolverBuilder, SolverScratch};
+    use rs_core::{Algorithm, Query, Radii, SolverBuilder, SolverScratch, SsspSolver};
     use rs_graph::gen;
+
+    /// Parallel BFS: radius stepping at `r ≡ 0` on a unit-weight graph.
+    fn bfs_solver(g: &CsrGraph) -> Box<dyn SsspSolver + '_> {
+        SolverBuilder::new(g).algorithm(Algorithm::RadiusStepping { radii: Radii::Zero }).build()
+    }
 
     #[test]
     fn seq_and_par_agree_on_suite() {
         let mut scratch = SolverScratch::new();
         for g in [gen::grid2d(9, 11), gen::scale_free(400, 3, 7), gen::path(30)] {
-            let par = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
+            let par = bfs_solver(&g);
             assert_eq!(bfs_seq(&g, 0), par.execute(&Query::single_source(0), &mut scratch).dist());
         }
     }
@@ -46,7 +50,7 @@ mod tests {
     fn engine_levels_equal_eccentricity() {
         // One step per BFS level; the source is settled before the first.
         let g = gen::path(10);
-        let solver = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
+        let solver = bfs_solver(&g);
         let out = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
         assert_eq!(out.dist(), bfs_seq(&g, 0));
         assert_eq!((out.stats().steps, out.stats().substeps), (9, 9));
@@ -55,7 +59,7 @@ mod tests {
     #[test]
     fn goal_bounded_stops_early_with_exact_goal() {
         let g = gen::path(30);
-        let solver = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
+        let solver = bfs_solver(&g);
         let mut scratch = SolverScratch::new();
         let full = solver.execute(&Query::single_source(0), &mut scratch);
         let bounded = solver.execute(&Query::point_to_point(0, 5), &mut scratch);

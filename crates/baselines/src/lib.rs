@@ -12,9 +12,9 @@
 //!
 //! ∆-stepping, Bellman–Ford and parallel BFS as solvers are points on the
 //! radius spectrum, not separate code: `Algorithm::DeltaStepping { delta }`
-//! is the frontier engine at `r ≡ ∆`, `Algorithm::BellmanFord` the
-//! frontier engine at `r ≡ ∞` and `Algorithm::Bfs` the unweighted engine
-//! at `r ≡ 0`.
+//! is radius stepping at `r ≡ ∆`, `Algorithm::BellmanFord` at `r ≡ ∞`, and
+//! BFS is `Algorithm::RadiusStepping { radii: Radii::Zero }` (the default)
+//! on a unit-weight graph.
 //!
 //! Every baseline returns exact distances (tested against each other).
 //! Dijkstra is also available behind the unified

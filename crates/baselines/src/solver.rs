@@ -7,9 +7,9 @@
 //! the Dijkstra adapter — and therefore the `build()` that can construct
 //! *every* algorithm — lives here. The facade prelude re-exports
 //! [`BuildSolver`], making `SolverBuilder::new(&g).build()` the one entry
-//! point applications see. `Algorithm::DeltaStepping`,
-//! `Algorithm::BellmanFord` and `Algorithm::Bfs` are points on the radius
-//! spectrum, so they build as `RadiusSteppingSolver`s through
+//! point applications see. `Algorithm::DeltaStepping` and
+//! `Algorithm::BellmanFord` are points on the radius spectrum, so they
+//! build as `RadiusSteppingSolver`s through
 //! [`SolverBuilder::radius_stepping_solver_from_algorithm`]; only
 //! `Algorithm::Dijkstra` builds here, on the graph, shortcut expansion
 //! table and point-to-point kernel that [`SolverBuilder::resolve`]
@@ -17,12 +17,12 @@
 //!
 //! Counter mapping into [`rs_core::StepStats`]:
 //!
-//! | algorithm                    | `steps`          | `substeps`          |
-//! |------------------------------|------------------|---------------------|
-//! | Dijkstra                     | settled vertices | = steps             |
-//! | ∆-stepping (frontier, ∆)     | radius steps     | radius substeps     |
-//! | Bellman–Ford (frontier, ∞)   | 1                | relaxation rounds   |
-//! | BFS (unweighted engine, 0)   | levels           | = steps             |
+//! | algorithm                      | `steps`          | `substeps`          |
+//! |--------------------------------|------------------|---------------------|
+//! | Dijkstra                       | settled vertices | = steps             |
+//! | ∆-stepping (`r ≡ ∆`)           | radius steps     | radius substeps     |
+//! | Bellman–Ford (`r ≡ ∞`)         | 1                | relaxation rounds   |
+//! | BFS (`r ≡ 0`, unit weights)    | levels           | = steps             |
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -127,7 +127,7 @@ mod tests {
     use super::*;
     use crate::dijkstra_default;
     use rs_core::solver::Radii;
-    use rs_core::{EngineKind, PreprocessConfig};
+    use rs_core::PreprocessConfig;
     use rs_graph::{gen, weights, WeightModel};
 
     fn weighted() -> CsrGraph {
@@ -139,8 +139,8 @@ mod tests {
         let g = weighted();
         let reference = dijkstra_default(&g, 5);
         let algorithms = [
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(900) },
+            Algorithm::RadiusStepping { radii: Radii::Zero },
+            Algorithm::RadiusStepping { radii: Radii::Constant(900) },
             Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 2_000 },
             Algorithm::BellmanFord,
@@ -155,43 +155,11 @@ mod tests {
 
     #[test]
     fn bfs_solver_unit_graphs_only() {
+        // BFS is the default build (r ≡ 0) on a unit-weight graph.
         let g = gen::grid2d(6, 6);
-        let solver = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
+        let solver = SolverBuilder::new(&g).build();
         let out = solver.execute(&Query::single_source(0), &mut SolverScratch::new());
         assert_eq!(out.dist(), crate::bfs_seq(&g, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "unit-weighted")]
-    fn bfs_solver_rejects_weighted() {
-        let g = weighted();
-        let _ = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
-    }
-
-    /// `Algorithm::RadiusStepping` on the unweighted engine, over a
-    /// weighted grid with or without preprocessing: rejected at build, not
-    /// at the first solve.
-    fn unweighted_engine_on_weighted(preprocess: Option<PreprocessConfig>) {
-        let g = weights::reweight(&gen::grid2d(8, 8), WeightModel::paper_weighted(), 1);
-        let algorithm =
-            Algorithm::RadiusStepping { engine: EngineKind::Unweighted, radii: Radii::Zero };
-        let mut builder = SolverBuilder::new(&g).algorithm(algorithm);
-        if let Some(cfg) = preprocess {
-            builder = builder.preprocess(cfg);
-        }
-        let _ = builder.build();
-    }
-
-    #[test]
-    #[should_panic(expected = "unit-weighted")]
-    fn unweighted_engine_rejects_weighted() {
-        unweighted_engine_on_weighted(None);
-    }
-
-    #[test]
-    #[should_panic(expected = "unit-weighted")]
-    fn unweighted_engine_rejects_preprocessed() {
-        unweighted_engine_on_weighted(Some(PreprocessConfig::new(1, 8)));
     }
 
     #[test]
@@ -199,7 +167,7 @@ mod tests {
     fn per_vertex_radii_length_checked_at_build() {
         let g = weights::reweight(&gen::grid2d(8, 8), WeightModel::paper_weighted(), 1);
         let radii = Radii::PerVertex(vec![1_000; 10].into());
-        let algorithm = Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii };
+        let algorithm = Algorithm::RadiusStepping { radii };
         let _ = SolverBuilder::new(&g).algorithm(algorithm).build();
     }
 

@@ -1,11 +1,10 @@
-//! Parallel-primitive microbenchmarks: scan, pack, write-min, and edge_map
-//! direction ablation.
+//! Parallel-primitive microbenchmarks: scan, pack, min-reduction and
+//! write-min.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use rs_graph::{edge_map::edge_map_dense, edge_map::edge_map_sparse, gen};
-use rs_par::{atomic_vec, exclusive_scan, pack_indices, par_min, EpochMinArray, VertexSubset};
+use rs_par::{atomic_vec, exclusive_scan, pack_indices, par_min, EpochMinArray};
 
 fn primitives(c: &mut Criterion) {
     let n = 1 << 20;
@@ -67,31 +66,6 @@ fn primitives(c: &mut Criterion) {
             }
             black_box(cells.load(0))
         })
-    });
-    group.finish();
-
-    // Ligra direction ablation on a grid frontier.
-    let g = gen::grid2d(300, 300);
-    let frontier_ids: Vec<u32> = (0..9000u32).map(|i| i * 10).collect();
-    let frontier = VertexSubset::from_ids(g.num_vertices(), frontier_ids.clone());
-    let mut group = c.benchmark_group("edge_map");
-    group.sample_size(10);
-    group.bench_function("sparse", |b| {
-        b.iter(|| {
-            black_box(
-                edge_map_sparse(
-                    &g,
-                    g.num_vertices(),
-                    &frontier_ids,
-                    |_, _, _| true,
-                    |v| v % 2 == 0,
-                )
-                .len(),
-            )
-        })
-    });
-    group.bench_function("dense", |b| {
-        b.iter(|| black_box(edge_map_dense(&g, &frontier, |_, _, _| true, |v| v % 2 == 0).len()))
     });
     group.finish();
 }

@@ -9,7 +9,7 @@
 use rs_baselines::dijkstra_default;
 use rs_core::preprocess::{PreprocessConfig, Preprocessed, ShortcutHeuristic};
 use rs_core::verify::{check_k_rho_graph, step_bound, substep_bound};
-use rs_core::{radius_stepping_with, EngineConfig, EngineKind};
+use rs_core::{radius_stepping_with, EngineConfig};
 use rs_graph::{gen, weights, WeightModel};
 
 use crate::sample_sources;
@@ -51,8 +51,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
             let mut all_correct = true;
             for &s in &sample_sources(n, cfg.sources.max(2), cfg.seed) {
                 let cfg = EngineConfig::with_trace();
-                let out =
-                    radius_stepping_with(&pre.graph, &pre.radii, s, EngineKind::Frontier, cfg);
+                let out = radius_stepping_with(&pre.graph, &pre.radii, s, cfg);
                 worst_steps = worst_steps.max(out.stats.steps);
                 worst_sub = worst_sub.max(out.stats.max_substeps_in_step);
                 all_correct &= out.dist == dijkstra_default(g, s);

@@ -17,7 +17,6 @@
 use rs_baselines::solver::BuildSolver;
 use rs_core::preprocess::compute_radii;
 use rs_core::solver::{Algorithm, QueryBatch, Radii, SolverBuilder};
-use rs_core::EngineKind;
 use rs_graph::{CsrGraph, VertexId};
 
 use crate::paper::{self, RHO_UNWEIGHTED, RHO_WEIGHTED};
@@ -40,9 +39,7 @@ pub fn mean_steps(g: &CsrGraph, rho: usize, sources: &[VertexId]) -> f64 {
     } else {
         Radii::PerVertex(compute_radii(g, rho).into())
     };
-    let solver = SolverBuilder::new(g)
-        .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii })
-        .build();
+    let solver = SolverBuilder::new(g).algorithm(Algorithm::RadiusStepping { radii }).build();
     QueryBatch::from_sources(sources).execute(&*solver).stats.mean_steps()
 }
 

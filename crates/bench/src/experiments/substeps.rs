@@ -8,7 +8,7 @@
 
 use rs_baselines::delta_stepping;
 use rs_core::preprocess::{PreprocessConfig, Preprocessed, ShortcutHeuristic};
-use rs_core::{radius_stepping_with, EngineConfig, EngineKind};
+use rs_core::{radius_stepping_with, EngineConfig};
 
 use crate::suite::build_graph;
 use crate::table::Table;
@@ -44,7 +44,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
         let h = if k == 1 { ShortcutHeuristic::Full } else { ShortcutHeuristic::Dp };
         let pre = Preprocessed::build(&g, &PreprocessConfig { k, rho: 32, heuristic: h });
         let cfg = EngineConfig::with_trace();
-        let out = radius_stepping_with(&pre.graph, &pre.radii, 0, EngineKind::Frontier, cfg);
+        let out = radius_stepping_with(&pre.graph, &pre.radii, 0, cfg);
         assert!(out.stats.max_substeps_in_step <= k as usize + 2, "Theorem 3.2");
         t.push_row(vec![
             "radius-stepping".into(),

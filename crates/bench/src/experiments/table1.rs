@@ -7,7 +7,7 @@
 
 use rs_core::preprocess::{PreprocessConfig, Preprocessed};
 use rs_core::verify::ceil_log2;
-use rs_core::{radius_stepping_with, EngineConfig, EngineKind};
+use rs_core::{radius_stepping_with, EngineConfig};
 
 use crate::suite::build_graph;
 use crate::table::Table;
@@ -69,7 +69,7 @@ pub fn measured_table(cfg: &ExpConfig) -> Table {
     for rho in [4usize, 16, 64] {
         let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, rho));
         let cfg = EngineConfig::with_trace();
-        let out = radius_stepping_with(&pre.graph, &pre.radii, 0, EngineKind::Frontier, cfg);
+        let out = radius_stepping_with(&pre.graph, &pre.radii, 0, cfg);
         let log_n = ceil_log2(n as u64) as usize;
         let log_rho_l = ceil_log2(rho as u64 * pre.graph.max_weight() as u64) as usize;
         let depth_proxy = out.stats.substeps;

@@ -295,12 +295,12 @@ fn relax_substep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radius_stepping_with;
     use crate::solver::{Algorithm, Query, Radii, SolverBuilder, SsspSolver};
-    use crate::{radius_stepping_with, EngineKind};
     use rs_graph::{gen, weights, EdgeListBuilder, WeightModel, INF};
 
     fn solve(g: &CsrGraph, radii: &Radii, s: VertexId) -> SsspResult {
-        radius_stepping_with(g, radii, s, EngineKind::Frontier, EngineConfig::with_trace())
+        radius_stepping_with(g, radii, s, EngineConfig::with_trace())
     }
 
     #[test]
@@ -326,10 +326,7 @@ mod tests {
     fn paths_from_distances_telescope_goal_bounded_and_full() {
         let g = weights::reweight(&gen::grid2d(12, 12), WeightModel::paper_weighted(), 9);
         let solver = SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Frontier,
-                radii: Radii::Constant(900),
-            })
+            .algorithm(Algorithm::RadiusStepping { radii: Radii::Constant(900) })
             .radius_stepping_solver_from_algorithm();
         let mut scratch = SolverScratch::new();
         let goal = 143u32;
@@ -380,6 +377,16 @@ mod tests {
     }
 
     #[test]
+    fn zero_radii_is_exactly_bfs() {
+        // On unit weights r ≡ 0 is BFS: one level per step, one substep
+        // each, so steps = eccentricity.
+        let g = gen::grid2d(10, 10);
+        let out = solve(&g, &Radii::Zero, 0);
+        assert_eq!((out.stats.steps, out.stats.substeps), (18, 18));
+        assert_eq!(out.dist[99], 18);
+    }
+
+    #[test]
     fn infinite_radii_is_bellman_ford_single_step() {
         let g = gen::path(12);
         let out = solve(&g, &Radii::Infinite, 0);
@@ -401,7 +408,6 @@ mod tests {
             &g,
             &Radii::Infinite,
             0,
-            EngineKind::Frontier,
             EngineConfig { goals: Goals::One(10), ..Default::default() },
         );
         assert_eq!(bounded.dist[10], full.dist[10], "goal must be exact");
@@ -431,7 +437,6 @@ mod tests {
                     &g,
                     &Radii::Infinite,
                     7,
-                    EngineKind::Frontier,
                     EngineConfig { goals: Goals::One(goal), ..Default::default() },
                 );
                 assert_eq!(out.dist[goal as usize], reference[goal as usize].0, "goal {goal}");
@@ -440,7 +445,6 @@ mod tests {
                 &g,
                 &Radii::Infinite,
                 7,
-                EngineKind::Frontier,
                 EngineConfig { goals: Goals::Many(&goals), ..Default::default() },
             );
             for goal in goals {
@@ -458,7 +462,6 @@ mod tests {
             &g,
             &Radii::Infinite,
             0,
-            EngineKind::Frontier,
             EngineConfig { goals: Goals::One(2), ..Default::default() },
         );
         assert_eq!(out.dist, vec![0, 2, INF]);

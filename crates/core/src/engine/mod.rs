@@ -1,40 +1,28 @@
 //! Radius-stepping execution engines.
 //!
-//! * [`frontier`] — the weighted engine: Algorithm 1 with a packed fringe,
-//!   a parallel min-reduction for `d_i`, and parallel priority-write
-//!   Bellman–Ford substeps. It runs every `Radii`, and so every point on
-//!   the spectrum from Dijkstra (`r ≡ 0`) to Bellman–Ford (`r ≡ ∞`).
-//! * [`unweighted`] — the §3.4 engine for unit-weight graphs.
+//! * [`frontier`] — the one radius-stepping engine: Algorithm 1 with a
+//!   packed fringe, a parallel min-reduction for `d_i`, and parallel
+//!   priority-write Bellman–Ford substeps. It runs every `Radii`, and so
+//!   every point on the spectrum from Dijkstra (`r ≡ 0`) to Bellman–Ford
+//!   (`r ≡ ∞`); on a unit-weight graph `r ≡ 0` is BFS, one level per step.
 //! * [`p2p`] — the bidirectional and goal-directed point-to-point kernels.
 //!
 //! The paper's Algorithm 2 keeps the fringe in two BSTs to prove its work
-//! bound; it takes the same steps and substeps as Algorithm 1 and was
-//! slower in every measured regime, so it is not implemented (README,
-//! "Substitutions"). The frontier engine's step sequence is instead
-//! checked against [`crate::verify::step_trace`], a sequential
-//! Algorithm 1 over plain vectors.
+//! bound, and §3.4 specialises Algorithm 1 to unit weights. Both take the
+//! same steps and substeps as the frontier engine; both were measured
+//! against it and removed (README, "Substitutions"). The frontier
+//! engine's step sequence is instead checked against
+//! [`crate::verify::step_trace`], a sequential Algorithm 1 over plain
+//! vectors.
 
 pub mod frontier;
 pub mod p2p;
-pub mod unweighted;
 
 use rs_graph::{CsrGraph, VertexId};
 
 use crate::radii::Radii;
 use crate::scratch::SolverScratch;
 use crate::stats::SsspResult;
-
-/// Engine selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Parallel frontier engine (Algorithm 1) for any weights and radii;
-    /// the default.
-    #[default]
-    Frontier,
-    /// BFS-style engine for unit-weight graphs (§3.4); no ordered
-    /// structures at all. Panics on weighted inputs.
-    Unweighted,
-}
 
 /// Goal bound of one solve: which vertices must be settled before the
 /// engine (or baseline) may exit early. `None` means run to completion;
@@ -96,23 +84,22 @@ impl EngineConfig<'_> {
     }
 }
 
-/// Solves SSSP from `source` with the default (frontier) engine.
+/// Solves SSSP from `source` on the frontier engine.
 ///
 /// Correct for any `radii` (Theorem 3.1 holds regardless); the radii govern
 /// only how many steps and substeps the run takes.
 pub fn radius_stepping(g: &CsrGraph, radii: &Radii, source: VertexId) -> SsspResult {
-    radius_stepping_with(g, radii, source, EngineKind::Frontier, EngineConfig::default())
+    radius_stepping_with(g, radii, source, EngineConfig::default())
 }
 
-/// Solves SSSP with an explicit engine and configuration.
+/// Solves SSSP with an explicit configuration.
 pub fn radius_stepping_with(
     g: &CsrGraph,
     radii: &Radii,
     source: VertexId,
-    kind: EngineKind,
     config: EngineConfig<'_>,
 ) -> SsspResult {
-    radius_stepping_with_scratch(g, radii, source, kind, config, &mut SolverScratch::new())
+    radius_stepping_with_scratch(g, radii, source, config, &mut SolverScratch::new())
 }
 
 /// [`radius_stepping_with`] on reusable scratch state: identical results
@@ -123,37 +110,17 @@ pub fn radius_stepping_with_scratch(
     g: &CsrGraph,
     radii: &Radii,
     source: VertexId,
-    kind: EngineKind,
     config: EngineConfig<'_>,
     scratch: &mut SolverScratch,
 ) -> SsspResult {
     assert!((source as usize) < g.num_vertices(), "source out of range");
-    match kind {
-        EngineKind::Frontier => frontier::run_with(g, radii, source, config, scratch),
-        EngineKind::Unweighted => unweighted::run_with(g, radii, source, config, scratch),
-    }
+    frontier::run_with(g, radii, source, config, scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rs_graph::{gen, INF};
-
-    #[test]
-    fn dispatch_runs_both_engines() {
-        // Unit weights, so both engines apply; the frontier run also
-        // matches the sequential step oracle.
-        let g = gen::cycle(8);
-        let run =
-            |kind| radius_stepping_with(&g, &Radii::Zero, 0, kind, EngineConfig::with_trace());
-        let (f, u) = (run(EngineKind::Frontier), run(EngineKind::Unweighted));
-        assert_eq!(f.dist, u.dist);
-        assert!(f.dist.iter().all(|&d| d != INF));
-        assert_eq!(
-            (f.dist, f.stats.trace.unwrap()),
-            crate::verify::step_trace(&g, &Radii::Zero, 0)
-        );
-    }
+    use rs_graph::gen;
 
     #[test]
     #[should_panic(expected = "source out of range")]

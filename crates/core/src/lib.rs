@@ -13,7 +13,8 @@
 //! * [`radius_stepping`] — run Algorithm 1 on any graph with any
 //!   [`Radii`] (correct for *all* radii; the radii only steer the
 //!   step/substep trade-off: `Zero` ≈ Dijkstra, `Infinite` ≈ Bellman–Ford,
-//!   `Constant(∆)` ≈ ∆-stepping).
+//!   `Constant(∆)` ≈ ∆-stepping; `Zero` on a unit-weight graph is BFS).
+//!   Every radius is run by the one [`engine::frontier`] engine.
 //! * [`preprocess::Preprocessed`] — the full pipeline: build a
 //!   (k, ρ)-graph with shortcut edges and `r(v) = r_ρ(v)` radii (§4), then
 //!   solve from any number of sources with bounded steps and substeps
@@ -41,8 +42,7 @@ pub mod stats;
 pub mod verify;
 
 pub use engine::{
-    radius_stepping, radius_stepping_with, radius_stepping_with_scratch, EngineConfig, EngineKind,
-    Goals,
+    radius_stepping, radius_stepping_with, radius_stepping_with_scratch, EngineConfig, Goals,
 };
 pub use landmarks::{Landmarks, DEFAULT_LANDMARKS};
 pub use preprocess::{PreprocessConfig, Preprocessed, ShortcutExpander};

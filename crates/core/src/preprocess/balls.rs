@@ -49,6 +49,35 @@ pub struct Ball {
     pub explored_edges: u64,
 }
 
+impl Ball {
+    /// Indexes the members by vertex, in `O(b log b)` for `b` members.
+    pub fn member_index(&self) -> MemberIndex {
+        let mut by_vertex: Vec<(VertexId, usize)> =
+            self.members.iter().enumerate().map(|(i, m)| (m.v, i)).collect();
+        by_vertex.sort_unstable();
+        MemberIndex(by_vertex)
+    }
+}
+
+/// The position of every member in [`Ball::members`], sorted by vertex:
+/// the one vertex → member lookup that the shortcut heuristics and the
+/// chain recording share. Built by [`Ball::member_index`].
+pub struct MemberIndex(Vec<(VertexId, usize)>);
+
+impl MemberIndex {
+    /// The position of member `v` in [`Ball::members`]. Panics when `v` is
+    /// not a member.
+    pub fn position(&self, v: VertexId) -> usize {
+        let at = self.0.binary_search_by_key(&v, |e| e.0);
+        self.0[at.expect("vertex is a ball member")].1
+    }
+
+    /// `(vertex, position)` pairs in ascending vertex order.
+    pub fn by_vertex(&self) -> &[(VertexId, usize)] {
+        &self.0
+    }
+}
+
 /// Reusable per-worker state for ball searches.
 pub struct BallScratch {
     dist: Vec<Dist>,

@@ -15,9 +15,7 @@
 //! Optimal per tree, not globally (the paper leaves global optimality
 //! open); §5.2 shows it shines on hub-heavy graphs.
 
-use std::collections::HashMap;
-
-use rs_graph::{Edge, VertexId};
+use rs_graph::Edge;
 
 use super::balls::Ball;
 use super::greedy::dist_as_weight;
@@ -32,11 +30,10 @@ pub fn dp_shortcuts(ball: &Ball, k: u32) -> Vec<Edge> {
     let k = k as usize;
 
     // Tree structure over member indices.
-    let idx_of: HashMap<VertexId, u32> =
-        ball.members.iter().enumerate().map(|(i, m)| (m.v, i as u32)).collect();
+    let index = ball.member_index();
     let mut child_off = vec![0u32; b + 1];
     for m in ball.members.iter().skip(1) {
-        child_off[idx_of[&m.parent] as usize + 1] += 1;
+        child_off[index.position(m.parent) + 1] += 1;
     }
     for i in 0..b {
         child_off[i + 1] += child_off[i];
@@ -44,7 +41,7 @@ pub fn dp_shortcuts(ball: &Ball, k: u32) -> Vec<Edge> {
     let mut children = vec![0u32; b - 1];
     let mut cursor = child_off.clone();
     for (i, m) in ball.members.iter().enumerate().skip(1) {
-        let p = idx_of[&m.parent] as usize;
+        let p = index.position(m.parent);
         children[cursor[p] as usize] = i as u32;
         cursor[p] += 1;
     }

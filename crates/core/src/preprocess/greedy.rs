@@ -50,16 +50,16 @@ pub(crate) fn dist_as_weight(d: u64) -> Weight {
 /// `shortcut_targets`, using only tree edges and shortcuts. Members are in
 /// pop order, so parents precede children.
 pub fn hops_with_shortcuts(ball: &Ball, shortcut_targets: &[rs_graph::VertexId]) -> Vec<u32> {
-    use std::collections::HashMap;
-    let idx_of: HashMap<u32, u32> =
-        ball.members.iter().enumerate().map(|(i, m)| (m.v, i as u32)).collect();
-    let shortcut: std::collections::HashSet<u32> = shortcut_targets.iter().copied().collect();
+    let index = ball.member_index();
+    let mut shortcut = vec![false; ball.members.len()];
+    for &t in shortcut_targets {
+        shortcut[index.position(t)] = true;
+    }
     let mut hops = vec![u32::MAX; ball.members.len()];
     hops[0] = 0;
     for (i, m) in ball.members.iter().enumerate().skip(1) {
-        let via_parent = hops[idx_of[&m.parent] as usize].saturating_add(1);
-        let via_shortcut = if shortcut.contains(&m.v) { 1 } else { u32::MAX };
-        hops[i] = via_parent.min(via_shortcut);
+        let via_parent = hops[index.position(m.parent)].saturating_add(1);
+        hops[i] = if shortcut[i] { 1 } else { via_parent };
     }
     hops
 }

@@ -133,7 +133,7 @@ pub struct Preprocessed {
     /// The (k, ρ)-graph: input plus shortcut edges.
     pub graph: CsrGraph,
     /// `r(v) = r_ρ(v)` (distance to the ρ-th closest vertex, counting `v`),
-    /// always [`Radii::PerVertex`]: pass `&pre.radii` to the engines.
+    /// always [`Radii::PerVertex`]: pass `&pre.radii` to the engine.
     pub radii: Radii,
     /// Parameters used.
     pub config: PreprocessConfig,
@@ -320,22 +320,17 @@ fn ball_chains(ball: &Ball, shortcuts: &[Edge]) -> ChainLinks {
         return Vec::new();
     }
     let members = &ball.members;
-    let mut by_vertex: Vec<(VertexId, usize)> =
-        members.iter().enumerate().map(|(i, m)| (m.v, i)).collect();
-    by_vertex.sort_unstable();
-    let index = |v: VertexId| {
-        let at = by_vertex.binary_search_by_key(&v, |e| e.0);
-        by_vertex[at.expect("shortcut targets and their tree parents are ball members")].1
-    };
+    let index = ball.member_index();
     let mut recorded = vec![false; members.len()];
     for &(_, target, _) in shortcuts {
-        let mut i = index(target);
+        let mut i = index.position(target);
         while i != 0 && !recorded[i] {
             recorded[i] = true;
-            i = index(members[i].parent);
+            i = index.position(members[i].parent);
         }
     }
-    by_vertex
+    index
+        .by_vertex()
         .iter()
         .filter(|&&(_, i)| recorded[i])
         .map(|&(v, i)| (v, members[i].parent, members[i].dist))
@@ -388,7 +383,7 @@ fn preprocess_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{radius_stepping, radius_stepping_with, EngineConfig, EngineKind};
+    use crate::engine::{radius_stepping, radius_stepping_with, EngineConfig};
     use rs_baselines::dijkstra_default;
     use rs_graph::{gen, weights, WeightModel, INF};
 
@@ -423,8 +418,7 @@ mod tests {
             let pre = Preprocessed::build(&g, &PreprocessConfig::new(k, rho));
             for s in [0u32, 55] {
                 let cfg = EngineConfig::with_trace();
-                let out =
-                    radius_stepping_with(&pre.graph, &pre.radii, s, EngineKind::Frontier, cfg);
+                let out = radius_stepping_with(&pre.graph, &pre.radii, s, cfg);
                 assert_eq!(out.dist, dijkstra_default(&g, s));
                 assert!(
                     out.stats.max_substeps_in_step <= (k as usize) + 2,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use rs_graph::{Dist, VertexId, INF};
 
-/// A radius assignment `r(v)`: what the engines, the step oracle and
+/// A radius assignment `r(v)`: what the frontier engine, the step oracle and
 /// [`crate::solver::Algorithm::RadiusStepping`] take. Cloning is O(1)
 /// (`PerVertex` shares its array).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -66,7 +66,7 @@ pub fn assert_distance_range(g: &CsrGraph) {
 pub struct ScratchView<'a> {
     /// Tentative distances, logically all-`∞` at view time (epoch-reset).
     pub dist: &'a EpochMinArray,
-    /// Settled / visited flags, cleared at view time.
+    /// Settled flags, cleared at view time.
     pub settled: &'a AtomicBitset,
     /// Engine-specific membership flags, cleared at view time.
     pub mark_a: &'a AtomicBitset,
@@ -79,10 +79,10 @@ pub struct ScratchView<'a> {
     /// Reusable vertex buffer (emptied at view time, capacity kept).
     pub verts_b: &'a mut Vec<VertexId>,
     /// Reusable vertex buffer (emptied at view time, capacity kept) — the
-    /// engines' per-step `dirty` set, hoisted out of the substep loop.
+    /// frontier engine's per-step `dirty` set, hoisted out of the substep loop.
     pub verts_c: &'a mut Vec<VertexId>,
     /// Reusable vertex buffer (emptied at view time, capacity kept) — the
-    /// engines' per-substep `next_dirty` set.
+    /// frontier engine's per-substep `next_dirty` set.
     pub verts_d: &'a mut Vec<VertexId>,
     /// Reusable vertex buffer (emptied at view time, capacity kept) — the
     /// frontier engine's per-step fringe additions.
@@ -158,27 +158,15 @@ impl SolverScratch {
     /// [`crate::StepStats::scratch_reused`] `= true`. The batch layer
     /// calls this (through `SsspSolver::warm_scratch`) when creating
     /// per-worker scratches; algorithm-specific structures — the
-    /// engines' frontier/substep buffers
+    /// frontier engine's fringe/substep buffers
     /// ([`SolverScratch::warm_engine_buffers`]) and the heaps — are warmed
     /// by the solvers' own `warm_scratch` overrides (or sized on first
-    /// use), so a Dijkstra worker never pays for buffers only the engines
-    /// read.
+    /// use), so a Dijkstra worker never pays for buffers only the engine
+    /// reads.
     pub fn warm_up(&mut self, g: &CsrGraph) {
         self.begin(g.num_vertices());
         let _ = self.view();
         // Warming is not a solve: undo begin()'s bookkeeping.
-        self.in_solve = false;
-        self.solves -= 1;
-    }
-
-    /// The lean counterpart of [`SolverScratch::warm_up`]: pre-sizes only
-    /// the visited bitset — all that the unweighted engine
-    /// ([`SolverScratch::visited_set`]) ever touches — so its per-worker
-    /// scratches skip the 16-bytes-per-vertex distance structures
-    /// entirely.
-    pub fn warm_up_lean(&mut self, g: &CsrGraph) {
-        self.begin(g.num_vertices());
-        let _ = self.visited_set();
         self.in_solve = false;
         self.solves -= 1;
     }
@@ -227,21 +215,6 @@ impl SolverScratch {
     /// Solves that completed without any scratch-managed allocation.
     pub fn reuses(&self) -> u64 {
         self.reuses
-    }
-
-    /// Materialises and resets only the settled/visited bitset — the lean
-    /// path for solvers that need nothing else (the unweighted engine,
-    /// i.e. BFS), so a BFS-only scratch never pays for the 16-bytes-per-
-    /// vertex distance structures of [`SolverScratch::view`].
-    pub fn visited_set(&mut self) -> &AtomicBitset {
-        debug_assert!(self.in_solve, "visited_set() outside begin()/finish()");
-        if self.settled.len() < self.n {
-            self.settled = AtomicBitset::new(self.n);
-            self.allocated = true;
-        } else {
-            self.settled.clear_all();
-        }
-        &self.settled
     }
 
     /// Materialises and resets the shared working state for this solve.
@@ -575,17 +548,6 @@ mod tests {
         s.begin(1000);
         let _ = s.view();
         assert!(s.finish());
-    }
-
-    #[test]
-    fn visited_set_is_lean_and_cleared() {
-        let mut s = SolverScratch::new();
-        s.begin(100);
-        assert!(s.visited_set().set(7));
-        assert!(!s.finish(), "first solve allocates the bitset");
-        s.begin(100);
-        assert!(!s.visited_set().get(7), "cleared per solve");
-        assert!(s.finish(), "bitset-only reuse is warm");
     }
 
     #[test]

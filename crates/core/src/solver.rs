@@ -16,9 +16,8 @@
 //!   entry point every solver implements: goal-bounded and
 //!   scratch-reusing, with paths derived from the result's distances
 //!   ([`finish_paths`]).
-//! * [`Algorithm`] — the algorithm selector (`RadiusStepping { engine,
-//!   radii }`, `Dijkstra`, `DeltaStepping { delta }`,
-//!   `BellmanFord`, `Bfs`).
+//! * [`Algorithm`] — the algorithm selector (`RadiusStepping { radii }`,
+//!   `Dijkstra`, `DeltaStepping { delta }`, `BellmanFord`).
 //! * [`SolverBuilder`] — picks the algorithm, optionally attaches
 //!   (k, ρ)-preprocessing, and sets the point-to-point mode.
 //! * [`QueryBatch`] — the mixed-shape batch layer: deduplicates by
@@ -30,8 +29,9 @@
 //!   [`crate::StepStats`] into a [`BatchStats`] (including the
 //!   goal-bounded traffic counters).
 //!
-//! This module defines the trait, the configuration types, and the
-//! radius-stepping solvers. The baseline adapters live in
+//! This module defines the trait, the query and batch types, the
+//! [`Algorithm`] selector and builder, and the radius-stepping solver.
+//! The baseline adapters live in
 //! `rs_baselines::solver` (which also supplies the builder's `build()`
 //! through its `BuildSolver` extension trait, since the baseline
 //! implementations sit above this crate in the dependency graph); the
@@ -44,10 +44,7 @@
 //!
 //! let g = weights::reweight(&gen::grid2d(12, 12), WeightModel::paper_weighted(), 1);
 //! let solver = SolverBuilder::new(&g)
-//!     .algorithm(Algorithm::RadiusStepping {
-//!         engine: Default::default(),
-//!         radii: Radii::Constant(2_000),
-//!     })
+//!     .algorithm(Algorithm::RadiusStepping { radii: Radii::Constant(2_000) })
 //!     .radius_stepping_solver_from_algorithm();
 //! let mut scratch = SolverScratch::new();
 //! let trip = solver.execute(&Query::point_to_point(0, 143).with_paths(), &mut scratch);
@@ -63,7 +60,7 @@ use std::sync::Arc;
 
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
 
-use crate::engine::{p2p, radius_stepping_with_scratch, EngineConfig, EngineKind, Goals};
+use crate::engine::{p2p, radius_stepping_with_scratch, EngineConfig, Goals};
 use crate::landmarks::{Landmarks, DEFAULT_LANDMARKS};
 use crate::preprocess::{PreprocessConfig, Preprocessed, ShortcutExpander};
 pub use crate::radii::Radii;
@@ -544,7 +541,7 @@ pub trait SsspSolver: Sync {
     ///   scratch is bypassed; each pool task warms its own) and return
     ///   one result row per source.
     /// * After the first (cold) query on a scratch, no working distance
-    ///   array, bitset, heap or bucket queue is allocated
+    ///   array, bitset, vertex buffer or heap is allocated
     ///   again ([`crate::StepStats::scratch_reused`]); pre-warm with
     ///   [`SsspSolver::warm_scratch`] to make even the first query warm.
     ///
@@ -556,7 +553,7 @@ pub trait SsspSolver: Sync {
     /// Pre-sizes `scratch` for this solver so a latency-critical *first*
     /// query skips the cold allocation spike. The default pre-sizes the
     /// shared working structures for [`SsspSolver::graph`]; solvers with
-    /// private structures (the engines' buffers, Dijkstra's heap)
+    /// private structures (the engine's buffers, Dijkstra's heap)
     /// override it to warm those too. [`QueryBatch::execute`] calls this
     /// when creating per-worker scratches.
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
@@ -914,13 +911,15 @@ impl BatchStats {
     }
 }
 
-/// Algorithm selector: the five families of the paper's evaluation.
+/// Algorithm selector: the families of the paper's evaluation. BFS is
+/// `RadiusStepping { radii: Radii::Zero }` (the default) on a unit-weight
+/// graph: one level per step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Algorithm {
-    /// Radius stepping (Algorithm 1/2) with an engine and radii. Attach
+    /// Radius stepping (Algorithm 1) with these radii. Attach
     /// [`SolverBuilder::preprocess`] to derive `r_ρ(v)` radii and shortcut
     /// edges instead of passing radii here.
-    RadiusStepping { engine: EngineKind, radii: Radii },
+    RadiusStepping { radii: Radii },
     /// Sequential Dijkstra on a 4-ary decrease-key heap.
     Dijkstra,
     /// ∆-stepping as the paper places it (§3): the frontier engine at
@@ -933,15 +932,11 @@ pub enum Algorithm {
     /// infinite even with preprocessing attached (the shortcuts still
     /// apply).
     BellmanFord,
-    /// BFS as the unweighted engine at `r ≡ 0` (§3.4): one level per step.
-    /// Unit-weight graphs only, so no preprocessing (its shortcuts carry
-    /// weights).
-    Bfs,
 }
 
 impl Default for Algorithm {
     fn default() -> Self {
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero }
+        Algorithm::RadiusStepping { radii: Radii::Zero }
     }
 }
 
@@ -1058,15 +1053,13 @@ pub fn finish_paths(g: &CsrGraph, query: &Query, mut result: SsspResult) -> Sssp
 ///
 /// ```
 /// use rs_core::solver::{Algorithm, Query, Radii, SolverBuilder, SsspSolver};
-/// use rs_core::{EngineKind, PreprocessConfig, SolverScratch};
+/// use rs_core::{PreprocessConfig, SolverScratch};
 /// use rs_graph::{gen, weights, WeightModel};
 ///
 /// let g = weights::reweight(&gen::grid2d(10, 10), WeightModel::paper_weighted(), 7);
 /// let solver = SolverBuilder::new(&g)
-///     .algorithm(Algorithm::RadiusStepping {
-///         engine: EngineKind::Frontier,
-///         radii: Radii::Zero, // replaced by r_rho(v) below
-///     })
+///     // Radii replaced by r_rho(v) below.
+///     .algorithm(Algorithm::RadiusStepping { radii: Radii::Zero })
 ///     .preprocess(PreprocessConfig::new(1, 16))
 ///     .radius_stepping_solver_from_algorithm(); // or `.build()` via rs_baselines
 /// let query = Query::single_source(0).with_trace();
@@ -1084,8 +1077,9 @@ pub struct SolverBuilder<'g> {
 }
 
 impl<'g> SolverBuilder<'g> {
-    /// Starts a builder for `graph` (default algorithm: frontier-engine
-    /// radius stepping with zero radii, i.e. batched Dijkstra).
+    /// Starts a builder for `graph` (default algorithm: radius stepping
+    /// with zero radii, i.e. batched Dijkstra — BFS on a unit-weight
+    /// graph).
     pub fn new(graph: &'g CsrGraph) -> Self {
         SolverBuilder {
             graph,
@@ -1160,30 +1154,24 @@ impl<'g> SolverBuilder<'g> {
 
     /// Builds a radius-stepping solver from the current `algorithm`
     /// selection, applying any attached preprocessing. `RadiusStepping`
-    /// takes its engine and radii, with preprocessing (when attached)
-    /// replacing the radii by `r_ρ(v)`; `DeltaStepping { delta }` is the
-    /// frontier engine at `r ≡ ∆`, `BellmanFord` at `r ≡ ∞`, and `Bfs` the
-    /// unweighted engine at `r ≡ 0`, whatever is attached. Preprocessing
+    /// takes its radii, with preprocessing (when attached) replacing them
+    /// by `r_ρ(v)`; `DeltaStepping { delta }` runs at `r ≡ ∆` and
+    /// `BellmanFord` at `r ≡ ∞`, whatever is attached. Preprocessing
     /// replaces the graph in every case.
     ///
     /// Panics on `Dijkstra`, which `rs_baselines::solver::BuildSolver`
-    /// builds; on the unweighted engine over a weighted (or preprocessed)
-    /// graph; and on `PerVertex` radii whose length is not the vertex
-    /// count.
+    /// builds; on `PerVertex` radii whose length is not the vertex count;
+    /// and on a graph whose distances could exceed the scratch epoch
+    /// array's 48-bit range ([`crate::scratch::assert_distance_range`]),
+    /// which the first solve would otherwise hit.
     pub fn radius_stepping_solver_from_algorithm(self) -> RadiusSteppingSolver<'g> {
-        let (engine, radii) = match &self.algorithm {
-            Algorithm::RadiusStepping { engine, radii } => (*engine, radii.clone()),
-            Algorithm::DeltaStepping { delta } => (EngineKind::Frontier, Radii::Constant(*delta)),
-            Algorithm::BellmanFord => (EngineKind::Frontier, Radii::Infinite),
-            Algorithm::Bfs => (EngineKind::Unweighted, Radii::Zero),
+        let radii = match &self.algorithm {
+            Algorithm::RadiusStepping { radii } => radii.clone(),
+            Algorithm::DeltaStepping { delta } => Radii::Constant(*delta),
+            Algorithm::BellmanFord => Radii::Infinite,
             other => panic!("{other:?} is not a radius-stepping point; use BuildSolver::build"),
         };
         let ResolvedParts { graph, expander, p2p, radii: pre_radii } = self.resolve();
-        assert!(
-            engine != EngineKind::Unweighted || graph.is_unit_weighted(),
-            "the unweighted engine (Algorithm::Bfs) requires a unit-weighted graph (and no \
-             preprocessing)"
-        );
         let radii = match pre_radii {
             Some(r) if matches!(self.algorithm, Algorithm::RadiusStepping { .. }) => r,
             _ => radii,
@@ -1196,7 +1184,8 @@ impl<'g> SolverBuilder<'g> {
                 r.len()
             );
         }
-        RadiusSteppingSolver { graph, radii, engine, expander, p2p }
+        crate::scratch::assert_distance_range(&graph);
+        RadiusSteppingSolver { graph, radii, expander, p2p }
     }
 }
 
@@ -1249,12 +1238,11 @@ pub fn resolve_preprocessed(
     }
 }
 
-/// Radius stepping (either engine, any radii, optional preprocessing)
-/// behind the [`SsspSolver`] interface.
+/// Radius stepping (any radii, optional preprocessing) behind the
+/// [`SsspSolver`] interface.
 pub struct RadiusSteppingSolver<'g> {
     graph: Cow<'g, CsrGraph>,
     radii: Radii,
-    engine: EngineKind,
     /// Shortcut expansion table when preprocessing replaced the graph —
     /// attached to every response so extracted paths ride input edges.
     expander: Option<Arc<ShortcutExpander>>,
@@ -1263,10 +1251,6 @@ pub struct RadiusSteppingSolver<'g> {
 
 impl SsspSolver for RadiusSteppingSolver<'_> {
     fn name(&self) -> String {
-        let engine = match self.engine {
-            EngineKind::Frontier => "frontier",
-            EngineKind::Unweighted => "unweighted",
-        };
         let radii = match &self.radii {
             Radii::Zero => "r=0".to_string(),
             Radii::Infinite => "r=inf".to_string(),
@@ -1274,9 +1258,9 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
             Radii::PerVertex(_) => "r_rho".to_string(),
         };
         if self.expander.is_some() {
-            format!("radius-stepping/{engine} {radii} (preprocessed)")
+            format!("radius-stepping {radii} (preprocessed)")
         } else {
-            format!("radius-stepping/{engine} {radii}")
+            format!("radius-stepping {radii}")
         }
     }
 
@@ -1288,18 +1272,12 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
         if let Some(out) = self.p2p.run(&self.graph, query, scratch) {
             return QueryResponse::single(query.clone(), out).with_expander(self.expander.clone());
         }
-        execute_radius_stepping(
-            self,
-            &self.radii,
-            self.engine,
-            self.expander.clone(),
-            query,
-            scratch,
-        )
+        execute_radius_stepping(self, &self.radii, self.expander.clone(), query, scratch)
     }
 
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
-        warm_for_engine(scratch, &self.graph, self.engine);
+        scratch.warm_up(&self.graph);
+        scratch.warm_engine_buffers(self.graph.num_vertices());
         self.p2p.warm(&self.graph, scratch);
     }
 }
@@ -1312,7 +1290,6 @@ impl SsspSolver for RadiusSteppingSolver<'_> {
 fn execute_radius_stepping<S: SsspSolver>(
     solver: &S,
     radii: &Radii,
-    engine: EngineKind,
     expander: Option<Arc<ShortcutExpander>>,
     query: &Query,
     scratch: &mut SolverScratch,
@@ -1323,22 +1300,8 @@ fn execute_radius_stepping<S: SsspSolver>(
     let g = solver.graph();
     let mut goal_buf = Vec::new();
     let cfg = EngineConfig { trace: query.want_trace, goals: solve_goals(query, &mut goal_buf) };
-    let out = radius_stepping_with_scratch(g, radii, query.source(), engine, cfg, scratch);
+    let out = radius_stepping_with_scratch(g, radii, query.source(), cfg, scratch);
     QueryResponse::single(query.clone(), finish_paths(g, query, out)).with_expander(expander)
-}
-
-/// Engine-aware scratch warm-up: shared state plus the frontier/substep
-/// buffers for the frontier engine, and only the visited bitset for the
-/// unweighted engine (which never touches the distance structures — the
-/// lean BFS path).
-fn warm_for_engine(scratch: &mut SolverScratch, g: &CsrGraph, engine: EngineKind) {
-    match engine {
-        EngineKind::Frontier => {
-            scratch.warm_up(g);
-            scratch.warm_engine_buffers(g.num_vertices());
-        }
-        EngineKind::Unweighted => scratch.warm_up_lean(g),
-    }
 }
 
 /// [`Preprocessed`] is itself a solver: `execute` runs the frontier engine
@@ -1354,11 +1317,12 @@ impl SsspSolver for Preprocessed {
 
     fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
         let expander = Some(self.expander.clone());
-        execute_radius_stepping(self, &self.radii, EngineKind::Frontier, expander, query, scratch)
+        execute_radius_stepping(self, &self.radii, expander, query, scratch)
     }
 
     fn warm_scratch(&self, scratch: &mut SolverScratch) {
-        warm_for_engine(scratch, &self.graph, EngineKind::Frontier);
+        scratch.warm_up(&self.graph);
+        scratch.warm_engine_buffers(self.graph.num_vertices());
     }
 }
 
@@ -1373,7 +1337,7 @@ mod tests {
 
     fn frontier(g: &CsrGraph, radii: Radii) -> RadiusSteppingSolver<'_> {
         SolverBuilder::new(g)
-            .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii })
+            .algorithm(Algorithm::RadiusStepping { radii })
             .radius_stepping_solver_from_algorithm()
     }
 
@@ -1719,7 +1683,7 @@ mod tests {
             .algorithm(Algorithm::BellmanFord)
             .preprocess(PreprocessConfig::new(1, 8))
             .radius_stepping_solver_from_algorithm();
-        assert_eq!((bf.engine, &bf.radii), (EngineKind::Frontier, &Radii::Infinite));
+        assert_eq!(bf.radii, Radii::Infinite);
         assert!(bf.expander.is_some(), "shortcuts still apply");
         let out = bf.execute(&Query::single_source(3), &mut SolverScratch::new());
         assert_eq!(out.stats().steps, 1, "r ≡ ∞ survives preprocessing");
@@ -1727,12 +1691,18 @@ mod tests {
             .algorithm(Algorithm::DeltaStepping { delta: 700 })
             .preprocess(PreprocessConfig::new(1, 8))
             .radius_stepping_solver_from_algorithm();
-        assert_eq!((delta.engine, &delta.radii), (EngineKind::Frontier, &Radii::Constant(700)));
-        let unit = gen::grid2d(6, 6);
-        let bfs = SolverBuilder::new(&unit)
-            .algorithm(Algorithm::Bfs)
-            .radius_stepping_solver_from_algorithm();
-        assert_eq!((bfs.engine, &bfs.radii), (EngineKind::Unweighted, &Radii::Zero));
+        assert_eq!(delta.radii, Radii::Constant(700));
+    }
+
+    #[test]
+    #[should_panic(expected = "48-bit range")]
+    fn over_range_graph_rejected_at_build() {
+        // n · L + 1 ≈ 3.0e14 > 2^48 − 1: the build refuses the graph
+        // instead of leaving the panic to the first solve.
+        let mut b = rs_graph::EdgeListBuilder::new(70_000);
+        b.add_edge(0, 1, u32::MAX);
+        let g = b.build();
+        let _ = SolverBuilder::new(&g).radius_stepping_solver_from_algorithm();
     }
 
     #[test]

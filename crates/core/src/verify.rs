@@ -172,8 +172,7 @@ mod tests {
     /// The frontier engine's distances and full step trace equal the
     /// oracle's.
     fn assert_matches_oracle(g: &CsrGraph, radii: &Radii, s: VertexId) {
-        let cfg = crate::EngineConfig::with_trace();
-        let out = crate::radius_stepping_with(g, radii, s, crate::EngineKind::Frontier, cfg);
+        let out = crate::radius_stepping_with(g, radii, s, crate::EngineConfig::with_trace());
         assert_eq!((out.dist, out.stats.trace.unwrap()), step_trace(g, radii, s), "{radii:?}");
     }
 
@@ -196,6 +195,36 @@ mod tests {
         let g = weights::reweight(&gen::scale_free(20_000, 3, 4), WeightModel::paper_weighted(), 8);
         for radii in [Radii::Infinite, Radii::Constant(50_000)] {
             assert_matches_oracle(&g, &radii, 5);
+        }
+    }
+
+    /// The unit-weight families of §3.4, where `r ≡ 0` is BFS.
+    fn unit_graphs() -> [CsrGraph; 4] {
+        [
+            gen::grid2d(15, 16),
+            gen::scale_free(400, 3, 3),
+            gen::path(30),
+            gen::webgraph(600, 3, 0.3, 15, 7),
+        ]
+    }
+
+    #[test]
+    fn oracle_matches_frontier_on_unit_weights() {
+        for g in unit_graphs() {
+            for radii in [Radii::Zero, Radii::Constant(3), Radii::Constant(10)] {
+                assert_matches_oracle(&g, &radii, 0);
+            }
+            assert_matches_oracle(&g, &Radii::Infinite, 2);
+        }
+    }
+
+    #[test]
+    fn oracle_matches_frontier_on_unit_weights_with_preprocessed_radii() {
+        for g in unit_graphs() {
+            for rho in [2usize, 8, 32] {
+                let radii = Radii::PerVertex(crate::preprocess::compute_radii(&g, rho).into());
+                assert_matches_oracle(&g, &radii, 0);
+            }
         }
     }
 

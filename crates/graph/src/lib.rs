@@ -11,8 +11,6 @@
 //!   pathological Figure-2 gadget.
 //! * [`weights`] — the paper's weight models (unit, uniform integers in
 //!   `[1, 10_000]`).
-//! * [`edge_map`](mod@edge_map) — Ligra-style frontier traversal with sparse/dense
-//!   switching, used by the parallel engines and baselines.
 //! * [`io`] — DIMACS `.gr` and fast binary serialisation.
 //! * [`analysis`] — connectivity, largest-component extraction, degree and
 //!   eccentricity statistics.
@@ -22,7 +20,6 @@
 pub mod analysis;
 pub mod builder;
 pub mod csr;
-pub mod edge_map;
 pub mod gen;
 pub mod io;
 pub mod partition;
@@ -30,7 +27,6 @@ pub mod weights;
 
 pub use builder::EdgeListBuilder;
 pub use csr::CsrGraph;
-pub use edge_map::{edge_map, EdgeMapResult};
 pub use partition::{induced_subgraph, PartitionAssignment, SubgraphView};
 pub use weights::WeightModel;
 

@@ -16,7 +16,6 @@
 //!   scratch state for batch workloads.
 //! * [`reduce`] — the parallel min-reduction used to select the round
 //!   distance `d_i = min(δ(v) + r(v))`.
-//! * [`frontier`] — Ligra-style vertex subsets with sparse/dense duality.
 //! * [`worker`] — per-worker state handout ([`worker_map`]): fan a batch of
 //!   items over the pool with one lazily-created, reused state per task.
 //! * [`scope`](mod@scope) — scoped spawn for long-lived *service* tasks
@@ -31,7 +30,6 @@
 
 pub mod atomic;
 pub mod epoch;
-pub mod frontier;
 pub mod model;
 pub mod pack;
 pub mod reduce;
@@ -41,7 +39,6 @@ pub mod worker;
 
 pub use atomic::{atomic_vec, AtomicBitset, AtomicMinU64};
 pub use epoch::EpochMinArray;
-pub use frontier::VertexSubset;
 pub use pack::pack_indices;
 pub use reduce::par_min;
 pub use scan::{exclusive_scan, exclusive_scan_in_place};

@@ -20,8 +20,8 @@ use std::sync::Arc;
 
 use rs_baselines::solver::BuildSolver;
 use rs_core::{
-    Algorithm, EngineKind, PreprocessConfig, Query, QueryResponse, Radii, SolverBuilder,
-    SolverScratch, SsspSolver,
+    Algorithm, PreprocessConfig, Query, QueryResponse, Radii, SolverBuilder, SolverScratch,
+    SsspSolver,
 };
 use rs_graph::{CsrGraph, WeightModel};
 use rs_serve::{serve, LaneConfig, Reply, ResponseCache, ServerConfig, Shape};
@@ -36,10 +36,7 @@ fn solvers(g: &CsrGraph) -> Vec<Box<dyn SsspSolver + '_>> {
     vec![
         SolverBuilder::new(g).build(),
         SolverBuilder::new(g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Frontier,
-                radii: Radii::Constant(3_000),
-            })
+            .algorithm(Algorithm::RadiusStepping { radii: Radii::Constant(3_000) })
             .build(),
         SolverBuilder::new(g).algorithm(Algorithm::Dijkstra).build(),
         SolverBuilder::new(g).algorithm(Algorithm::DeltaStepping { delta: 2_500 }).build(),

@@ -26,12 +26,9 @@ fn main() {
     let spectrum: Vec<(Algorithm, Option<PreprocessConfig>)> = vec![
         (Algorithm::Dijkstra, None),
         (Algorithm::DeltaStepping { delta: 2_000 }, None),
-        (Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero }, None),
+        (Algorithm::RadiusStepping { radii: Radii::Zero }, None),
         (Algorithm::BellmanFord, None),
-        (
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-            Some(PreprocessConfig::new(1, 64)),
-        ),
+        (Algorithm::RadiusStepping { radii: Radii::Zero }, Some(PreprocessConfig::new(1, 64))),
     ];
 
     let reference = baselines::dijkstra_default(&g, s);
@@ -60,13 +57,7 @@ fn main() {
     // The parallel frontier engine takes exactly the steps of Algorithm 1
     // run sequentially — show it directly on the preprocessed graph.
     let pre = Preprocessed::build(&g, &PreprocessConfig::new(1, 64));
-    let out = core::radius_stepping_with(
-        &pre.graph,
-        &pre.radii,
-        s,
-        EngineKind::Frontier,
-        EngineConfig::with_trace(),
-    );
+    let out = core::radius_stepping_with(&pre.graph, &pre.radii, s, EngineConfig::with_trace());
     let trace = out.stats.trace.expect("trace requested");
     let (oracle_dist, oracle_trace) = core::verify::step_trace(&pre.graph, &pre.radii, s);
     assert_eq!((&out.dist, &trace), (&oracle_dist, &oracle_trace));

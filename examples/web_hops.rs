@@ -25,8 +25,10 @@ fn main() {
     );
 
     let source = 0u32;
-    // Parallel BFS is the unweighted engine at r ≡ 0: one step per level.
-    let bfs = SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build();
+    // Parallel BFS is radius stepping at r ≡ 0 on unit weights: one step
+    // per level.
+    let bfs =
+        SolverBuilder::new(&g).algorithm(Algorithm::RadiusStepping { radii: Radii::Zero }).build();
     let mut scratch = SolverScratch::new();
     let bfs_out = bfs.execute(&Query::single_source(source), &mut scratch);
     let bfs_rounds = bfs_out.stats().steps;
@@ -38,9 +40,7 @@ fn main() {
     for rho in [1usize, 10, 100, 1000] {
         let radii =
             if rho == 1 { Radii::Zero } else { Radii::PerVertex(compute_radii(&g, rho).into()) };
-        let solver = SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii })
-            .build();
+        let solver = SolverBuilder::new(&g).algorithm(Algorithm::RadiusStepping { radii }).build();
         let out = solver.execute(&Query::single_source(source), &mut scratch).into_result();
         assert_eq!(out.dist, bfs_out.dist(), "hop distances must match BFS");
         println!(

@@ -9,9 +9,9 @@
 //! This crate is a facade re-exporting the workspace members:
 //!
 //! * [`core`] (`rs_core`) — the paper's contribution: the radius-stepping
-//!   engines (weighted frontier engine, unweighted engine, point-to-point
-//!   kernels), preprocessing, the solver trait + builder, and the
-//!   sequential step oracle in `verify`.
+//!   frontier engine (every radius, so Dijkstra through BFS and
+//!   Bellman–Ford), the point-to-point kernels, preprocessing, the solver
+//!   trait + builder, and the sequential step oracle in `verify`.
 //! * [`graph`] (`rs_graph`) — CSR graphs, generators, weight models, I/O.
 //! * [`baselines`] (`rs_baselines`) — Dijkstra and its solver adapter,
 //!   the Meyer–Sanders ∆-stepping comparator, the sequential BFS oracle,
@@ -20,7 +20,7 @@
 //! * [`ds`] (`rs_ds`) — the 4-ary decrease-key heap behind Dijkstra and
 //!   the serving latency histogram.
 //! * [`par`] (`rs_par`) — parallel primitives (scan, pack, write-min,
-//!   frontiers).
+//!   epoch arrays, the worker pool).
 //!
 //! ## Quickstart
 //!
@@ -38,10 +38,8 @@
 //!
 //! // Radius stepping with one-time (k = 1, rho = 32) preprocessing.
 //! let solver = SolverBuilder::new(&g)
-//!     .algorithm(Algorithm::RadiusStepping {
-//!         engine: EngineKind::Frontier,
-//!         radii: Radii::Zero, // replaced by r_rho(v) from preprocessing
-//!     })
+//!     // Radii replaced by r_rho(v) from preprocessing.
+//!     .algorithm(Algorithm::RadiusStepping { radii: Radii::Zero })
 //!     .preprocess(PreprocessConfig::new(1, 32))
 //!     .build();
 //!
@@ -109,8 +107,7 @@ pub mod prelude {
         SolverBuilder, SsspSolver,
     };
     pub use rs_core::{
-        radius_stepping, EngineConfig, EngineKind, Goals, Radii, SolverScratch, SsspResult,
-        StepStats,
+        radius_stepping, EngineConfig, Goals, Radii, SolverScratch, SsspResult, StepStats,
     };
     pub use rs_graph::{CsrGraph, Dist, EdgeListBuilder, VertexId, Weight, WeightModel, INF};
 }

@@ -30,7 +30,7 @@ fn weighted_algorithms() -> Vec<Algorithm> {
         algorithms.push(Algorithm::DeltaStepping { delta });
     }
     for radii in [Radii::Zero, Radii::Infinite, Radii::Constant(5_000)] {
-        algorithms.push(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii });
+        algorithms.push(Algorithm::RadiusStepping { radii });
     }
     algorithms
 }
@@ -48,9 +48,8 @@ fn all_weighted_solvers_agree() {
         }
         // The frontier engine also takes the sequential oracle's steps, and
         // `DeltaStepping { delta }` is exactly its `r ≡ ∆` point.
-        let frontier = |radii| Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii };
         let points = [Radii::Zero, Radii::Infinite, Radii::Constant(5_000)]
-            .map(|radii| (frontier(radii.clone()), radii))
+            .map(|radii| (Algorithm::RadiusStepping { radii: radii.clone() }, radii))
             .into_iter()
             .chain(
                 DELTAS.map(|delta| (Algorithm::DeltaStepping { delta }, Radii::Constant(delta))),
@@ -71,16 +70,13 @@ fn unweighted_solvers_agree_with_bfs() {
         ("grid2d", graph::gen::grid2d(20, 21)),
         ("web", graph::gen::scale_free(400, 3, 11)),
         ("road", graph::gen::road_network(16, 12)),
+        ("grid3d", graph::gen::grid3d(9, 10, 11)),
     ] {
         let source = 1u32;
         let bfs = baselines::bfs_seq(&g, source);
         let (query, mut scratch) = (Query::single_source(source), SolverScratch::new());
-        for algorithm in [
-            Algorithm::Bfs,
-            Algorithm::Dijkstra,
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-            Algorithm::RadiusStepping { engine: EngineKind::Unweighted, radii: Radii::Zero },
-        ] {
+        // BFS is radius stepping at r ≡ 0 on these unit-weight graphs.
+        for algorithm in [Algorithm::Dijkstra, Algorithm::RadiusStepping { radii: Radii::Zero }] {
             let solver = SolverBuilder::new(&g).algorithm(algorithm).build();
             let out = solver.execute(&query, &mut scratch);
             assert_eq!(out.dist(), bfs, "{name}: {}", solver.name());
@@ -108,14 +104,16 @@ fn zero_radius_step_count_equals_distinct_distances() {
 
 #[test]
 fn bellman_ford_and_infinite_radius_have_same_depth_structure() {
-    // `Algorithm::BellmanFord` and `Algorithm::Bfs` are names for points
-    // on the radius spectrum: the frontier engine at r ≡ ∞ (one step of
-    // Bellman–Ford substeps) and the unweighted engine at r ≡ 0.
-    fn assert_alias(name: &str, g: &CsrGraph, alias: Algorithm, engine: EngineKind, radii: Radii) {
+    // `Algorithm::BellmanFord` names a point on the radius spectrum: r ≡ ∞,
+    // one step of Bellman–Ford substeps.
+    for (name, g) in graphs() {
         let (query, mut scratch) = (Query::single_source(2), SolverScratch::new());
-        let a = SolverBuilder::new(g).algorithm(alias).build().execute(&query, &mut scratch);
-        let b = SolverBuilder::new(g)
-            .algorithm(Algorithm::RadiusStepping { engine, radii })
+        let a = SolverBuilder::new(&g)
+            .algorithm(Algorithm::BellmanFord)
+            .build()
+            .execute(&query, &mut scratch);
+        let b = SolverBuilder::new(&g)
+            .algorithm(Algorithm::RadiusStepping { radii: Radii::Infinite })
             .build()
             .execute(&query, &mut scratch);
         assert_eq!(a.dist(), b.dist(), "{name}");
@@ -124,11 +122,6 @@ fn bellman_ford_and_infinite_radius_have_same_depth_structure() {
             (b.stats().steps, b.stats().substeps),
             "{name}: steps/substeps"
         );
-    }
-    for (name, g) in graphs() {
-        assert_alias(name, &g, Algorithm::BellmanFord, EngineKind::Frontier, Radii::Infinite);
-        let unit = graph::weights::reweight(&g, WeightModel::Unit, 0);
-        assert_alias(name, &unit, Algorithm::Bfs, EngineKind::Unweighted, Radii::Zero);
     }
     // One step; vertex 1 starts relaxed, 18 productive substeps reach
     // vertex 19, plus the final no-update check.

@@ -4,7 +4,7 @@
 use radius_stepping::prelude::*;
 use rs_core::preprocess::compute_radii;
 use rs_core::verify::step_trace;
-use rs_core::{radius_stepping_with, EngineConfig, EngineKind};
+use rs_core::{radius_stepping_with, EngineConfig};
 
 #[test]
 fn two_vertex_graph() {
@@ -12,8 +12,7 @@ fn two_vertex_graph() {
     b.add_edge(0, 1, 7);
     let g = b.build();
     for radii in [Radii::Zero, Radii::Infinite, Radii::Constant(3)] {
-        let out =
-            radius_stepping_with(&g, &radii, 0, EngineKind::Frontier, EngineConfig::with_trace());
+        let out = radius_stepping_with(&g, &radii, 0, EngineConfig::with_trace());
         assert_eq!(out.dist, vec![0, 7]);
         assert_eq!((out.dist, out.stats.trace.unwrap()), step_trace(&g, &radii, 0));
     }
@@ -120,7 +119,7 @@ fn stress_determinism_across_runs_and_engines() {
     let oracle = step_trace(&pre.graph, &pre.radii, 5);
     for _ in 0..2 {
         let cfg = EngineConfig::with_trace();
-        let out = radius_stepping_with(&pre.graph, &pre.radii, 5, EngineKind::Frontier, cfg);
+        let out = radius_stepping_with(&pre.graph, &pre.radii, 5, cfg);
         assert_eq!(out.dist, oracle.0);
         assert_eq!(out.stats.trace.unwrap(), oracle.1, "step traces must be deterministic");
     }

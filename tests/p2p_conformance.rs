@@ -42,8 +42,8 @@ fn weighted_random(seed: u64) -> CsrGraph {
 /// two radii, Dijkstra and ∆-stepping (each honours the configured mode).
 fn algorithms() -> Vec<Algorithm> {
     vec![
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
+        Algorithm::RadiusStepping { radii: Radii::Zero },
+        Algorithm::RadiusStepping { radii: Radii::Constant(3_000) },
         Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 2_500 },
     ]
@@ -159,10 +159,7 @@ fn mode_paths_ride_input_graph_edges() {
     let g = weighted_grid(77);
     let n = g.num_vertices() as u32;
     for mode in [P2pMode::Bidirectional, P2pMode::GoalDirected] {
-        for algorithm in [
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-            Algorithm::Dijkstra,
-        ] {
+        for algorithm in [Algorithm::RadiusStepping { radii: Radii::Zero }, Algorithm::Dijkstra] {
             let solver = SolverBuilder::new(&g).algorithm(algorithm.clone()).p2p_mode(mode).build();
             let mut scratch = SolverScratch::new();
             for goal in [n - 1, n / 3, 1] {
@@ -228,10 +225,7 @@ fn unreachable_goals_terminate_in_both_modes() {
     b.add_edge(6, 7, 5);
     let g = b.build();
     for mode in [P2pMode::Bidirectional, P2pMode::GoalDirected] {
-        for algorithm in [
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-            Algorithm::Dijkstra,
-        ] {
+        for algorithm in [Algorithm::RadiusStepping { radii: Radii::Zero }, Algorithm::Dijkstra] {
             let solver = SolverBuilder::new(&g).algorithm(algorithm.clone()).p2p_mode(mode).build();
             let mut scratch = SolverScratch::new();
             for _ in 0..2 {
@@ -265,7 +259,7 @@ fn goal_directed_relaxes_5x_fewer_edges_on_256_grid() {
     let n = g.num_vertices() as u32;
     let pairs = [(0u32, n - 1), (255u32, n - 256)]; // opposite corners
     for algorithm in [
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
+        Algorithm::RadiusStepping { radii: Radii::Constant(3_000) },
         Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 3_000 },
     ] {

@@ -79,7 +79,7 @@ fn substeps_track_k_across_suite() {
     // Theorem 3.2 at integration scale: run the whole preprocessed
     // pipeline on three families and watch the k+2 cap bind.
     use rs_core::preprocess::ShortcutHeuristic;
-    use rs_core::{EngineConfig, EngineKind};
+    use rs_core::EngineConfig;
     for k in [1u32, 2, 3] {
         for (name, g) in [
             (
@@ -104,8 +104,7 @@ fn substeps_track_k_across_suite() {
             let radii = &pre.radii;
             for s in sample_sources(g.num_vertices(), 3, 3) {
                 let cfg = EngineConfig::with_trace();
-                let out =
-                    core::radius_stepping_with(&pre.graph, radii, s, EngineKind::Frontier, cfg);
+                let out = core::radius_stepping_with(&pre.graph, radii, s, cfg);
                 assert!(
                     out.stats.max_substeps_in_step <= k as usize + 2,
                     "{name} k={k}: {}",

@@ -4,7 +4,7 @@
 use radius_stepping::prelude::*;
 use rs_core::preprocess::ShortcutHeuristic;
 use rs_core::verify::{check_k_rho_graph, step_bound, step_trace, substep_bound};
-use rs_core::{radius_stepping_with, EngineConfig, EngineKind};
+use rs_core::{radius_stepping_with, EngineConfig};
 
 fn family(seed: u64) -> Vec<(&'static str, CsrGraph)> {
     vec![
@@ -49,7 +49,7 @@ fn full_pipeline_all_configs() {
             let pre = Preprocessed::build(&g, &PreprocessConfig { k, rho, heuristic: h });
             pre.graph.check_invariants().unwrap();
             let cfg = EngineConfig::with_trace();
-            let out = radius_stepping_with(&pre.graph, &pre.radii, 3, EngineKind::Frontier, cfg);
+            let out = radius_stepping_with(&pre.graph, &pre.radii, 3, cfg);
             assert_eq!(out.dist, reference, "{name} k={k} rho={rho} {h:?}");
             assert!(
                 out.stats.max_substeps_in_step <= substep_bound(k),
@@ -97,7 +97,7 @@ fn pipeline_is_deterministic() {
     assert_eq!(a.stats, b.stats);
     let solve = |p: &Preprocessed| {
         let cfg = EngineConfig::with_trace();
-        radius_stepping_with(&p.graph, &p.radii, 0, EngineKind::Frontier, cfg)
+        radius_stepping_with(&p.graph, &p.radii, 0, cfg)
     };
     let (ra, rb) = (solve(&a), solve(&b));
     assert_eq!(ra.dist, rb.dist);

@@ -73,8 +73,8 @@ proptest! {
         let n = g.num_vertices() as u32;
         let queries = build_queries(&raw, n);
         let algorithm = [
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(40) },
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(25) },
+            Algorithm::RadiusStepping { radii: Radii::Constant(40) },
+            Algorithm::RadiusStepping { radii: Radii::Constant(25) },
             Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 60 },
             Algorithm::BellmanFord,
@@ -152,8 +152,8 @@ proptest! {
         let source = source % n;
         let goals: Vec<u32> = goals.into_iter().map(|t| t % n).collect();
         let algorithm = [
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(40) },
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(25) },
+            Algorithm::RadiusStepping { radii: Radii::Constant(40) },
+            Algorithm::RadiusStepping { radii: Radii::Constant(25) },
             Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 60 },
             Algorithm::BellmanFord,
@@ -191,7 +191,6 @@ proptest! {
         let goals: Vec<u32> = goals.into_iter().map(|t| t % n).collect();
         let solver = SolverBuilder::new(&g)
             .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Frontier,
                 radii: Radii::Constant(30),
             })
             .build();
@@ -232,7 +231,6 @@ proptest! {
         let queries = build_queries(&raw, n);
         let solver = SolverBuilder::new(&g)
             .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Frontier,
                 radii: Radii::Constant(35),
             })
             .build();
@@ -267,7 +265,6 @@ proptest! {
         let queries = build_queries(&raw, n);
         let solver = SolverBuilder::new(&g)
             .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Frontier,
                 radii: Radii::Constant(25),
             })
             .build();

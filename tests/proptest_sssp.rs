@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use radius_stepping::prelude::*;
 use rs_core::preprocess::ShortcutHeuristic;
 use rs_core::verify::{check_k_rho_graph, step_bound, step_trace, substep_bound};
-use rs_core::{radius_stepping_with, EngineConfig, EngineKind};
+use rs_core::{radius_stepping_with, EngineConfig};
 
 /// Random connected weighted graph: a random spanning tree plus extra
 /// random edges.
@@ -44,7 +44,7 @@ proptest! {
         let radii: Vec<Dist> = (0..n).map(|i| radii_seed[i % radii_seed.len()]).collect();
         let reference = baselines::dijkstra_default(&g, source);
         let out = radius_stepping_with(
-            &g, &Radii::PerVertex(radii.into()), source, EngineKind::Frontier, EngineConfig::default());
+            &g, &Radii::PerVertex(radii.into()), source, EngineConfig::default());
         prop_assert_eq!(&out.dist, &reference);
     }
 
@@ -61,7 +61,7 @@ proptest! {
             (0..g.num_vertices()).map(|i| radii_seed[i % radii_seed.len()]).collect();
         for radii in [Radii::Constant(r), Radii::PerVertex(per_vertex.into())] {
             let out = radius_stepping_with(
-                &g, &radii, source, EngineKind::Frontier, EngineConfig::with_trace());
+                &g, &radii, source, EngineConfig::with_trace());
             prop_assert_eq!(
                 (out.dist, out.stats.trace.unwrap()), step_trace(&g, &radii, source), "{:?}", radii);
         }
@@ -84,7 +84,7 @@ proptest! {
             return Err(TestCaseError::fail(format!("{h:?} k={k} rho={rho}: {msg} at {v}")));
         }
         // And the theorems' conclusions.
-        let out = radius_stepping_with(&pre.graph, &pre.radii, 0, EngineKind::Frontier, EngineConfig::with_trace());
+        let out = radius_stepping_with(&pre.graph, &pre.radii, 0, EngineConfig::with_trace());
         prop_assert!(out.stats.max_substeps_in_step <= substep_bound(k));
         prop_assert!(out.stats.steps <= step_bound(n, rho, pre.graph.max_weight() as u64));
         prop_assert_eq!(out.dist, baselines::dijkstra_default(&g, 0));
@@ -121,7 +121,7 @@ proptest! {
         let n = g.num_vertices() as u32;
         let sources: Vec<VertexId> = raw_sources.iter().map(|&s| s % n).collect();
         let algorithm = [
-            Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(40) },
+            Algorithm::RadiusStepping { radii: Radii::Constant(40) },
             Algorithm::Dijkstra,
             Algorithm::DeltaStepping { delta: 60 },
             Algorithm::BellmanFord,
@@ -157,7 +157,7 @@ proptest! {
         let n = g.num_vertices() as u32;
         let s = s % n;
         let solver = SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero })
+            .algorithm(Algorithm::RadiusStepping { radii: Radii::Zero })
             .build();
         prop_assert!(QueryBatch::from_sources(&[]).execute(&*solver).responses.is_empty());
         let single = QueryBatch::from_sources(&[s]).execute(&*solver).responses;
@@ -184,7 +184,7 @@ proptest! {
     ) {
         let n = g.num_vertices() as u32;
         let solver = SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(25) })
+            .algorithm(Algorithm::RadiusStepping { radii: Radii::Constant(25) })
             .build();
         let mut scratch = SolverScratch::new();
         for s in schedule {

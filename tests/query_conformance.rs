@@ -32,9 +32,9 @@ fn weighted(seed: u64) -> CsrGraph {
 /// Bellman–Ford).
 fn weighted_algorithms() -> Vec<Algorithm> {
     vec![
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Infinite },
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
+        Algorithm::RadiusStepping { radii: Radii::Zero },
+        Algorithm::RadiusStepping { radii: Radii::Infinite },
+        Algorithm::RadiusStepping { radii: Radii::Constant(3_000) },
         Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 1_111 },
         Algorithm::DeltaStepping { delta: 50_000 },
@@ -59,17 +59,12 @@ fn weighted_solvers<'g>(g: &'g CsrGraph) -> Vec<Box<dyn SsspSolver + 'g>> {
     solvers
 }
 
-/// The unit-weight-only solvers (BFS baseline + the unweighted engine).
+/// The unit-weight points: BFS (radius stepping at `r ≡ 0`) and a small
+/// constant radius.
 fn unit_solvers(g: &CsrGraph) -> Vec<Box<dyn SsspSolver + '_>> {
-    vec![
-        SolverBuilder::new(g).algorithm(Algorithm::Bfs).build(),
-        SolverBuilder::new(g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Unweighted,
-                radii: Radii::Constant(2),
-            })
-            .build(),
-    ]
+    [Radii::Zero, Radii::Constant(2)]
+        .map(|radii| SolverBuilder::new(g).algorithm(Algorithm::RadiusStepping { radii }).build())
+        .into()
 }
 
 /// Warm-vs-cold and full-prefix battery shared by the weighted and unit
@@ -244,10 +239,7 @@ fn paths_do_not_depend_on_the_schedule() {
         .collect();
     assert_eq!(goals.len(), 4);
     let solver = SolverBuilder::new(&g)
-        .algorithm(Algorithm::RadiusStepping {
-            engine: EngineKind::Frontier,
-            radii: Radii::Infinite,
-        })
+        .algorithm(Algorithm::RadiusStepping { radii: Radii::Infinite })
         .build();
     let expected: Vec<Vec<VertexId>> = goals
         .iter()
@@ -329,7 +321,7 @@ fn first_query_runs_warm_after_warm_scratch() {
     let g = weighted(5);
     let n = g.num_vertices() as u32;
     for algorithm in [
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(2_000) },
+        Algorithm::RadiusStepping { radii: Radii::Constant(2_000) },
         Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 1_500 },
         Algorithm::BellmanFord,
@@ -358,17 +350,9 @@ fn warm_point_to_point_zero_allocations_on_100k_graph() {
     let n = g.num_vertices() as u32;
     let solvers: Vec<Box<dyn SsspSolver>> = vec![
         SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Frontier,
-                radii: Radii::Constant(40),
-            })
+            .algorithm(Algorithm::RadiusStepping { radii: Radii::Constant(40) })
             .build(),
-        SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Unweighted,
-                radii: Radii::Constant(40),
-            })
-            .build(),
+        SolverBuilder::new(&g).algorithm(Algorithm::RadiusStepping { radii: Radii::Zero }).build(),
         SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build(),
         SolverBuilder::new(&g).algorithm(Algorithm::DeltaStepping { delta: 3 }).build(),
     ];
@@ -417,17 +401,9 @@ fn point_to_point_takes_strictly_fewer_steps_on_256_grid() {
     let n = g.num_vertices() as u32;
     let solvers: Vec<Box<dyn SsspSolver>> = vec![
         SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Frontier,
-                radii: Radii::Constant(8),
-            })
+            .algorithm(Algorithm::RadiusStepping { radii: Radii::Constant(8) })
             .build(),
-        SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Unweighted,
-                radii: Radii::Constant(8),
-            })
-            .build(),
+        SolverBuilder::new(&g).algorithm(Algorithm::RadiusStepping { radii: Radii::Zero }).build(),
         SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build(),
     ];
     let goal = 2 * 256 + 40; // a few rows in: far from the source's far corner

@@ -51,9 +51,9 @@ fn unit_graphs() -> Vec<(String, CsrGraph)> {
 /// Every weighted-capable algorithm family, spanning the paper's spectrum.
 fn weighted_algorithms() -> Vec<Algorithm> {
     vec![
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Zero },
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Infinite },
-        Algorithm::RadiusStepping { engine: EngineKind::Frontier, radii: Radii::Constant(3_000) },
+        Algorithm::RadiusStepping { radii: Radii::Zero },
+        Algorithm::RadiusStepping { radii: Radii::Infinite },
+        Algorithm::RadiusStepping { radii: Radii::Constant(3_000) },
         Algorithm::Dijkstra,
         Algorithm::DeltaStepping { delta: 1_111 },
         Algorithm::DeltaStepping { delta: 50_000 },
@@ -72,10 +72,7 @@ fn weighted_solvers<'g>(g: &'g CsrGraph) -> Vec<Box<dyn SsspSolver + 'g>> {
     solvers.push(SolverBuilder::new(g).preprocess(PreprocessConfig::new(1, 12)).build());
     solvers.push(
         SolverBuilder::new(g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Frontier,
-                radii: Radii::Zero,
-            })
+            .algorithm(Algorithm::RadiusStepping { radii: Radii::Zero })
             .preprocess(PreprocessConfig::new(2, 10))
             .build(),
     );
@@ -107,13 +104,9 @@ fn solve_matches_bfs_on_unit_graphs() {
         let source = 2u32;
         let reference = baselines::bfs_seq(&g, source);
         let mut solvers = weighted_solvers(&g);
-        solvers.push(SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build());
         solvers.push(
             SolverBuilder::new(&g)
-                .algorithm(Algorithm::RadiusStepping {
-                    engine: EngineKind::Unweighted,
-                    radii: Radii::Constant(2),
-                })
+                .algorithm(Algorithm::RadiusStepping { radii: Radii::Constant(2) })
                 .build(),
         );
         let mut scratch = SolverScratch::new();
@@ -206,20 +199,13 @@ fn interleaved_scratch_reuse_is_bit_identical() {
     }
 }
 
-/// The same hunt on unit-weight graphs for the BFS-only solvers.
+/// The same hunt on a unit-weight graph for BFS (radius stepping at
+/// `r ≡ 0`) and a small constant radius.
 #[test]
 fn interleaved_scratch_reuse_on_unit_graphs() {
     let (name, g) = ("grid".to_string(), graph::gen::grid2d(14, 13));
-    let solvers: Vec<Box<dyn SsspSolver>> = vec![
-        SolverBuilder::new(&g).algorithm(Algorithm::Bfs).build(),
-        SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Unweighted,
-                radii: Radii::Constant(2),
-            })
-            .build(),
-    ];
-    for solver in solvers {
+    for radii in [Radii::Zero, Radii::Constant(2)] {
+        let solver = SolverBuilder::new(&g).algorithm(Algorithm::RadiusStepping { radii }).build();
         let mut scratch = SolverScratch::new();
         for (i, s) in [0u32, 181, 90, 0, 11].into_iter().enumerate() {
             let q = Query::single_source(s);
@@ -270,17 +256,9 @@ fn batch_on_100k_graph_reuses_scratch_after_warmup() {
         (0..64u32).map(|i| (i * 1_601) % g.num_vertices() as u32).collect();
     let solvers: Vec<Box<dyn SsspSolver>> = vec![
         SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Frontier,
-                radii: Radii::Constant(40),
-            })
+            .algorithm(Algorithm::RadiusStepping { radii: Radii::Constant(40) })
             .build(),
-        SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
-                engine: EngineKind::Unweighted,
-                radii: Radii::Constant(40),
-            })
-            .build(),
+        SolverBuilder::new(&g).algorithm(Algorithm::RadiusStepping { radii: Radii::Zero }).build(),
         SolverBuilder::new(&g).algorithm(Algorithm::Dijkstra).build(),
         SolverBuilder::new(&g).algorithm(Algorithm::DeltaStepping { delta: 3 }).build(),
     ];
