@@ -172,6 +172,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "48-bit range")]
+    fn over_range_graph_rejected_at_build_for_p2p_kernels() {
+        // The graph of rs_core's `over_range_graph_rejected_at_build`:
+        // Dijkstra's own solve needs no epoch array, but the bidirectional
+        // kernel does, so the build refuses the graph.
+        let mut b = rs_graph::EdgeListBuilder::new(70_000);
+        b.add_edge(0, 1, u32::MAX);
+        let g = b.build();
+        let _ = SolverBuilder::new(&g)
+            .algorithm(Algorithm::Dijkstra)
+            .p2p_mode(rs_core::solver::P2pMode::Bidirectional)
+            .build();
+    }
+
+    #[test]
     fn preprocessing_composes_with_baselines() {
         let g = weighted();
         let reference = dijkstra_default(&g, 0);

@@ -1,10 +1,9 @@
-//! Parallel-primitive microbenchmarks: scan, pack, min-reduction and
-//! write-min.
+//! Parallel-primitive microbenchmarks: min-reduction and write-min.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use rs_par::{atomic_vec, exclusive_scan, pack_indices, par_min, EpochMinArray};
+use rs_par::{atomic_vec, par_min, EpochMinArray};
 
 fn primitives(c: &mut Criterion) {
     let n = 1 << 20;
@@ -12,9 +11,6 @@ fn primitives(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("primitives");
     group.sample_size(10);
-    group.bench_function("scan_1M", |b| b.iter(|| black_box(exclusive_scan(&data).1)));
-    group
-        .bench_function("pack_1M", |b| b.iter(|| black_box(pack_indices(n, |i| i % 3 == 0).len())));
     group.bench_function("par_min_1M", |b| b.iter(|| black_box(par_min(n, |i| data[i]))));
     // Priority-writes, split by outcome: a lowering pass where every write
     // succeeds (the atomic RMW path) and a failing pass where every offer

@@ -97,8 +97,8 @@ pub struct ScratchView<'a> {
 /// out of [`SolverScratch::view`] so forward-only solvers never materialise
 /// (or pay the reset of) a second distance array.
 pub struct ReverseScratch<'a> {
-    /// Reverse tentative distances (from the goal over the transposed
-    /// graph), logically all-`∞` at view time (epoch-reset).
+    /// Reverse tentative distances (from the goal), logically all-`∞` at
+    /// view time (epoch-reset).
     pub dist: &'a EpochMinArray,
     /// Reverse settled flags, cleared at view time.
     pub settled: &'a AtomicBitset,

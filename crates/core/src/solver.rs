@@ -64,7 +64,7 @@ use crate::engine::{p2p, radius_stepping_with_scratch, EngineConfig, Goals};
 use crate::landmarks::{Landmarks, DEFAULT_LANDMARKS};
 use crate::preprocess::{PreprocessConfig, Preprocessed, ShortcutExpander};
 pub use crate::radii::Radii;
-use crate::scratch::SolverScratch;
+use crate::scratch::{assert_distance_range, SolverScratch};
 use crate::stats::{SsspResult, StepStats};
 
 /// What one request asks a solver to compute.
@@ -110,13 +110,11 @@ pub enum QueryShape {
 pub struct Query {
     /// What to compute.
     pub shape: QueryShape,
-    /// Return a shortest-path tree. Forward solves derive it from the
-    /// result's distances ([`finish_paths`]), so the same
-    /// query returns the same path at every thread count; the sequential
-    /// bidirectional and goal-directed point-to-point kernels record their
-    /// own. On a goal-bounded query the tree covers the goal paths (no
-    /// all-edges post-pass); on a `SingleSource` query it is the full
-    /// tree.
+    /// Return a shortest-path tree. Every solver and point-to-point mode
+    /// derives it from the result's distances ([`finish_paths`]), so the
+    /// same query returns the same path at every thread count. On a
+    /// goal-bounded query the tree covers the goal paths (no all-edges
+    /// post-pass); on a `SingleSource` query it is the full tree.
     pub want_paths: bool,
     /// Record a per-step trace where the algorithm supports one.
     pub want_trace: bool,
@@ -953,9 +951,8 @@ pub enum P2pMode {
     /// solves over the same goal set.
     #[default]
     Forward,
-    /// Bidirectional meet-in-the-middle search over the graph and its
-    /// cached [`rs_graph::CsrGraph::transpose`]
-    /// ([`crate::engine::p2p::bidirectional`]).
+    /// Bidirectional meet-in-the-middle search, both sides over the
+    /// (symmetric) graph ([`crate::engine::p2p::bidirectional`]).
     Bidirectional,
     /// Goal-directed ALT search ([`crate::engine::p2p::goal_directed`]).
     /// Solvers built with this mode elect a [`crate::Landmarks`] table
@@ -980,7 +977,16 @@ pub enum P2pKernel {
 impl P2pKernel {
     /// Resolves `mode` for `g`, electing [`DEFAULT_LANDMARKS`] landmarks
     /// (as many sequential Dijkstras) only for `GoalDirected`.
+    ///
+    /// # Panics
+    /// For `Bidirectional` and `GoalDirected`, if `g`'s distances could
+    /// overflow the scratch epoch array
+    /// ([`crate::scratch::assert_distance_range`]), so an unusable build
+    /// fails here rather than at its first query.
     pub fn resolve(mode: P2pMode, g: &CsrGraph) -> P2pKernel {
+        if mode != P2pMode::Forward {
+            assert_distance_range(g);
+        }
         match mode {
             P2pMode::Forward => P2pKernel::Forward,
             P2pMode::Bidirectional => P2pKernel::Bidirectional,
@@ -990,9 +996,10 @@ impl P2pKernel {
         }
     }
 
-    /// Answers `query` with the resolved kernel, or `None` — for `Forward`
-    /// and for every shape other than point-to-point — when the solver's
-    /// forward solve should serve it.
+    /// Answers `query` with the resolved kernel, paths finished by
+    /// [`finish_paths`], or `None` — for `Forward` and for every shape
+    /// other than point-to-point — when the solver's forward solve should
+    /// serve it.
     pub fn run(
         &self,
         g: &CsrGraph,
@@ -1000,16 +1007,12 @@ impl P2pKernel {
         scratch: &mut SolverScratch,
     ) -> Option<SsspResult> {
         let QueryShape::PointToPoint { source, goal } = query.shape else { return None };
-        let want_paths = query.want_paths;
-        match self {
-            P2pKernel::Forward => None,
-            P2pKernel::Bidirectional => {
-                Some(p2p::bidirectional(g, source, goal, want_paths, scratch))
-            }
-            P2pKernel::GoalDirected(lm) => {
-                Some(p2p::goal_directed(g, source, goal, lm, want_paths, scratch))
-            }
-        }
+        let out = match self {
+            P2pKernel::Forward => return None,
+            P2pKernel::Bidirectional => p2p::bidirectional(g, source, goal, scratch),
+            P2pKernel::GoalDirected(lm) => p2p::goal_directed(g, source, goal, lm, scratch),
+        };
+        Some(finish_paths(g, query, out))
     }
 
     /// Pre-sizes the scratch structures the kernel draws from.
@@ -1031,13 +1034,15 @@ impl P2pKernel {
 }
 
 /// Attaches the shortest-path tree to `result` if `query` asked for one —
-/// the one place every forward solve gets its parents. The tree is a fixed
-/// function of `result.dist`: goal-bounded queries walk back from each goal
-/// ([`crate::stats::goals_path_parents`], no all-edges post-pass),
-/// single-source queries derive the full tree
+/// the one place every solve, point-to-point kernels included, gets its
+/// parents. The tree is a fixed function of `result.dist`: goal-bounded
+/// queries walk back from each goal ([`crate::stats::goals_path_parents`],
+/// no all-edges post-pass), single-source queries derive the full tree
 /// ([`crate::stats::derive_parents`]). A settled vertex holds its exact
 /// distance (Theorem 3.1), so the walk from a settled goal only meets exact
-/// vertices even when the solve stopped early.
+/// vertices even when the solve stopped early: an entry above its true
+/// distance never passes the walk's `dist[u] + w(u, v) == dist[v]` test
+/// from an exact `v`.
 pub fn finish_paths(g: &CsrGraph, query: &Query, mut result: SsspResult) -> SsspResult {
     if query.want_paths {
         result.parent = Some(if query.is_goal_bounded() {
@@ -1609,19 +1614,25 @@ mod tests {
         assert_eq!(out.dist(), expect, "distances never depend on the cache");
         assert_eq!(Preprocessed::load(&path).unwrap().config, other, "file refreshed");
 
-        // Garbage, or a fresh file under an old or foreign magic ("RSP4"
-        // carried a landmark table; "RSP5" is an rs_shard partition),
-        // degrades to a rebuild, never an error — and the rebuild
-        // refreshes the file.
+        // Garbage, a fresh file under an old or foreign magic ("RSP4"
+        // carried a landmark table; "RSP5" is an rs_shard partition), or
+        // one whose embedded graph is corrupt degrades to a rebuild, never
+        // an error (and never a panic) — and the rebuild refreshes the file.
         let relabel = |magic: &[u8; 4]| {
             let mut bytes = fresh.clone();
             bytes[..4].copy_from_slice(magic);
             bytes
         };
+        // The embedded graph ends the file: targets, then weights, 4 bytes
+        // per arc each. Point its last target past the last vertex.
+        let mut corrupt = fresh.clone();
+        let last_target = fresh.len() - 4 * loaded.graph.num_arcs() - 4;
+        corrupt[last_target..last_target + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         for (label, bytes) in [
             ("garbage", b"definitely not a preprocessing".to_vec()),
             ("RSP4", relabel(b"RSP4")),
             ("RSP5", relabel(b"RSP5")),
+            ("corrupt embedded target", corrupt),
         ] {
             std::fs::write(&path, bytes).unwrap();
             let recovered = SolverBuilder::new(&g)

@@ -21,11 +21,11 @@ pub struct SsspResult {
     /// Shortest-path tree, when requested via `Query::with_paths`:
     /// `parent[v]` is a predecessor of `v` consistent with `dist`
     /// (`parent[source] = source`, `u32::MAX` if unreachable), so every
-    /// extracted path telescopes to `dist` of its endpoint. After a
-    /// goal-bounded forward solve exactly the goal paths are covered
-    /// ([`goals_path_parents`]) and every other vertex is parentless; the
-    /// bidirectional and goal-directed point-to-point kernels keep their
-    /// own search trees, which cover at least the goal path.
+    /// extracted path telescopes to `dist` of its endpoint. Every solver
+    /// derives it from `dist` ([`crate::solver::finish_paths`]): after a
+    /// goal-bounded solve, point-to-point kernels included, exactly the
+    /// goal paths are covered ([`goals_path_parents`]) and every other
+    /// vertex is parentless.
     pub parent: Option<Vec<VertexId>>,
     /// Execution counters.
     pub stats: StepStats,

@@ -1,7 +1,5 @@
 //! Compressed-sparse-row graph representation.
 
-use std::sync::OnceLock;
-
 use crate::{Dist, VertexId, Weight};
 
 /// An undirected weighted graph in CSR form.
@@ -11,46 +9,24 @@ use crate::{Dist, VertexId, Weight};
 /// [`crate::EdgeListBuilder`]. Adjacency lists are sorted by target id and
 /// contain no self-loops or duplicate targets (parallel edges collapse to
 /// their minimum weight).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
     weights: Vec<Weight>,
     max_weight: Weight,
     min_weight: Weight,
-    /// Lazily built reversed-CSR sibling view (see [`CsrGraph::transpose`]).
-    /// Purely a cache: ignored by `Clone`/`PartialEq`, rebuilt on demand.
-    transpose: OnceLock<Box<CsrGraph>>,
 }
-
-impl Clone for CsrGraph {
-    fn clone(&self) -> Self {
-        // The transpose cache is derived state; a clone rebuilds it on
-        // first use rather than deep-copying a second graph.
-        CsrGraph {
-            offsets: self.offsets.clone(),
-            targets: self.targets.clone(),
-            weights: self.weights.clone(),
-            max_weight: self.max_weight,
-            min_weight: self.min_weight,
-            transpose: OnceLock::new(),
-        }
-    }
-}
-
-impl PartialEq for CsrGraph {
-    fn eq(&self, other: &Self) -> bool {
-        // Cache population must not be observable through equality.
-        self.offsets == other.offsets
-            && self.targets == other.targets
-            && self.weights == other.weights
-    }
-}
-
-impl Eq for CsrGraph {}
 
 impl CsrGraph {
     /// Constructs a CSR graph from raw parts.
+    ///
+    /// The arcs must be symmetric (every `u -> v` has a `v -> u` of the
+    /// same weight), with positive weights, strictly sorted adjacency lists
+    /// and no self-loops: every solver relies on `d(u, v) = d(v, u)`. Only
+    /// the bounds below are asserted here; [`Self::check_invariants`]
+    /// checks the rest, and the binary loader
+    /// ([`crate::io::read_binary_from`]) runs it before accepting a file.
     ///
     /// # Panics
     /// If the offsets are malformed or any target is out of range.
@@ -63,7 +39,7 @@ impl CsrGraph {
         assert!(targets.iter().all(|&t| (t as usize) < n), "target out of range");
         let max_weight = weights.iter().copied().max().unwrap_or(1);
         let min_weight = weights.iter().copied().min().unwrap_or(1);
-        CsrGraph { offsets, targets, weights, max_weight, min_weight, transpose: OnceLock::new() }
+        CsrGraph { offsets, targets, weights, max_weight, min_weight }
     }
 
     /// The empty graph on `n` isolated vertices.
@@ -230,54 +206,12 @@ impl CsrGraph {
             weights,
             max_weight: self.max_weight,
             min_weight: self.min_weight,
-            transpose: OnceLock::new(),
         }
     }
 
-    /// The transposed graph (every arc `u -> v` becomes `v -> u`), built
-    /// lazily on first call and cached on the graph like webgraph-style
-    /// sibling views — later calls are an atomic load. Reverse adjacency
-    /// lists come out sorted by source id, so the transpose satisfies the
-    /// same layout invariants as a builder-made graph. For the symmetric
-    /// graphs this workspace builds, the transpose equals the graph
-    /// arc-for-arc; bidirectional search still routes its reverse frontier
-    /// through this view so directed CSR inputs keep working.
-    pub fn transpose(&self) -> &CsrGraph {
-        self.transpose.get_or_init(|| {
-            let n = self.num_vertices();
-            let m = self.num_arcs();
-            // Counting sort by arc target: offsets, then a stable fill in
-            // source order (which leaves each reverse list sorted).
-            let mut offsets = vec![0usize; n + 1];
-            for &t in &self.targets {
-                offsets[t as usize + 1] += 1;
-            }
-            for i in 0..n {
-                offsets[i + 1] += offsets[i];
-            }
-            let mut cursor = offsets.clone();
-            let mut targets = vec![0 as VertexId; m];
-            let mut weights = vec![0 as Weight; m];
-            for u in 0..n as VertexId {
-                for (v, w) in self.edges(u) {
-                    let slot = cursor[v as usize];
-                    cursor[v as usize] += 1;
-                    targets[slot] = u;
-                    weights[slot] = w;
-                }
-            }
-            Box::new(CsrGraph {
-                offsets,
-                targets,
-                weights,
-                max_weight: self.max_weight,
-                min_weight: self.min_weight,
-                transpose: OnceLock::new(),
-            })
-        })
-    }
-
-    /// Structural invariants the builder guarantees; used by tests.
+    /// Structural invariants the builder guarantees (strictly sorted
+    /// adjacency, no self-loops, symmetric arcs of equal weight); checked by
+    /// tests and by the binary loader ([`crate::io::read_binary_from`]).
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.num_vertices();
         for v in 0..n as VertexId {
@@ -376,34 +310,6 @@ mod tests {
     #[should_panic(expected = "target out of range")]
     fn from_parts_validates_targets() {
         CsrGraph::from_parts(vec![0, 1], vec![5], vec![1]);
-    }
-
-    #[test]
-    fn transpose_of_symmetric_graph_is_itself_and_cached() {
-        let g = triangle();
-        let t = g.transpose();
-        // Symmetric arcs: the transpose is arc-identical to the graph.
-        assert_eq!(t, &g);
-        t.check_invariants().unwrap();
-        // Cached: the second call returns the same allocation.
-        assert!(std::ptr::eq(g.transpose(), t));
-        // The cache is invisible to equality and dropped by clone.
-        assert_eq!(g.clone(), g);
-        assert_eq!(CsrGraph::empty(3).transpose(), &CsrGraph::empty(3));
-    }
-
-    #[test]
-    fn transpose_reverse_lists_sorted() {
-        let mut b = EdgeListBuilder::new(5);
-        b.add_edge(0, 4, 2);
-        b.add_edge(1, 4, 7);
-        b.add_edge(3, 4, 1);
-        b.add_edge(2, 0, 3);
-        let g = b.build();
-        let t = g.transpose();
-        t.check_invariants().unwrap();
-        assert_eq!(t.neighbors(4), &[0, 1, 3]);
-        assert_eq!(t.weights_of(4), &[2, 7, 1]);
     }
 
     #[test]

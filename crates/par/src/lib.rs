@@ -6,9 +6,6 @@
 //! and parked when idle, so an engine substep costs deque operations, not
 //! thread spawns):
 //!
-//! * [`scan`] — sequential and blocked-parallel prefix sums, the backbone of
-//!   parallel packing and CSR construction (`O(n)` work, `O(log n)` depth).
-//! * [`pack`] — parallel filter/pack of indices by a predicate.
 //! * [`atomic`] — the paper's *priority-write* (`WriteMin`) on `u64`
 //!   distances, plus an atomic bitset for concurrent membership flags.
 //! * [`epoch`] — the priority-write array with epoch-tagged entries, whose
@@ -31,17 +28,13 @@
 pub mod atomic;
 pub mod epoch;
 pub mod model;
-pub mod pack;
 pub mod reduce;
-pub mod scan;
 pub mod scope;
 pub mod worker;
 
 pub use atomic::{atomic_vec, AtomicBitset, AtomicMinU64};
 pub use epoch::EpochMinArray;
-pub use pack::pack_indices;
 pub use reduce::par_min;
-pub use scan::{exclusive_scan, exclusive_scan_in_place};
 pub use scope::{scope, Scope};
 pub use worker::{worker_map, worker_map_sink};
 
@@ -56,57 +49,9 @@ pub fn num_threads() -> usize {
     rayon::current_num_threads()
 }
 
-/// Splits `n` items into roughly `pieces` contiguous ranges.
-///
-/// Guarantees every range is non-empty and the ranges exactly cover `0..n`.
-/// Returns an empty vector when `n == 0`.
-pub fn chunk_ranges(n: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let pieces = pieces.clamp(1, n);
-    let base = n / pieces;
-    let extra = n % pieces;
-    let mut out = Vec::with_capacity(pieces);
-    let mut start = 0;
-    for i in 0..pieces {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for n in [0usize, 1, 2, 7, 100, 1001] {
-            for pieces in [1usize, 2, 3, 8, 200] {
-                let ranges = chunk_ranges(n, pieces);
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect, "ranges must be contiguous");
-                    assert!(!r.is_empty(), "no empty ranges");
-                    expect = r.end;
-                }
-                assert_eq!(expect, n, "ranges must cover 0..n");
-                if n > 0 {
-                    assert!(ranges.len() <= pieces.max(1));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_balanced() {
-        let ranges = chunk_ranges(10, 3);
-        let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
-    }
 
     #[test]
     fn num_threads_positive() {

@@ -19,8 +19,9 @@
 //! * **Single requests** on a dedicated worker loop reuse one long-lived
 //!   scratch; `warm_scratch` pre-sizes it so even the *first* request runs
 //!   allocation-free, and goal-bounded requests settle only the region
-//!   their goals need (early exit) while recording parents inline —
-//!   `goal_path()` costs O(path length) and, preprocessing included,
+//!   their goals need (early exit); with paths requested, the goal path
+//!   is walked back over the distances, so `goal_path()` costs
+//!   O(path length) and, preprocessing included,
 //!   returns **exact input-graph routes** (shortcut hops are unrolled).
 //!
 //! ```text
@@ -144,8 +145,8 @@ fn main() {
 
     // --- Single-request worker loop -------------------------------------
     // A long-lived worker owns one scratch, pre-warmed so request #1 is
-    // already allocation-free; every request records parents inline and
-    // extracts only the goal paths. One-to-many requests answer a whole
+    // already allocation-free; every request derives and extracts only
+    // the goal paths. One-to-many requests answer a whole
     // candidate set per solve.
     let mut scratch = SolverScratch::new();
     solver.warm_scratch(&mut scratch);

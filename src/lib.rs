@@ -19,8 +19,8 @@
 //!   as radius stepping at `r ≡ ∆` / `r ≡ ∞` / `r ≡ 0`).
 //! * [`ds`] (`rs_ds`) — the 4-ary decrease-key heap behind Dijkstra and
 //!   the serving latency histogram.
-//! * [`par`] (`rs_par`) — parallel primitives (scan, pack, write-min,
-//!   epoch arrays, the worker pool).
+//! * [`par`] (`rs_par`) — parallel primitives (write-min, epoch arrays,
+//!   min-reduction, the worker pool).
 //!
 //! ## Quickstart
 //!

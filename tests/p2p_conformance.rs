@@ -12,7 +12,8 @@
 //! * unreachable goals terminate in both modes (ALT with zero relaxed
 //!   edges when a landmark proves the separation);
 //! * extracted paths ride input-graph edges and telescope — including
-//!   through a preprocessed solver's shortcut expander;
+//!   through a preprocessed solver's shortcut expander — and are the
+//!   distance walk every other solver returns;
 //! * the acceptance bar: on a 256×256 grid with far-apart endpoints,
 //!   goal-directed search relaxes **≥ 5×** fewer edges than the forward
 //!   early-exit, and bidirectional strictly fewer (from
@@ -211,6 +212,33 @@ fn mode_paths_ride_input_graph_edges() {
             }) as u64;
         }
         assert_eq!(acc, resp.dist()[(n - 1) as usize], "preprocessed/{}", mode_name(mode));
+    }
+}
+
+/// Both kernels return the route every other solver returns for the same
+/// distances: the walk back from the goal over `dist`
+/// (`shortest_path_from_dist`). A unit-weight grid has many equal-length
+/// routes between far-apart corners, so a kernel that kept its own search
+/// tree would pick a different one.
+#[test]
+fn mode_paths_are_distance_walks_on_unit_grid() {
+    let g = graph::gen::grid2d(30, 30);
+    for mode in [P2pMode::Bidirectional, P2pMode::GoalDirected] {
+        for algorithm in [Algorithm::RadiusStepping { radii: Radii::Zero }, Algorithm::Dijkstra] {
+            let solver = SolverBuilder::new(&g).algorithm(algorithm.clone()).p2p_mode(mode).build();
+            let mut scratch = SolverScratch::new();
+            for (source, goal) in [(0u32, 899u32), (29, 870), (15, 884), (450, 0)] {
+                let resp =
+                    solver.execute(&Query::point_to_point(source, goal).with_paths(), &mut scratch);
+                assert_eq!(
+                    resp.goal_path(),
+                    core::stats::shortest_path_from_dist(&g, resp.dist(), goal),
+                    "{}/{}: {source}->{goal}",
+                    solver.name(),
+                    mode_name(mode),
+                );
+            }
+        }
     }
 }
 
