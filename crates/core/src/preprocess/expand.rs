@@ -15,8 +15,15 @@
 //! of at most ρ + ties links, so expansion costs O(log ρ) per output hop.
 //! Chain edges are edges of the input graph by construction (the ball
 //! search runs before shortcuts are merged), so expansion never recurses
-//! through another shortcut. The table is persisted in the `RSP6` cache
-//! format, row by row, so saved files are byte-reproducible.
+//! through another shortcut. The table is persisted row by row
+//! ([`ShortcutExpander::write_to`] / [`ShortcutExpander::read_from`]), so
+//! saved files are byte-reproducible.
+//!
+//! `rs_shard`'s boundary skeleton uses the same table one level up: its
+//! within-part arcs are overlay edges at exact distances too, and each
+//! unrolls through the links recorded from the arc's source.
+
+use std::io::{self, Read, Write};
 
 use rs_graph::{Dist, VertexId};
 
@@ -24,10 +31,11 @@ use rs_graph::{Dist, VertexId};
 /// the ball, exact ball distance of member)`.
 pub(crate) type ChainLink = (VertexId, VertexId, Dist);
 
-/// The shortcut → input-edge expansion table built during preprocessing
-/// and persisted in the `RSP6` cache format. Attached (behind an `Arc`)
-/// to every `QueryResponse` a preprocessed solver produces, so
-/// `goal_path()` and friends return input-graph routes.
+/// The overlay-edge → input-edge expansion table: built during
+/// preprocessing, persisted in the `RSP6` cache format and attached
+/// (behind an `Arc`) to every `QueryResponse` a preprocessed solver
+/// produces, so `goal_path()` and friends return input-graph routes. The
+/// sharded skeleton keeps one over global ids for its within-part arcs.
 #[derive(Debug, Clone, Default)]
 pub struct ShortcutExpander {
     /// Row `s` is `links[offsets[s]..offsets[s + 1]]`; empty when no link
@@ -71,13 +79,14 @@ impl ShortcutExpander {
     }
 
     /// The table over `n` vertices holding `(source, member, parent,
-    /// dist)` links given in any order (the cache loader's input).
-    /// Rejects a table an expansion walk could fail on: an id `≥ n`, a
-    /// member recorded twice in one ball, a member equal to its ball
-    /// source, or a parent that is neither the ball source nor a recorded
-    /// member of the same ball at a strictly smaller distance. Weights
-    /// are ≥ 1, so the last rule makes every chain walk end at the source.
-    pub(crate) fn from_links(
+    /// dist)` links given in any order (the cache loaders' input, and the
+    /// skeleton build's). Rejects a table an expansion walk could fail
+    /// on: an id `≥ n`, a member recorded twice in one ball, a member
+    /// equal to its ball source, or a parent that is neither the ball
+    /// source nor a recorded member of the same ball at a strictly
+    /// smaller distance. Weights are ≥ 1, so the last rule makes every
+    /// chain walk end at the source.
+    pub fn from_links(
         n: usize,
         mut links: Vec<(VertexId, VertexId, VertexId, Dist)>,
     ) -> Result<Self, String> {
@@ -119,7 +128,7 @@ impl ShortcutExpander {
     }
 
     /// The recorded `(parent, dist)` of `member` in `source`'s ball.
-    fn get(&self, source: VertexId, member: VertexId) -> Option<(VertexId, Dist)> {
+    pub fn get(&self, source: VertexId, member: VertexId) -> Option<(VertexId, Dist)> {
         let s = source as usize;
         let row = &self.links[*self.offsets.get(s)?..*self.offsets.get(s + 1)?];
         let i = row.binary_search_by_key(&member, |l| l.0).ok()?;
@@ -143,6 +152,41 @@ impl ShortcutExpander {
         self.offsets.windows(2).enumerate().flat_map(move |(s, w)| {
             self.links[w[0]..w[1]].iter().map(move |&(m, p, d)| (s as VertexId, m, p, d))
         })
+    }
+
+    /// Writes the table as a link count followed by one 20-byte
+    /// `(source, member, parent, dist)` record per link, in
+    /// [`ShortcutExpander::iter`] order.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        w.write_all(&(self.len() as u64).to_le_bytes())?;
+        for (source, member, parent, dist) in self.iter() {
+            w.write_all(&source.to_le_bytes())?;
+            w.write_all(&member.to_le_bytes())?;
+            w.write_all(&parent.to_le_bytes())?;
+            w.write_all(&dist.to_le_bytes())?;
+        }
+        Ok(())
+    }
+
+    /// Reads a table written by [`ShortcutExpander::write_to`] over `n`
+    /// vertices. The records may come in any order; a table
+    /// [`ShortcutExpander::from_links`] rejects is `InvalidData`.
+    pub fn read_from<R: Read>(r: &mut R, n: usize) -> io::Result<ShortcutExpander> {
+        let mut b8 = [0u8; 8];
+        r.read_exact(&mut b8)?;
+        let count = u64::from_le_bytes(b8);
+        let mut links = Vec::with_capacity(count.min(1 << 20) as usize);
+        for _ in 0..count {
+            let mut ids = [[0u8; 4]; 3];
+            for id in &mut ids {
+                r.read_exact(id)?;
+            }
+            r.read_exact(&mut b8)?;
+            let [source, member, parent] = ids.map(u32::from_le_bytes);
+            links.push((source, member, parent, u64::from_le_bytes(b8)));
+        }
+        ShortcutExpander::from_links(n, links)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Expands a path on the shortcut-augmented graph into a path on the

@@ -184,7 +184,7 @@ impl Preprocessed {
         let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
         // "RSP6": format 6 dropped format 4's ALT landmark table (format 3
         // added the shortcut expansion chains, format 2 the input-graph
-        // content hash; "RSP5" is taken by `rs_shard`'s partition files).
+        // content hash; "RSP5" and "RSP7" are `rs_shard`'s partition files).
         // Older files ("RSPP", "RSP2", "RSP3", "RSP4") fail to load and
         // are transparently rebuilt.
         w.write_all(b"RSP6")?;
@@ -206,13 +206,7 @@ impl Preprocessed {
         for v in 0..n as VertexId {
             w.write_all(&self.radii.get(v).to_le_bytes())?;
         }
-        w.write_all(&(self.expander.len() as u64).to_le_bytes())?;
-        for (src, member, parent, dist) in self.expander.iter() {
-            w.write_all(&src.to_le_bytes())?;
-            w.write_all(&member.to_le_bytes())?;
-            w.write_all(&parent.to_le_bytes())?;
-            w.write_all(&dist.to_le_bytes())?;
-        }
+        self.expander.write_to(&mut w)?;
         rs_graph::io::write_binary_to(&self.graph, &mut w)?;
         w.flush()
     }
@@ -251,25 +245,9 @@ impl Preprocessed {
             r.read_exact(&mut b8)?;
             radii.push(u64::from_le_bytes(b8));
         }
-        r.read_exact(&mut b8)?;
-        let count = u64::from_le_bytes(b8) as usize;
-        let mut links = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let mut ids = [[0u8; 4]; 3];
-            for id in &mut ids {
-                r.read_exact(id)?;
-            }
-            r.read_exact(&mut b8)?;
-            links.push((
-                u32::from_le_bytes(ids[0]),
-                u32::from_le_bytes(ids[1]),
-                u32::from_le_bytes(ids[2]),
-                u64::from_le_bytes(b8),
-            ));
-        }
-        // `RSP6` files may list links in any order: `from_links` sorts
+        // `RSP6` files may list links in any order: `read_from` sorts
         // them and rejects a table a chain walk could fail on.
-        let expander = ShortcutExpander::from_links(n, links).map_err(|e| bad(&e))?;
+        let expander = ShortcutExpander::read_from(&mut r, n)?;
         let graph = rs_graph::io::read_binary_from(&mut r)?;
         if graph.num_vertices() != n {
             return Err(bad("radii length does not match the embedded graph"));

@@ -1615,7 +1615,8 @@ mod tests {
         assert_eq!(Preprocessed::load(&path).unwrap().config, other, "file refreshed");
 
         // Garbage, a fresh file under an old or foreign magic ("RSP4"
-        // carried a landmark table; "RSP5" is an rs_shard partition), or
+        // carried a landmark table; "RSP5" and "RSP7" are rs_shard
+        // partitions), or
         // one whose embedded graph is corrupt degrades to a rebuild, never
         // an error (and never a panic) — and the rebuild refreshes the file.
         let relabel = |magic: &[u8; 4]| {
@@ -1632,6 +1633,7 @@ mod tests {
             ("garbage", b"definitely not a preprocessing".to_vec()),
             ("RSP4", relabel(b"RSP4")),
             ("RSP5", relabel(b"RSP5")),
+            ("RSP7", relabel(b"RSP7")),
             ("corrupt embedded target", corrupt),
         ] {
             std::fs::write(&path, bytes).unwrap();

@@ -1,69 +1,12 @@
-//! Graph serialisation: DIMACS `.gr` text and a fast binary format.
-//!
-//! DIMACS is the interchange format of the 9th DIMACS shortest-path
-//! challenge (road networks ship in it); the binary format is for caching
-//! generated suites between experiment runs.
+//! Graph serialisation: a fast binary format for caching generated
+//! suites between experiment runs and embedding a graph in a saved
+//! preprocessing.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::builder::build_symmetric;
-use crate::{CsrGraph, Edge, VertexId, Weight};
-
-/// Writes `g` in DIMACS `.gr` format (1-indexed, both arc directions).
-pub fn write_dimacs<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "c radius-stepping export")?;
-    writeln!(w, "p sp {} {}", g.num_vertices(), g.num_arcs())?;
-    for (u, v, wt) in g.all_arcs() {
-        writeln!(w, "a {} {} {}", u + 1, v + 1, wt)?;
-    }
-    w.flush()
-}
-
-/// Reads a DIMACS `.gr` file, symmetrising and deduplicating through the
-/// canonical builder (so one-directional files become undirected graphs).
-pub fn read_dimacs<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut n: Option<usize> = None;
-    let mut edges: Vec<Edge> = Vec::new();
-    for line in reader.lines() {
-        let line = line?;
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("c") | None => {}
-            Some("p") => {
-                let _sp = it.next();
-                let nv: usize = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad p line"))?;
-                n = Some(nv);
-            }
-            Some("a") => {
-                let mut next_num = || -> io::Result<u64> {
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad a line"))
-                };
-                let u = next_num()? as VertexId;
-                let v = next_num()? as VertexId;
-                let w = next_num()? as Weight;
-                if u == 0 || v == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "DIMACS ids are 1-based",
-                    ));
-                }
-                edges.push((u - 1, v - 1, w.max(1)));
-            }
-            Some(_) => {} // ignore unknown directives
-        }
-    }
-    let n = n.ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing p line"))?;
-    Ok(build_symmetric(n, &edges))
-}
+use crate::CsrGraph;
 
 const BIN_MAGIC: &[u8; 4] = b"RSG1";
 
@@ -159,37 +102,6 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("rs_graph_io_{}_{}", std::process::id(), name));
         p
-    }
-
-    #[test]
-    fn dimacs_roundtrip() {
-        let g = weights::reweight(&gen::grid2d(6, 7), WeightModel::paper_weighted(), 3);
-        let path = temp_path("roundtrip.gr");
-        write_dimacs(&g, &path).unwrap();
-        let g2 = read_dimacs(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn dimacs_reads_one_directional_files() {
-        let path = temp_path("oneway.gr");
-        std::fs::write(&path, "c test\np sp 3 2\na 1 2 5\na 2 3 7\n").unwrap();
-        let g = read_dimacs(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.arc_weight(1, 0), Some(5), "symmetrised");
-    }
-
-    #[test]
-    fn dimacs_rejects_garbage() {
-        let path = temp_path("bad.gr");
-        std::fs::write(&path, "a 1 2 3\n").unwrap(); // no p line
-        assert!(read_dimacs(&path).is_err());
-        std::fs::write(&path, "p sp 3 1\na 0 2 3\n").unwrap(); // 0-based id
-        assert!(read_dimacs(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

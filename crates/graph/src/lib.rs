@@ -11,7 +11,7 @@
 //!   pathological Figure-2 gadget.
 //! * [`weights`] — the paper's weight models (unit, uniform integers in
 //!   `[1, 10_000]`).
-//! * [`io`] — DIMACS `.gr` and fast binary serialisation.
+//! * [`io`] — fast binary serialisation.
 //! * [`analysis`] — connectivity, largest-component extraction, degree and
 //!   eccentricity statistics.
 //! * [`partition`] — vertex→part assignments and induced subgraph views

@@ -18,13 +18,15 @@
 //! behind the `rs_serve` server loop, the query plane, and the batch
 //! machinery unchanged. Answers are bit-identical to a flat solve:
 //! distances are exact by the skeleton construction, and paths are
-//! stitched back to input-graph edges through the per-part
-//! [`ChainTable`]s (the `ShortcutExpander` discipline, one level up).
+//! stitched back to input-graph edges through the skeleton's chain
+//! table — one [`rs_core::ShortcutExpander`] over global ids, the same
+//! table that unrolls the preprocessing's shortcut hops.
 //!
-//! The partition persists as an `RSP5` cache section
-//! ([`PartitionedGraph::save`] / [`PartitionedGraph::load_or_build`]);
-//! RSP6 preprocessing files (or anything else) at the cache path rebuild
-//! transparently.
+//! The partition persists as an `RSP7` cache section
+//! ([`PartitionedGraph::save`] / [`PartitionedGraph::load_or_build`]),
+//! and a loaded skeleton is checked against the graph; RSP6
+//! preprocessing files, older RSP5 partitions, or anything else at the
+//! cache path rebuild transparently.
 //!
 //! ```
 //! use rs_core::solver::{Query, SsspSolver};
@@ -50,4 +52,4 @@ pub mod skeleton;
 pub use partitioned::{PartitionConfig, PartitionedGraph, Partitioner};
 pub use partitioner::{Coordinates, PartitionStrategy};
 pub use sharded::ShardedSolver;
-pub use skeleton::{ChainTable, SkeletonGraph, SkeletonSolve};
+pub use skeleton::{SkeletonGraph, SkeletonSolve};

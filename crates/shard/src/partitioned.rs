@@ -1,12 +1,15 @@
 //! [`PartitionedGraph`]: the partition layer's product — part views, the
-//! boundary skeleton, and the vertex map — plus its RSP5 on-disk cache.
+//! boundary skeleton, and the vertex map — plus its RSP7 on-disk cache.
 //!
-//! The RSP5 file persists the partition's *identity* (input content hash,
+//! The RSP7 file persists the partition's *identity* (input content hash,
 //! knobs, the assignment array) and its *expensive artifacts* (skeleton
-//! nodes/edges and chain tables). Part views are cheap `O(m)` induced
-//! subgraphs and are rebuilt from the assignment on load. Any
-//! non-matching file — an RSP6 preprocessing cache, garbage, a stale
-//! hash, different knobs — fails the load and
+//! nodes/arcs and the chain table, in the `ShortcutExpander` record
+//! layout the RSP6 preprocessing cache uses). Part views are cheap
+//! `O(m)` induced subgraphs and are rebuilt from the assignment on load,
+//! and the skeleton is checked against the graph before it is accepted.
+//! Any non-matching file — an RSP6 preprocessing cache, an RSP5 file of
+//! the older per-part chain layout, garbage, a stale hash, different
+//! knobs, a skeleton arc no input route realises — fails the load and
 //! [`PartitionedGraph::load_or_build`] transparently rebuilds and
 //! rewrites, mirroring the preprocessing cache's discipline in
 //! `rs_core::solver::resolve_preprocessed`.
@@ -15,12 +18,12 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use rs_core::preprocess::ShortcutHeuristic;
-use rs_core::{PreprocessConfig, StepStats};
+use rs_core::{PreprocessConfig, ShortcutExpander, StepStats};
 use rs_graph::partition::{induced_subgraph, PartitionAssignment, SubgraphView};
 use rs_graph::{CsrGraph, Dist, VertexId};
 
 use crate::partitioner::PartitionStrategy;
-use crate::skeleton::{build_skeleton, ChainTable, SkeletonGraph};
+use crate::skeleton::{build_skeleton, check_persisted, SkeletonGraph};
 
 /// Partitioning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,14 +227,15 @@ impl PartitionedGraph {
         &self.build_stats
     }
 
-    /// Writes the RSP5 cache file (see the module docs for what is
+    /// Writes the RSP7 cache file (see the module docs for what is
     /// persisted vs rebuilt).
     pub fn save<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
         let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        // "RSP5": the sharding cache section, distinct from the "RSP6"
-        // preprocessing cache. Preprocessing (and older / foreign) files
-        // fail the magic check on load and are transparently rebuilt.
-        w.write_all(b"RSP5")?;
+        // "RSP7": the sharding cache section, distinct from the "RSP6"
+        // preprocessing cache; "RSP5" held one chain table per part.
+        // Preprocessing (and older / foreign) files fail the magic check
+        // on load and are transparently rebuilt.
+        w.write_all(b"RSP7")?;
         w.write_all(&self.input_hash.to_le_bytes())?;
         w.write_all(&(self.num_parts as u32).to_le_bytes())?;
         w.write_all(&[self.strategy_tag])?;
@@ -270,23 +274,15 @@ impl PartitionedGraph {
         for &d in weights {
             w.write_all(&d.to_le_bytes())?;
         }
-        w.write_all(&(skel.chains().len() as u32).to_le_bytes())?;
-        for chain in skel.chains() {
-            let links = chain.sorted_links();
-            w.write_all(&(links.len() as u64).to_le_bytes())?;
-            for (b, v, parent) in links {
-                w.write_all(&b.to_le_bytes())?;
-                w.write_all(&v.to_le_bytes())?;
-                w.write_all(&parent.to_le_bytes())?;
-            }
-        }
+        skel.chains().write_to(&mut w)?;
         w.flush()
     }
 
-    /// Loads an RSP5 file written by [`PartitionedGraph::save`] and
+    /// Loads an RSP7 file written by [`PartitionedGraph::save`] and
     /// re-derives the part views from the persisted assignment. Fails
     /// (for the caller to rebuild) on a bad magic, a content-hash
-    /// mismatch against `g`, or any truncation.
+    /// mismatch against `g`, any truncation or out-of-range field, or a
+    /// skeleton that does not match `g` (see the module docs).
     pub fn load<P: AsRef<Path>>(path: P, g: &CsrGraph) -> std::io::Result<PartitionedGraph> {
         let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
         let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
@@ -295,7 +291,7 @@ impl PartitionedGraph {
         let mut b8 = [0u8; 8];
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
-        if &magic != b"RSP5" {
+        if &magic != b"RSP7" {
             return Err(bad("not a saved partition (e.g. an RSP6 preprocessing)"));
         }
         r.read_exact(&mut b8)?;
@@ -305,6 +301,9 @@ impl PartitionedGraph {
         }
         r.read_exact(&mut b4)?;
         let num_parts = u32::from_le_bytes(b4) as usize;
+        if num_parts == 0 || num_parts > g.num_vertices().max(1) {
+            return Err(bad("part count out of range"));
+        }
         r.read_exact(&mut b1)?;
         let strategy_tag = b1[0];
         r.read_exact(&mut b1)?;
@@ -335,7 +334,7 @@ impl PartitionedGraph {
         if n != g.num_vertices() {
             return Err(bad("assignment length does not match the graph"));
         }
-        let mut part_of = Vec::with_capacity(n);
+        let mut part_of = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             r.read_exact(&mut b4)?;
             let p = u32::from_le_bytes(b4);
@@ -345,8 +344,12 @@ impl PartitionedGraph {
             part_of.push(p);
         }
         r.read_exact(&mut b8)?;
-        let nodes = u64::from_le_bytes(b8) as usize;
-        let mut node_global = Vec::with_capacity(nodes);
+        let nodes = u64::from_le_bytes(b8);
+        if nodes > n as u64 {
+            return Err(bad("more skeleton nodes than vertices"));
+        }
+        let nodes = nodes as usize;
+        let mut node_global = Vec::with_capacity(nodes.min(1 << 20));
         for _ in 0..nodes {
             r.read_exact(&mut b4)?;
             node_global.push(u32::from_le_bytes(b4));
@@ -357,60 +360,33 @@ impl PartitionedGraph {
             return Err(bad("skeleton nodes not sorted / out of range"));
         }
         r.read_exact(&mut b8)?;
-        let arcs = u64::from_le_bytes(b8) as usize;
-        let mut offsets = Vec::with_capacity(nodes + 1);
+        let arcs = u64::from_le_bytes(b8);
+        let mut offsets = Vec::with_capacity((nodes + 1).min(1 << 20));
         for _ in 0..nodes + 1 {
             r.read_exact(&mut b8)?;
-            offsets.push(u64::from_le_bytes(b8) as usize);
+            offsets.push(u64::from_le_bytes(b8));
         }
-        if offsets.first() != Some(&0) || offsets.last() != Some(&arcs) {
+        if offsets[0] != 0 || offsets[nodes] != arcs || offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(bad("skeleton offsets corrupt"));
         }
-        let mut edges: Vec<(u32, u32, Dist)> = Vec::with_capacity(arcs);
-        let mut targets = Vec::with_capacity(arcs);
-        let mut weights = Vec::with_capacity(arcs);
+        let mut targets = Vec::with_capacity(arcs.min(1 << 20) as usize);
         for _ in 0..arcs {
             r.read_exact(&mut b4)?;
             targets.push(u32::from_le_bytes(b4));
         }
-        for _ in 0..arcs {
-            r.read_exact(&mut b8)?;
-            weights.push(u64::from_le_bytes(b8));
-        }
-        for u in 0..nodes {
-            if offsets[u] > offsets[u + 1] || offsets[u + 1] > arcs {
-                return Err(bad("skeleton offsets not monotone"));
-            }
-            for i in offsets[u]..offsets[u + 1] {
-                if targets[i] as usize >= nodes {
+        // The weights follow in arc order, which the monotone offsets walk.
+        let mut edges: Vec<(u32, u32, Dist)> = Vec::with_capacity(targets.len());
+        for (u, w) in offsets.windows(2).enumerate() {
+            for &t in &targets[w[0] as usize..w[1] as usize] {
+                if t as usize >= nodes {
                     return Err(bad("skeleton target out of range"));
                 }
-                edges.push((u as u32, targets[i], weights[i]));
+                r.read_exact(&mut b8)?;
+                edges.push((u as u32, t, u64::from_le_bytes(b8)));
             }
         }
-        r.read_exact(&mut b4)?;
-        let num_chains = u32::from_le_bytes(b4) as usize;
-        if num_chains != num_parts {
-            return Err(bad("one chain table per part expected"));
-        }
-        let mut chains = Vec::with_capacity(num_chains);
-        for _ in 0..num_chains {
-            r.read_exact(&mut b8)?;
-            let links = u64::from_le_bytes(b8) as usize;
-            let mut chain = ChainTable::new();
-            for _ in 0..links {
-                let mut ids = [[0u8; 4]; 3];
-                for id in &mut ids {
-                    r.read_exact(id)?;
-                }
-                chain.insert(
-                    u32::from_le_bytes(ids[0]),
-                    u32::from_le_bytes(ids[1]),
-                    u32::from_le_bytes(ids[2]),
-                );
-            }
-            chains.push(chain);
-        }
+        let chains = ShortcutExpander::read_from(&mut r, n)?;
+        check_persisted(g, &part_of, &node_global, &edges, &chains).map_err(|e| bad(&e))?;
         let assignment = PartitionAssignment::new(part_of, num_parts);
         let parts: Vec<SubgraphView> =
             assignment.members().iter().map(|m| induced_subgraph(g, m)).collect();
@@ -429,9 +405,9 @@ impl PartitionedGraph {
         ))
     }
 
-    /// Loads a compatible RSP5 cache from `path`, or partitions `g` from
+    /// Loads a compatible RSP7 cache from `path`, or partitions `g` from
     /// scratch and rewrites the cache (best-effort). "Compatible" means:
-    /// valid RSP5, matching content hash, and matching `cfg` knobs. A
+    /// valid RSP7, matching content hash, and matching `cfg` knobs. A
     /// preprocessing file (or anything else) at `path` rebuilds
     /// transparently.
     pub fn load_or_build<P: AsRef<Path>>(

@@ -35,8 +35,10 @@
 //!
 //! Paths are stitched to exact *input-graph* routes: leg paths come from
 //! the part solves (shortcut hops already expanded by the parts'
-//! `ShortcutExpander`s), and within-part skeleton hops unroll through the
-//! per-part [`crate::ChainTable`]s — the same discipline, one level up.
+//! `ShortcutExpander`s), and the skeleton leg runs through the
+//! skeleton's own [`rs_core::ShortcutExpander`]: within-part hops unroll
+//! through their recorded links, and cut arcs pass through as the input
+//! edges they are.
 
 use rs_core::solver::{
     Query, QueryResponse, QueryShape, RadiusSteppingSolver, SolverBuilder, SsspSolver,
@@ -184,6 +186,9 @@ impl<'a> ShardedSolver<'a> {
                 dist[gv as usize] = d;
             }
         }
+        // The skeleton hops expand over these distances; committed paths
+        // rewrite row entries, so expansion reads a copy.
+        let skel_row = parent.is_some().then(|| dist.clone());
 
         let mut distinct: Vec<VertexId> = goals.to_vec();
         distinct.sort_unstable();
@@ -240,6 +245,7 @@ impl<'a> ShardedSolver<'a> {
                         &leg1,
                         s_local,
                         skel_parent.as_deref().expect("want_paths recorded skeleton parents"),
+                        skel_row.as_deref().expect("want_paths copied the skeleton row"),
                         b2_node,
                         q,
                         leg3.as_ref(),
@@ -275,9 +281,10 @@ impl<'a> ShardedSolver<'a> {
     }
 
     /// Stitches the three-phase route `s → b1 ⇝ b2 → g` into one
-    /// input-graph path: leg-1 part path, skeleton hops (within-part hops
-    /// unrolled through the part's [`crate::ChainTable`], cut arcs passed
-    /// through), and the reversed goal-side part path.
+    /// input-graph path: leg-1 part path, skeleton hops expanded through
+    /// the skeleton's chain table over `skel_row` (within-part hops
+    /// unrolled, cut arcs passed through), and the reversed goal-side
+    /// part path.
     #[allow(clippy::too_many_arguments)]
     fn stitched_path(
         &self,
@@ -285,6 +292,7 @@ impl<'a> ShardedSolver<'a> {
         leg1: &Option<QueryResponse>,
         s_local: VertexId,
         skel_parent: &[u32],
+        skel_row: &[Dist],
         b2_node: u32,
         q: u32,
         leg3: Option<&QueryResponse>,
@@ -293,33 +301,17 @@ impl<'a> ShardedSolver<'a> {
     ) -> Vec<VertexId> {
         let skel = self.pg.boundary();
         // Walk the skeleton tree from b2 back to its seed b1.
-        let mut node_path = vec![b2_node];
+        let mut hops = vec![skel.global_of_node(b2_node)];
         let mut cur = b2_node;
         while skel_parent[cur as usize] != cur {
             cur = skel_parent[cur as usize];
-            node_path.push(cur);
+            hops.push(skel.global_of_node(cur));
         }
-        node_path.reverse();
-        let b1_node = node_path[0];
-        let b1_global = skel.global_of_node(b1_node);
-        let b1_local = self.pg.locate(b1_global).1;
+        hops.reverse();
+        let b1_local = self.pg.locate(hops[0]).1;
 
         let mut path = self.direct_path(p, leg1, s_local, b1_local);
-        for hop in node_path.windows(2) {
-            let (ga, gb) = (skel.global_of_node(hop[0]), skel.global_of_node(hop[1]));
-            let (pa, a_local) = self.pg.locate(ga);
-            let (pb, b_local) = self.pg.locate(gb);
-            if pa != pb {
-                path.push(gb); // cut arc: a real input edge
-            } else {
-                // Within-part hop: unroll the recorded chain a → b.
-                let view = self.pg.part(pa);
-                let local_hops = skel.chains()[pa as usize]
-                    .walk(a_local, b_local)
-                    .expect("skeleton recorded a chain for every within-part edge");
-                path.extend(local_hops.into_iter().skip(1).map(|l| view.to_global(l)));
-            }
-        }
+        path.extend_from_slice(&skel.chains().expand_path(&hops, skel_row)[1..]);
         // Goal-side leg, reversed: the solve ran g → b2, the route runs
         // b2 → g (undirected edges reverse freely).
         if b2_local != g_local {

@@ -27,92 +27,25 @@
 //! preprocessing + one-to-many machinery: each part is preprocessed with
 //! [`Preprocessed`]-backed solvers and each boundary vertex runs one
 //! `OneToMany` solve over its part. The solves request paths, and for
-//! every kept arc the returned input-graph route is recorded in the
-//! part's [`ChainTable`] — the same parent-link discipline as
-//! [`rs_core::ShortcutExpander`] — so a skeleton hop can later be
-//! unrolled into exact input-graph edges.
+//! every kept arc the returned input-graph route is recorded as parent
+//! links in the skeleton's one [`ShortcutExpander`] over global ids —
+//! the table that unrolls the preprocessing's shortcut hops — so a
+//! within-part skeleton hop unrolls into exact input-graph edges the way
+//! a shortcut hop does.
 //!
 //! [`Preprocessed`]: rs_core::Preprocessed
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use rs_core::solver::{Query, QueryResponse, SolverBuilder, SsspSolver};
-use rs_core::{PreprocessConfig, SolverScratch, StepStats};
+use rs_core::{PreprocessConfig, ShortcutExpander, SolverScratch, StepStats};
 use rs_graph::partition::SubgraphView;
 use rs_graph::{CsrGraph, Dist, VertexId, INF};
 
-/// Per-part parent links for expanding a within-part skeleton hop into
-/// input-graph edges: `(boundary_source_local, v_local) → parent_local`
-/// along a shortest within-part path — the [`rs_core::ShortcutExpander`]
-/// discipline, keyed in part-local ids.
-///
-/// Links from different goals may overwrite each other at shared
-/// vertices; every recorded link satisfies
-/// `d(b, parent) + w(parent, v) = d(b, v)` exactly, so any walk
-/// telescopes correctly and strictly descends toward `b`.
-#[derive(Debug, Clone, Default)]
-pub struct ChainTable {
-    links: HashMap<(VertexId, VertexId), VertexId>,
-}
-
-impl ChainTable {
-    /// An empty table.
-    pub fn new() -> ChainTable {
-        ChainTable::default()
-    }
-
-    /// Records `parent` as the predecessor of `v` on a shortest
-    /// within-part path from boundary source `b` (all part-local ids).
-    pub fn insert(&mut self, b: VertexId, v: VertexId, parent: VertexId) {
-        self.links.insert((b, v), parent);
-    }
-
-    /// The recorded predecessor of `v` on the path from `b`.
-    pub fn parent(&self, b: VertexId, v: VertexId) -> Option<VertexId> {
-        self.links.get(&(b, v)).copied()
-    }
-
-    /// Number of recorded links.
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// True when no links are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
-    }
-
-    /// Deterministically ordered link list (for persistence).
-    pub fn sorted_links(&self) -> Vec<(VertexId, VertexId, VertexId)> {
-        let mut out: Vec<_> = self.links.iter().map(|(&(b, v), &p)| (b, v, p)).collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Walks the chain from `v` back to `b`, returning the *forward*
-    /// local path `b … v`. `None` when the chain is broken or cycles
-    /// (never happens for pairs the skeleton recorded; a corrupt cache
-    /// file can do either). A well-formed walk never repeats a link, so
-    /// it follows at most [`ChainTable::len`] of them.
-    pub fn walk(&self, b: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
-        let mut path = vec![v];
-        let mut cur = v;
-        for _ in 0..=self.len() {
-            if cur == b {
-                path.reverse();
-                return Some(path);
-            }
-            cur = self.parent(b, cur)?;
-            path.push(cur);
-        }
-        None
-    }
-}
-
 /// The boundary-skeleton graph: CSR over skeleton node ids with `u64`
 /// weights (within-part distances can exceed any single edge weight), the
-/// node↔global mapping, and the per-part [`ChainTable`]s.
+/// node↔global mapping, and the chain table of the within-part arcs.
 #[derive(Debug, Clone)]
 pub struct SkeletonGraph {
     /// `node_global[node]` = the input graph's vertex id; sorted
@@ -121,7 +54,9 @@ pub struct SkeletonGraph {
     offsets: Vec<usize>,
     targets: Vec<u32>,
     weights: Vec<Dist>,
-    chains: Vec<ChainTable>,
+    /// Links `(a, v, parent, d(a, v))` in global ids along the recorded
+    /// route of every within-part arc `a → b`; cut arcs have none.
+    chains: ShortcutExpander,
 }
 
 /// Counters from one skeleton solve, folded into the sharded response's
@@ -137,13 +72,13 @@ pub struct SkeletonSolve {
 }
 
 impl SkeletonGraph {
-    /// Assembles a skeleton from raw parts (the build path and the RSP5
-    /// loader). `edges` are directed `(node, node, dist)` entries; they
-    /// are symmetrised and min-deduplicated here.
+    /// Assembles a skeleton from raw parts (the build path and the
+    /// partition loader). `edges` are directed `(node, node, dist)`
+    /// entries; they are symmetrised and min-deduplicated here.
     pub fn from_edges(
         node_global: Vec<VertexId>,
         edges: Vec<(u32, u32, Dist)>,
-        chains: Vec<ChainTable>,
+        chains: ShortcutExpander,
     ) -> SkeletonGraph {
         let nodes = node_global.len();
         debug_assert!(node_global.windows(2).all(|w| w[0] < w[1]), "nodes sorted");
@@ -193,8 +128,8 @@ impl SkeletonGraph {
         &self.node_global
     }
 
-    /// The per-part chain tables (index = part id).
-    pub fn chains(&self) -> &[ChainTable] {
+    /// The chain table that unrolls within-part arcs into input edges.
+    pub fn chains(&self) -> &ShortcutExpander {
         &self.chains
     }
 
@@ -257,24 +192,18 @@ impl SkeletonGraph {
 /// collects cut arcs, and runs one `OneToMany` solve per boundary vertex
 /// over its part — through a per-part (k, ρ)-preprocessed solver when
 /// `pre_cfg` is given (the preprocessing's `ShortcutExpander` makes the
-/// recorded chain paths input-graph exact automatically), a plain
-/// frontier solver otherwise. From each part's boundary distance matrix
-/// it keeps only the non-dominated within-part arcs (see the module
-/// docs) and records chain links for those alone. Also returns the
-/// accumulated solve stats for telemetry.
+/// returned paths input-graph exact automatically), a plain frontier
+/// solver otherwise. From each part's boundary distance matrix it keeps
+/// only the non-dominated within-part arcs (see the module docs) and
+/// records chain links for those alone. Also returns the accumulated
+/// solve stats for telemetry.
 pub fn build_skeleton(
     g: &CsrGraph,
     part_of: &[u32],
     parts: &[SubgraphView],
     pre_cfg: Option<&PreprocessConfig>,
 ) -> (SkeletonGraph, StepStats) {
-    // Boundary nodes: tails of cut arcs (heads are covered by symmetry).
-    let mut node_global: Vec<VertexId> = Vec::new();
-    for u in 0..g.num_vertices() as VertexId {
-        if g.neighbors(u).iter().any(|&t| part_of[t as usize] != part_of[u as usize]) {
-            node_global.push(u);
-        }
-    }
+    let node_global = boundary_vertices(g, part_of);
     let node_of = |global: VertexId| -> u32 {
         node_global.binary_search(&global).expect("boundary vertex has a node") as u32
     };
@@ -291,9 +220,9 @@ pub fn build_skeleton(
 
     // Per part: one OneToMany solve per boundary source, then keep only
     // the non-dominated within-part arcs and record chains for those.
-    let mut chains: Vec<ChainTable> = vec![ChainTable::new(); parts.len()];
+    let mut links: Vec<(VertexId, VertexId, VertexId, Dist)> = Vec::new();
     let mut stats = StepStats::default();
-    for (p, view) in parts.iter().enumerate() {
+    for view in parts {
         let boundary_locals: Vec<VertexId> = view
             .to_global
             .iter()
@@ -327,23 +256,85 @@ pub fn build_skeleton(
             .iter()
             .map(|resp| boundary_locals.iter().map(|&o| resp.dist()[o as usize]).collect())
             .collect();
+        // `recorded[v] == i`: source i has a link for v. Routes to
+        // different goals share vertices, possibly through different
+        // parents at the same distance; the first link recorded is kept.
+        let mut recorded = vec![usize::MAX; view.graph.num_vertices()];
         for (i, resp) in responses.iter().enumerate() {
-            let b = boundary_locals[i];
+            let b = view.to_global(boundary_locals[i]);
             for j in non_dominated(&d, i) {
                 let o = boundary_locals[j];
-                edges.push((node_of(view.to_global(b)), node_of(view.to_global(o)), d[i][j]));
+                edges.push((node_of(b), node_of(view.to_global(o)), d[i][j]));
                 // goal_path_to expands shortcut hops through the part
-                // preprocessing's expander, so these links ride input
-                // edges only.
-                if let Some(path) = resp.goal_path_to(o) {
-                    for hop in path.windows(2) {
-                        chains[p].insert(b, hop[1], hop[0]);
+                // preprocessing's expander, so the route rides input
+                // edges only. Each link's distance is the prefix sum
+                // along it, exact whatever else the solve settled.
+                let path = resp.goal_path_to(o).expect("a finite distance has a route");
+                let mut dist: Dist = 0;
+                for hop in path.windows(2) {
+                    let (parent, v) = (view.to_global(hop[0]), view.to_global(hop[1]));
+                    dist += g.arc_weight(parent, v).expect("routes ride input edges") as Dist;
+                    if recorded[hop[1] as usize] != i {
+                        recorded[hop[1] as usize] = i;
+                        links.push((b, v, parent, dist));
                     }
                 }
             }
         }
     }
+    let chains = ShortcutExpander::from_links(g.num_vertices(), links)
+        .expect("every recorded parent is closer to its source");
     (SkeletonGraph::from_edges(node_global, edges, chains), stats)
+}
+
+/// The skeleton's nodes: every vertex with a cut arc, ascending (heads of
+/// cut arcs are tails too, by symmetry).
+pub(crate) fn boundary_vertices(g: &CsrGraph, part_of: &[u32]) -> Vec<VertexId> {
+    (0..g.num_vertices() as VertexId)
+        .filter(|&u| g.neighbors(u).iter().any(|&t| part_of[t as usize] != part_of[u as usize]))
+        .collect()
+}
+
+/// Checks a persisted skeleton against the graph `g` and assignment
+/// `part_of` it claims to cover, on the arcs as persisted (before
+/// [`SkeletonGraph::from_edges`] symmetrises them and keeps the minimum):
+/// the nodes are exactly the boundary vertices, every cut arc is an edge
+/// of `g` at its weight, every within-part arc `(a, b, w)` has a link
+/// `(a, b)` or `(b, a)` at distance `w`, and every link's
+/// `parent → member` hop is an edge of `g` weighing the difference of
+/// the two recorded distances. Then every arc is the length of a real
+/// input-graph route, so no skeleton distance undercuts a true one, and
+/// every skeleton hop expands into input edges.
+pub(crate) fn check_persisted(
+    g: &CsrGraph,
+    part_of: &[u32],
+    node_global: &[VertexId],
+    edges: &[(u32, u32, Dist)],
+    chains: &ShortcutExpander,
+) -> Result<(), String> {
+    if node_global != boundary_vertices(g, part_of) {
+        return Err("skeleton nodes are not the boundary vertices".into());
+    }
+    for &(u, v, w) in edges {
+        let (a, b) = (node_global[u as usize], node_global[v as usize]);
+        let realised = if part_of[a as usize] != part_of[b as usize] {
+            g.arc_weight(a, b).is_some_and(|x| x as Dist == w)
+        } else {
+            [(a, b), (b, a)].iter().any(|&(x, y)| chains.get(x, y).is_some_and(|(_, d)| d == w))
+        };
+        if !realised {
+            return Err(format!("skeleton arc {a} -> {b} ({w}) is not an input route"));
+        }
+    }
+    for (source, member, parent, d) in chains.iter() {
+        // The source has no link of its own: it sits at distance 0.
+        // `from_links` already put every other parent strictly closer.
+        let hop = d - chains.get(source, parent).map_or(0, |(_, pd)| pd);
+        if g.arc_weight(parent, member).is_none_or(|x| x as Dist != hop) {
+            return Err(format!("chain link {parent} -> {member} is not an input edge of {hop}"));
+        }
+    }
+    Ok(())
 }
 
 /// The targets `j` of row `i` of a within-part boundary distance matrix
@@ -445,24 +436,26 @@ mod tests {
             let pg = Partitioner::new(parts).partition(&g);
             let skel = pg.boundary();
             let (offsets, targets, weights) = skel.raw_parts();
+            let mut dist = vec![INF; g.num_vertices()];
             let mut within = 0;
             for a in 0..skel.num_nodes() {
-                let (pa, a_local) = pg.locate(skel.global_of_node(a as u32));
+                let ga = skel.global_of_node(a as u32);
                 for i in offsets[a]..offsets[a + 1] {
-                    let (pb, b_local) = pg.locate(skel.global_of_node(targets[i]));
-                    if pa != pb {
+                    let gb = skel.global_of_node(targets[i]);
+                    if pg.locate(ga).0 != pg.locate(gb).0 {
                         continue; // cut arc
                     }
                     within += 1;
-                    let path = skel.chains()[pa as usize]
-                        .walk(a_local, b_local)
-                        .unwrap_or_else(|| panic!("{name}: no chain for arc {a} → {}", targets[i]));
-                    let view = pg.part(pa);
+                    assert_eq!(skel.chains().get(ga, gb).map(|l| l.1), Some(weights[i]), "{name}");
+                    (dist[ga as usize], dist[gb as usize]) = (0, weights[i]);
+                    let path = skel.chains().expand_path(&[ga, gb], &dist);
+                    (dist[ga as usize], dist[gb as usize]) = (INF, INF);
+                    assert!(path.len() > 2 || g.arc_weight(ga, gb).is_some(), "{name}: unexpanded");
                     let length: Dist = path
                         .windows(2)
-                        .map(|h| edge_weight(&view.graph, h[0], h[1]).expect("hop is a part edge"))
+                        .map(|h| edge_weight(&g, h[0], h[1]).expect("hop is an input edge"))
                         .sum();
-                    assert_eq!(length, weights[i], "{name}: arc {a} → {}", targets[i]);
+                    assert_eq!(length, weights[i], "{name}: arc {ga} → {gb}");
                 }
             }
             assert!(within > 0, "{name}: no within-part arcs");
@@ -522,16 +515,5 @@ mod tests {
             fast.sort_unstable();
             assert_eq!(fast, exhaustive, "row {i}");
         }
-    }
-
-    #[test]
-    fn walk_refuses_a_cycle() {
-        let mut chain = ChainTable::new();
-        chain.insert(0, 1, 2);
-        chain.insert(0, 2, 1);
-        assert_eq!(chain.walk(0, 1), None);
-        chain.insert(0, 3, 0);
-        assert_eq!(chain.walk(0, 3), Some(vec![0, 3]));
-        assert_eq!(chain.walk(0, 0), Some(vec![0]));
     }
 }

@@ -1,8 +1,10 @@
-//! RSP5 partition-cache persistence: a saved [`PartitionedGraph`]
+//! RSP7 partition-cache persistence: a saved [`PartitionedGraph`]
 //! round-trips to an identical in-memory structure, and anything
 //! incompatible at the cache path — a preprocessing file (here an old
-//! `RSP4` header), garbage, a stale graph hash, or different partition
-//! knobs (a non-default shortcut heuristic included) — rebuilds
+//! `RSP4` header), an old `RSP5` partition, garbage, a stale graph hash,
+//! different partition knobs (a non-default shortcut heuristic
+//! included), oversized header counts, or a skeleton arc or chain link
+//! the graph does not realise — is refused at load and rebuilds
 //! transparently through [`PartitionedGraph::load_or_build`].
 
 use rs_core::preprocess::ShortcutHeuristic;
@@ -17,22 +19,19 @@ fn test_graph() -> CsrGraph {
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("rsp5-{name}-{}", std::process::id()));
+    p.push(format!("rsp7-{name}-{}", std::process::id()));
     p
 }
 
 /// Structural equality for partitions: assignment, skeleton CSR, and
-/// chain tables all byte-for-byte identical.
+/// chain table all identical.
 fn assert_identical(a: &PartitionedGraph, b: &PartitionedGraph) {
     assert_eq!(a.input_hash(), b.input_hash());
     assert_eq!(a.num_parts(), b.num_parts());
     assert_eq!(a.assignment().as_slice(), b.assignment().as_slice());
     assert_eq!(a.boundary().node_globals(), b.boundary().node_globals());
     assert_eq!(a.boundary().raw_parts(), b.boundary().raw_parts());
-    assert_eq!(a.boundary().chains().len(), b.boundary().chains().len());
-    for (ca, cb) in a.boundary().chains().iter().zip(b.boundary().chains()) {
-        assert_eq!(ca.sorted_links(), cb.sorted_links());
-    }
+    assert_eq!(a.boundary().chains(), b.boundary().chains());
 }
 
 #[test]
@@ -63,15 +62,16 @@ fn garbage_and_rsp4_magic_rebuild_transparently() {
 
     for (name, bytes) in [
         ("rsp4", b"RSP4 pretend preprocessing payload".to_vec()),
+        ("rsp5", [b"RSP5".as_slice(), &[0; 64]].concat()),
         ("garbage", vec![0xAB; 512]),
-        ("truncated", b"RSP5".to_vec()),
+        ("truncated", b"RSP7".to_vec()),
         ("empty", Vec::new()),
     ] {
         let path = tmp_path(name);
         std::fs::write(&path, &bytes).expect("fixture write");
         assert!(
             PartitionedGraph::load(&path, &g).is_err(),
-            "{name}: incompatible file must not parse as RSP5"
+            "{name}: incompatible file must not parse as RSP7"
         );
         let pg = PartitionedGraph::load_or_build(&g, &cfg, &path);
         assert_identical(&reference, &pg);
@@ -125,5 +125,105 @@ fn non_default_heuristic_survives_the_cache() {
     assert!(rebuilt.build_stats().relaxations > 0, "different heuristic rebuilds");
     let reloaded = PartitionedGraph::load_or_build(&g, &default_cfg, &path);
     assert_eq!(reloaded.build_stats().relaxations, 0, "k-default config loads");
+    std::fs::remove_file(&path).ok();
+}
+
+/// An 8×8 grid at P = 4 with default knobs, saved: the graph, the
+/// partition, and the file's bytes.
+fn saved_8x8(name: &str) -> (CsrGraph, PartitionedGraph, std::path::PathBuf, Vec<u8>) {
+    let g = weights::reweight(&gen::grid2d(8, 8), WeightModel::paper_weighted(), 5);
+    let pg = Partitioner::new(4).partition(&g);
+    let path = tmp_path(name);
+    pg.save(&path).expect("save");
+    let bytes = std::fs::read(&path).expect("read back");
+    (g, pg, path, bytes)
+}
+
+/// Byte offsets in a file saved with default knobs (a 30-byte header
+/// ahead of the vertex count): the skeleton node count, the first arc
+/// weight, and the first chain-link record.
+fn layout(pg: &PartitionedGraph) -> (usize, usize, usize) {
+    let (n, nodes) = (pg.assignment().len(), pg.boundary().num_nodes());
+    let arcs = pg.boundary().raw_parts().1.len();
+    let nodes_at = 30 + 8 + 4 * n;
+    let weights_at = nodes_at + 8 + 4 * nodes + 8 + 8 * (nodes + 1) + 4 * arcs;
+    (nodes_at, weights_at, weights_at + 8 * arcs + 8)
+}
+
+/// `bytes` at `path` must be refused at load, and `load_or_build` must
+/// rebuild `reference` and rewrite a file that loads.
+fn assert_refused_and_rebuilt(
+    g: &CsrGraph,
+    reference: &PartitionedGraph,
+    path: &std::path::Path,
+    bytes: &[u8],
+    what: &str,
+) {
+    std::fs::write(path, bytes).expect("fixture write");
+    let err = PartitionedGraph::load(path, g).map(|_| ()).expect_err(what);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+    let pg = PartitionedGraph::load_or_build(g, &PartitionConfig::new(4), path);
+    assert_identical(reference, &pg);
+    assert_identical(reference, &PartitionedGraph::load(path, g).expect("rewritten cache"));
+}
+
+#[test]
+fn load_refuses_oversized_header_counts() {
+    // A 2^40 skeleton node count once reserved gigabytes before the
+    // first read failed, and a u32::MAX part count reached one
+    // allocation per part: both are refused from the header alone.
+    let (g, pg, path, bytes) = saved_8x8("counts");
+    let (nodes_at, _, _) = layout(&pg);
+    let nodes = pg.boundary().num_nodes() as u64;
+    assert_eq!(bytes[nodes_at..nodes_at + 8], nodes.to_le_bytes(), "node count layout");
+    let mut huge_nodes = bytes.clone();
+    huge_nodes[nodes_at..nodes_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    assert_refused_and_rebuilt(&g, &pg, &path, &huge_nodes, "2^40 skeleton nodes");
+    for parts in [0, u32::MAX] {
+        let mut bad_parts = bytes.clone();
+        bad_parts[12..16].copy_from_slice(&parts.to_le_bytes());
+        assert_refused_and_rebuilt(&g, &pg, &path, &bad_parts, &format!("{parts} parts"));
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn flipped_arc_weight_is_refused_and_rebuilt() {
+    // A persisted arc weight the graph does not realise could undercut a
+    // distance: one cut arc and one within-part arc, each off by one.
+    let (g, pg, path, bytes) = saved_8x8("arc");
+    let (_, weights_at, _) = layout(&pg);
+    let skel = pg.boundary();
+    let (offsets, targets, _) = skel.raw_parts();
+    let part = |node: u32| pg.locate(skel.global_of_node(node)).0;
+    let is_cut = |i: usize| {
+        let tail = offsets.partition_point(|&o| o <= i) - 1;
+        part(tail as u32) != part(targets[i])
+    };
+    let cut = (0..targets.len()).find(|&i| is_cut(i)).expect("a cut arc");
+    let within = (0..targets.len()).find(|&i| !is_cut(i)).expect("a within-part arc");
+    for (what, i) in [("cut arc", cut), ("within-part arc", within)] {
+        let at = weights_at + 8 * i;
+        assert_eq!(bytes[at..at + 8], skel.raw_parts().2[i].to_le_bytes(), "{what} layout");
+        let mut flipped = bytes.clone();
+        flipped[weights_at + 8 * i] ^= 1;
+        assert_refused_and_rebuilt(&g, &pg, &path, &flipped, what);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn flipped_chain_byte_is_refused_and_rebuilt() {
+    // Any change to a link's recorded distance breaks its own
+    // `parent → member` hop against the graph (or its parent order).
+    let (g, pg, path, bytes) = saved_8x8("chain");
+    let (_, _, links_at) = layout(&pg);
+    let first = pg.boundary().chains().iter().next().expect("the 8×8 skeleton records chains");
+    assert_eq!(bytes[links_at + 12..links_at + 20], first.3.to_le_bytes(), "link layout");
+    for byte in 12..20 {
+        let mut flipped = bytes.clone();
+        flipped[links_at + byte] ^= 1;
+        assert_refused_and_rebuilt(&g, &pg, &path, &flipped, &format!("link byte {byte}"));
+    }
     std::fs::remove_file(&path).ok();
 }
