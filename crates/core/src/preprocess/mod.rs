@@ -184,9 +184,9 @@ impl Preprocessed {
         let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
         // "RSP6": format 6 dropped format 4's ALT landmark table (format 3
         // added the shortcut expansion chains, format 2 the input-graph
-        // content hash; "RSP5" and "RSP7" are `rs_shard`'s partition files).
-        // Older files ("RSPP", "RSP2", "RSP3", "RSP4") fail to load and
-        // are transparently rebuilt.
+        // content hash; "RSP5", "RSP7" and "RSP8" are `rs_shard`'s
+        // partition files). Older files ("RSPP", "RSP2", "RSP3", "RSP4")
+        // fail to load and are transparently rebuilt.
         w.write_all(b"RSP6")?;
         w.write_all(&self.input_hash.to_le_bytes())?;
         w.write_all(&self.config.k.to_le_bytes())?;

@@ -23,11 +23,9 @@
 //! * [`QueryBatch`] — the mixed-shape batch layer: deduplicates by
 //!   canonical query key (goal sets sorted + deduplicated), fans the
 //!   unique queries over the work-stealing pool with one pre-warmed
-//!   [`SolverScratch`] per pool task, and **streams** responses as each
-//!   solve completes ([`QueryBatch::stream`]; [`QueryBatch::execute`] is
-//!   the drained, materialised form), aggregating the batch's
-//!   [`crate::StepStats`] into a [`BatchStats`] (including the
-//!   goal-bounded traffic counters).
+//!   [`SolverScratch`] per pool task ([`QueryBatch::execute`]), and
+//!   aggregates the batch's [`crate::StepStats`] into a [`BatchStats`]
+//!   (including the goal-bounded traffic counters).
 //!
 //! This module defines the trait, the query and batch types, the
 //! [`Algorithm`] selector and builder, and the radius-stepping solver.
@@ -634,130 +632,52 @@ impl QueryBatch {
         self.queries.len() - self.unique.len()
     }
 
-    /// Runs the batch on `solver` and materialises every response: a thin
-    /// wrapper over [`QueryBatch::stream`] that collects deliveries back
-    /// into request order. Responses are bit-identical to the streamed
-    /// ones (same executions — `execute` *is* the stream, drained).
+    /// Runs the batch on `solver`: the unique queries fan out over the
+    /// pool via [`rs_par::worker_map`], one pre-warmed scratch per pool
+    /// task ([`SsspSolver::warm_scratch`] — first queries skip the cold
+    /// allocation spike). Each unique response moves into the last
+    /// request slot it answers; earlier duplicates get clones carrying
+    /// their own requested `query`. Returns every response in request
+    /// order with the aggregated [`BatchStats`].
     pub fn execute<S: SsspSolver + ?Sized>(&self, solver: &S) -> BatchOutcome {
-        let mut responses: Vec<Option<QueryResponse>> = vec![None; self.queries.len()];
-        let stats = self.stream(solver, |slot, response| {
-            debug_assert!(responses[slot].is_none(), "each slot delivered exactly once");
-            responses[slot] = Some(response);
-        });
-        let responses = responses.into_iter().map(|r| r.expect("every slot delivered")).collect();
-        BatchOutcome { responses, stats }
-    }
-
-    /// Runs the batch on `solver`, delivering responses **as each solve
-    /// completes** instead of materialising the whole batch: a slow query
-    /// no longer blocks the fast ones, so a server can pipeline replies.
-    ///
-    /// Unique queries fan out over the pool with per-task pre-warmed
-    /// scratch reuse ([`SsspSolver::warm_scratch`] — first queries skip
-    /// the cold allocation spike); the caller's thread drains completions
-    /// and invokes `sink(request_slot, response)` once per *requested*
-    /// query. Duplicates are delivered (as clones, with their own
-    /// requested `query` key) the moment their unique execution lands.
-    /// Delivery order is completion order — use the slot index to
-    /// reorder when request order matters, or use [`QueryBatch::execute`].
-    /// Returns the aggregated [`BatchStats`] once every response is
-    /// delivered.
-    ///
-    /// Responses flow through a **bounded** channel sized to the pool
-    /// (see [`QueryBatch::default_stream_capacity`]): a slow sink applies
-    /// backpressure to the solver workers instead of letting finished
-    /// responses pile up unboundedly. Use [`QueryBatch::stream_bounded`]
-    /// to pick the capacity explicitly.
-    pub fn stream<S, F>(&self, solver: &S, sink: F) -> BatchStats
-    where
-        S: SsspSolver + ?Sized,
-        F: FnMut(usize, QueryResponse),
-    {
-        self.stream_bounded(solver, Self::default_stream_capacity(), sink)
-    }
-
-    /// Default response-channel capacity for [`QueryBatch::stream`]: two
-    /// finished responses per pool worker (and at least 4), enough to keep
-    /// every worker busy while the sink drains without ever holding more
-    /// than `O(threads)` responses in flight.
-    pub fn default_stream_capacity() -> usize {
-        (2 * rs_par::num_threads()).max(4)
-    }
-
-    /// [`QueryBatch::stream`] with an explicit response-channel bound.
-    ///
-    /// At most `capacity` finished-but-undelivered responses are buffered;
-    /// beyond that, solver workers **block in `send`** (one completed
-    /// response held per blocked worker) until the sink catches up, so
-    /// peak memory for a batch of any length is `O(capacity + threads)`
-    /// responses rather than `O(batch)`. This cannot deadlock: the
-    /// caller's thread does nothing but drain the channel, and the
-    /// producers need no resource the sink holds.
-    ///
-    /// `capacity` is clamped to at least 1 (a rendezvous of 0 would serialise
-    /// workers against the sink for no benefit).
-    pub fn stream_bounded<S, F>(&self, solver: &S, capacity: usize, mut sink: F) -> BatchStats
-    where
-        S: SsspSolver + ?Sized,
-        F: FnMut(usize, QueryResponse),
-    {
         let mut stats = BatchStats {
             solves: self.queries.len(),
             unique_solves: self.unique.len(),
             ..Default::default()
         };
-        if self.queries.is_empty() {
-            return stats;
+        let mut executed: Vec<Option<QueryResponse>> = rs_par::worker_map(
+            self.unique.len(),
+            || {
+                let mut scratch = SolverScratch::new();
+                solver.warm_scratch(&mut scratch);
+                scratch
+            },
+            |scratch, i| solver.execute(&self.unique[i], scratch),
+        )
+        .into_iter()
+        .map(Some)
+        .collect();
+        for response in executed.iter().flatten() {
+            stats.absorb_unique(response);
         }
-        // Request slots answered by each unique execution.
-        let mut slots_of: Vec<Vec<usize>> = vec![Vec::new(); self.unique.len()];
+        // The last slot of each unique takes its response by move, so a
+        // duplicate-free batch never copies a dist array.
+        let mut last_slot = vec![0; self.unique.len()];
         for (slot, &u) in self.rep.iter().enumerate() {
-            slots_of[u].push(slot);
+            last_slot[u] = slot;
         }
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, QueryResponse)>(capacity.max(1));
-        std::thread::scope(|scope| {
-            // The producer fans the unique queries over the pool from a
-            // scoped thread; the calling thread stays free to drain the
-            // channel, so deliveries interleave with execution at every
-            // pool size (worker_map_sink streams even its sequential
-            // fallback item-by-item).
-            let producer = scope.spawn(move || {
-                rs_par::worker_map_sink(
-                    self.unique.len(),
-                    || {
-                        let mut scratch = SolverScratch::new();
-                        solver.warm_scratch(&mut scratch);
-                        scratch
-                    },
-                    |scratch, i| solver.execute(&self.unique[i], scratch),
-                    |i, response| {
-                        // A dropped receiver just stops deliveries; the
-                        // remaining solves complete and are discarded.
-                        let _ = tx.send((i, response));
-                    },
-                );
-            });
-            for (u, response) in rx.iter() {
-                stats.absorb_unique(&response);
-                // Clone only for true duplicates: the last slot (every
-                // unique has at least one) takes the response by move, so
-                // a duplicate-free batch never copies a dist array.
-                let (&last, dups) = slots_of[u].split_last().expect("unique from ≥1 request");
-                for &slot in dups {
-                    let mut delivered = response.clone();
-                    delivered.query = self.queries[slot].clone();
-                    stats.absorb_delivered(&delivered);
-                    sink(slot, delivered);
-                }
-                let mut delivered = response;
-                delivered.query = self.queries[last].clone();
+        let responses = (0..self.queries.len())
+            .map(|slot| {
+                let u = self.rep[slot];
+                let response =
+                    if last_slot[u] == slot { executed[u].take() } else { executed[u].clone() };
+                let mut delivered = response.expect("a unique is moved out at its last slot");
+                delivered.query = self.queries[slot].clone();
                 stats.absorb_delivered(&delivered);
-                sink(last, delivered);
-            }
-            producer.join().expect("batch producer panicked");
-        });
-        stats
+                delivered
+            })
+            .collect();
+        BatchOutcome { responses, stats }
     }
 }
 
@@ -772,7 +692,8 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// Per-batch aggregate of the queries' [`crate::StepStats`].
+/// Per-batch aggregate of the queries' [`crate::StepStats`]; `rs_serve`
+/// keeps the same ledger per lane, one request at a time.
 ///
 /// Step/substep/relaxation totals are summed over the *delivered*
 /// responses (a deduplicated query counts once per request, so means stay
@@ -826,7 +747,7 @@ impl BatchStats {
     /// Folds one *unique* execution's physical counters in (once per
     /// unique query, regardless of how many request slots it answers).
     /// Public so serving layers that execute queries outside
-    /// [`QueryBatch`] (e.g. on a cache miss) can keep one stats ledger.
+    /// [`QueryBatch`] (a lane worker's cache miss) can keep one ledger.
     pub fn absorb_unique(&mut self, response: &QueryResponse) {
         for row in response.rows() {
             self.executed_solves += 1;
@@ -1615,8 +1536,8 @@ mod tests {
         assert_eq!(Preprocessed::load(&path).unwrap().config, other, "file refreshed");
 
         // Garbage, a fresh file under an old or foreign magic ("RSP4"
-        // carried a landmark table; "RSP5" and "RSP7" are rs_shard
-        // partitions), or
+        // carried a landmark table; "RSP5", "RSP7" and "RSP8" are
+        // rs_shard partitions), or
         // one whose embedded graph is corrupt degrades to a rebuild, never
         // an error (and never a panic) — and the rebuild refreshes the file.
         let relabel = |magic: &[u8; 4]| {
@@ -1634,6 +1555,7 @@ mod tests {
             ("RSP4", relabel(b"RSP4")),
             ("RSP5", relabel(b"RSP5")),
             ("RSP7", relabel(b"RSP7")),
+            ("RSP8", relabel(b"RSP8")),
             ("corrupt embedded target", corrupt),
         ] {
             std::fs::write(&path, bytes).unwrap();
@@ -1788,29 +1710,5 @@ mod tests {
         // 2 one-to-many uniques (1 row each) + 2 table uniques (2 rows
         // each): the 3 deduplicated requests cost nothing.
         assert_eq!(outcome.stats.executed_solves, 2 + 2 * 2);
-    }
-
-    #[test]
-    fn streaming_batch_matches_materialised_execution() {
-        let g = grid();
-        let solver = frontier(&g, Radii::Constant(900));
-        let queries = [
-            Query::point_to_point(0, 80).with_paths(),
-            Query::single_source(5),
-            Query::one_to_many(40, [0, 80, 13]),
-            Query::point_to_point(0, 80).with_paths(), // dup
-        ];
-        let materialised = QueryBatch::new(&queries).execute(&solver);
-        let mut streamed: Vec<Option<QueryResponse>> = vec![None; queries.len()];
-        let stream_stats = QueryBatch::new(&queries).stream(&solver, |slot, resp| {
-            streamed[slot] = Some(resp);
-        });
-        assert_eq!(stream_stats, materialised.stats);
-        for (slot, resp) in streamed.into_iter().enumerate() {
-            let resp = resp.expect("every slot delivered exactly once");
-            assert_eq!(resp.query, materialised.responses[slot].query);
-            assert_eq!(resp.dist(), materialised.responses[slot].dist(), "slot {slot}");
-            assert_eq!(resp.goal_path(), materialised.responses[slot].goal_path(), "slot {slot}");
-        }
     }
 }

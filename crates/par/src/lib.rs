@@ -36,7 +36,7 @@ pub use atomic::{atomic_vec, AtomicBitset, AtomicMinU64};
 pub use epoch::EpochMinArray;
 pub use reduce::par_min;
 pub use scope::{scope, Scope};
-pub use worker::{worker_map, worker_map_sink};
+pub use worker::worker_map;
 
 /// Sequential-fallback threshold: below this many items the parallel
 /// primitives run sequentially to avoid fork-join overhead.

@@ -66,52 +66,6 @@ where
     out.into_iter().map(|r| r.expect("every index claimed")).collect()
 }
 
-/// [`worker_map`] with delivery instead of collection: `sink(i, result)` is
-/// called as soon as item `i` completes, from whichever pool task computed
-/// it — the streaming backbone of `QueryBatch::stream`. Completion order is
-/// whatever dynamic load balancing produces; only the `(i, result)` pairing
-/// is guaranteed. The sink must therefore be callable from multiple threads
-/// concurrently (`Fn + Sync`); a typical sink sends into a channel drained
-/// by the caller's thread.
-pub fn worker_map_sink<S, R, I, F, K>(n: usize, init: I, f: F, sink: K)
-where
-    S: Send,
-    R: Send,
-    I: Fn() -> S + Send + Sync,
-    F: Fn(&mut S, usize) -> R + Send + Sync,
-    K: Fn(usize, R) + Send + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let tasks = rayon::current_num_threads().clamp(1, n);
-    if tasks == 1 {
-        // Sequential fallback still delivers item-by-item: a caller
-        // draining a channel on another thread observes the same streaming
-        // behaviour at every pool size.
-        let mut state = init();
-        for i in 0..n {
-            sink(i, f(&mut state, i));
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    (0..tasks).into_par_iter().with_min_len(1).for_each(|_| {
-        let mut state: Option<S> = None;
-        loop {
-            // ORDERING: see worker_map — unique claim via RMW, no data
-            // published through the counter.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let state = state.get_or_insert_with(&init);
-            sink(i, f(state, i));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,42 +141,5 @@ mod tests {
     #[test]
     fn single_item() {
         assert_eq!(worker_map(1, || (), |_, i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn sink_delivers_every_item_exactly_once() {
-        let seen = Mutex::new(vec![0usize; 300]);
-        worker_map_sink(
-            300,
-            || (),
-            |_, i| i * 3,
-            |i, r| {
-                assert_eq!(r, i * 3, "pairing preserved");
-                seen.lock().unwrap()[i] += 1;
-            },
-        );
-        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn sink_streams_through_a_channel() {
-        // The canonical usage: workers send, the caller-side receiver
-        // observes every item (here synchronously, after completion).
-        let (tx, rx) = std::sync::mpsc::channel();
-        worker_map_sink(50, || (), |_, i| i, |i, r| tx.send((i, r)).unwrap());
-        drop(tx);
-        let mut got: Vec<(usize, usize)> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..50).map(|i| (i, i)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sink_empty_input_is_a_noop() {
-        worker_map_sink(
-            0,
-            || unreachable!("no state for zero items"),
-            |_: &mut (), i| i,
-            |_, _| panic!("no deliveries for zero items"),
-        );
     }
 }

@@ -1,9 +1,10 @@
 //! Epoch-versioned response cache keyed on canonical queries.
 //!
 //! The query plane already has a canonical form — [`Query::canonical`]
-//! sorts and dedups goal lists so permuted requests share a batch dedup
-//! slot — and the cache reuses it as the *cache key*: two requests that
-//! would dedup inside one batch hit the same cache entry across batches.
+//! sorts and dedups goal lists so permuted requests share a
+//! `QueryBatch` dedup slot — and the cache reuses it as the *cache key*:
+//! two requests that would dedup inside one batch hit the same cache
+//! entry, whenever they arrive.
 //! `want_paths` / `want_trace` stay part of the key (they change what the
 //! response carries), so a cached hit is always **bit-identical** to a
 //! fresh solve of the same request.

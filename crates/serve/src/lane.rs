@@ -64,25 +64,22 @@ pub struct LaneConfig {
     /// A full queue rejects (with a retry hint) instead of growing.
     pub queue_depth: usize,
     /// Dedicated worker threads for this lane — the shape's concurrency
-    /// quota. Workers run solves; the solves themselves still fan
-    /// substeps over the shared compute pool.
+    /// quota: each worker answers one request at a time, so at most this
+    /// many of the lane's solves run at once. The solves themselves still
+    /// fan substeps over the shared compute pool.
     pub workers: usize,
-    /// Micro-batch cap: a worker that wakes drains up to this many
-    /// already-waiting requests and serves them as one batch (shared
-    /// dedup, streamed delivery).
-    pub batch_max: usize,
 }
 
 impl LaneConfig {
-    /// `queue_depth` / `workers` / `batch_max` in one literal.
-    pub const fn new(queue_depth: usize, workers: usize, batch_max: usize) -> Self {
-        LaneConfig { queue_depth, workers, batch_max }
+    /// `queue_depth` / `workers` in one literal.
+    pub const fn new(queue_depth: usize, workers: usize) -> Self {
+        LaneConfig { queue_depth, workers }
     }
 }
 
 impl Default for LaneConfig {
     fn default() -> Self {
-        LaneConfig::new(64, 1, 16)
+        LaneConfig::new(64, 1)
     }
 }
 
@@ -104,10 +101,10 @@ pub struct LaneSnapshot {
     pub cache_hits: u64,
     /// Submit→reply latency distribution, in microseconds.
     pub latency: LatencyHistogram,
-    /// The lane's query-plane ledger: `solves` counts requests that went
-    /// through the solver path *or* the cache (requested work);
-    /// `executed_solves` counts physical solve rows — their gap is the
-    /// work the cache and batch dedup saved.
+    /// The lane's query-plane ledger: `solves` counts requests answered
+    /// by a solve *or* the cache (requested work); `executed_solves`
+    /// counts physical solve rows — their gap is the work the cache
+    /// saved.
     pub stats: BatchStats,
 }
 

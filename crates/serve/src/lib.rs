@@ -3,17 +3,18 @@
 //! The paper's motivating scenario (§5.4) is a *server*: preprocess a
 //! graph once, then answer shortest-path queries from many sources at
 //! low latency. Earlier layers built the solver half — unified
-//! [`rs_core::Query`] execution, batch dedup, streamed delivery. This
-//! crate is the serving half, three pillars on top:
+//! [`rs_core::Query`] execution on warm, reusable scratch. This crate is
+//! the serving half, three pillars on top:
 //!
-//! * **Backpressure** ([`queue`], [`rs_core::QueryBatch::stream_bounded`])
-//!   — every buffer between a front-end and a solver worker is bounded.
-//!   Admission queues reject when full (with a retry hint); the batch
-//!   response channel blocks producers when the reply path lags. Peak
-//!   in-flight memory is a configuration, not a function of load.
+//! * **Backpressure** ([`queue`], [`lane`]) — every buffer between a
+//!   front-end and a solver is bounded. Admission queues reject when
+//!   full (with a retry hint), and each lane's `workers` count caps how
+//!   many of its solves run at once: a worker answers one request at a
+//!   time on its own warm scratch. Peak in-flight memory is a
+//!   configuration, not a function of load.
 //! * **Response cache** ([`cache`]) — epoch-versioned, capacity-bounded,
-//!   keyed on [`rs_core::Query::canonical`] so requests that would dedup
-//!   within one batch also hit across batches.
+//!   keyed on [`rs_core::Query::canonical`] so permuted-goal and
+//!   duplicate requests share one entry.
 //!   [`Server::invalidate_epoch`] is the O(1) choke point a future
 //!   `update_weights` calls.
 //! * **Admission lanes + SLOs** ([`lane`], [`server`]) — per-shape lanes
@@ -38,7 +39,7 @@
 //! let (ids, stats) = serve(&*solver, &ServerConfig::default(), |server| {
 //!     let (tx, rx) = std::sync::mpsc::channel();
 //!     let a = server.submit(Query::point_to_point(0, 63), tx.clone()).unwrap();
-//!     let b = server.submit(Query::point_to_point(0, 63), tx).unwrap(); // cache hit
+//!     let b = server.submit(Query::point_to_point(0, 63), tx).unwrap(); // may hit the cache
 //!     let first = rx.recv().unwrap();
 //!     let second = rx.recv().unwrap();
 //!     assert_eq!(first.response.dist()[63], second.response.dist()[63]);

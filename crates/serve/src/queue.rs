@@ -5,7 +5,7 @@
 //! than stall the front-end, so the producer side is [`BoundedQueue::
 //! try_push`] only. The consumer side (lane workers) blocks on
 //! [`BoundedQueue::pop`] until work arrives or the queue is closed, and
-//! micro-batches with [`BoundedQueue::try_pop`].
+//! takes one request at a time.
 //!
 //! `std::sync::mpsc` cannot play this role: its receiver is single-
 //! consumer (a lane has several workers) and its bounded sender blocks
@@ -102,14 +102,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeues the oldest item if one is buffered; never blocks. Used by
-    /// lane workers to micro-batch whatever is already waiting behind the
-    /// request that woke them.
-    pub fn try_pop(&self) -> Option<T> {
-        rs_par::model::yield_point();
-        self.inner.lock().unwrap().items.pop_front()
-    }
-
     /// Closes the queue: future pushes fail with [`PushError::Closed`],
     /// and blocked consumers drain the remaining items then observe
     /// `None`. Idempotent.
@@ -139,7 +131,7 @@ mod tests {
         }
         assert_eq!(q.len(), 4);
         for i in 0..4 {
-            assert_eq!(q.try_pop(), Some(i));
+            assert_eq!(q.pop(), Some(i));
         }
         assert!(q.is_empty());
     }
@@ -150,7 +142,7 @@ mod tests {
         q.try_push('a').unwrap();
         q.try_push('b').unwrap();
         assert_eq!(q.try_push('c'), Err(PushError::Full('c')), "item handed back");
-        q.try_pop().unwrap();
+        q.pop().unwrap();
         q.try_push('c').unwrap();
     }
 

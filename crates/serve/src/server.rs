@@ -3,17 +3,17 @@
 //! Front-end and solver are decoupled: [`Server::submit`] does nothing
 //! but a cache-aware admission push (microseconds, never a solve), and
 //! lane workers — dedicated threads from [`rs_par::scope()`], *not* pool
-//! workers — drain their lane's queue, micro-batch what is waiting,
-//! serve cache hits, and run the misses through the query plane
-//! ([`QueryBatch::stream_bounded`] for a batch, a direct warm-scratch
-//! `execute` for a single miss). Replies flow to the caller over the
-//! `mpsc::Sender` each request carries.
+//! workers — pop their lane's queue one request at a time, serve a cache
+//! hit directly, and answer a miss with one [`SsspSolver::execute`] on
+//! the worker's long-lived warm scratch. A lane's `workers` count is
+//! therefore its exact solve concurrency. Replies flow to the caller
+//! over the `mpsc::Sender` each request carries.
 //!
 //! Every buffer on the path is bounded: the admission queues reject when
-//! full (retry hint attached), the batch response channel blocks solver
-//! workers when the reply path falls behind, and the reply channel's
-//! bound (if the caller picks a `sync_channel`) back-pressures the lane
-//! workers themselves. Nothing in the loop can accumulate unboundedly.
+//! full (retry hint attached), each lane runs at most `workers` solves at
+//! once, and the reply channel's bound (if the caller picks a
+//! `sync_channel`) back-pressures the lane workers themselves. Nothing in
+//! the loop can accumulate unboundedly.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,17 +21,15 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use rs_core::{
-    BatchStats, InvalidQuery, Query, QueryBatch, QueryResponse, SolverScratch, SsspSolver,
-};
+use rs_core::{BatchStats, InvalidQuery, Query, QueryResponse, SolverScratch, SsspSolver};
 use rs_ds::LatencyHistogram;
 
 use crate::cache::{CacheStats, ResponseCache};
 use crate::lane::{LaneConfig, LaneSnapshot, Shape};
 use crate::queue::{BoundedQueue, PushError};
 
-/// Server tuning: one [`LaneConfig`] per shape plus the shared cache and
-/// stream bounds. All fields are public — construct with
+/// Server tuning: one [`LaneConfig`] per shape plus the shared cache
+/// bound. All fields are public — construct with
 /// `ServerConfig { cache_capacity: 0, ..Default::default() }` style.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -46,20 +44,16 @@ pub struct ServerConfig {
     pub many_to_many: LaneConfig,
     /// Response-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Response-channel bound for batched misses; 0 means
-    /// [`QueryBatch::default_stream_capacity`].
-    pub stream_capacity: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            single_source: LaneConfig::new(64, 1, 8),
-            point_to_point: LaneConfig::new(256, 2, 32),
-            one_to_many: LaneConfig::new(128, 2, 16),
-            many_to_many: LaneConfig::new(16, 1, 2),
+            single_source: LaneConfig::new(64, 1),
+            point_to_point: LaneConfig::new(256, 2),
+            one_to_many: LaneConfig::new(128, 2),
+            many_to_many: LaneConfig::new(16, 1),
             cache_capacity: 1024,
-            stream_capacity: 0,
         }
     }
 }
@@ -83,7 +77,6 @@ impl ServerConfig {
             one_to_many: lane,
             many_to_many: lane,
             cache_capacity,
-            stream_capacity: 0,
         }
     }
 }
@@ -245,7 +238,7 @@ pub struct ServerStats {
     pub cache: CacheStats,
     /// All lanes' query-plane ledgers merged: `totals.solves` is every
     /// request answered, `totals.executed_solves` every physical solve
-    /// row — the gap is what caching + dedup saved.
+    /// row — the gap is what caching saved.
     pub totals: BatchStats,
 }
 
@@ -313,7 +306,6 @@ pub struct Server<'s> {
     lanes: Vec<Lane>,
     cache: ResponseCache,
     cache_enabled: bool,
-    stream_capacity: usize,
     next_id: AtomicU64,
 }
 
@@ -324,11 +316,6 @@ impl<'s> Server<'s> {
             lanes: Shape::ALL.iter().map(|&s| Lane::new(s, config.lane(s))).collect(),
             cache: ResponseCache::new(config.cache_capacity.max(1)),
             cache_enabled: config.cache_capacity > 0,
-            stream_capacity: if config.stream_capacity == 0 {
-                QueryBatch::default_stream_capacity()
-            } else {
-                config.stream_capacity
-            },
             next_id: AtomicU64::new(0),
         }
     }
@@ -401,78 +388,40 @@ impl<'s> Server<'s> {
         }
     }
 
-    /// One lane worker: blocking pop, micro-batch drain, serve.
+    /// One lane worker: blocking pop, then one answer per request. A
+    /// cache hit replies at once; a miss reads the epoch, solves on this
+    /// worker's long-lived warm scratch, fills the cache and replies, so
+    /// a duplicate queued behind its twin hits the cache.
     fn run_worker(&self, lane: &Lane) {
         let mut scratch = SolverScratch::new();
         self.solver.warm_scratch(&mut scratch);
-        while let Some(first) = lane.queue.pop() {
-            let mut requests = vec![first];
-            while requests.len() < lane.config.batch_max.max(1) {
-                match lane.queue.try_pop() {
-                    Some(r) => requests.push(r),
-                    None => break,
+        while let Some(request) = lane.queue.pop() {
+            let hit = self.cache_enabled.then(|| self.cache.get(&request.query)).flatten();
+            let cached = hit.is_some();
+            let response = hit.unwrap_or_else(|| {
+                // The epoch is read before solving: an invalidation racing
+                // this solve tags its cache entry stale, so it can never be
+                // served after the bump.
+                let epoch = self.cache.epoch();
+                let response = Arc::new(self.solver.execute(&request.query, &mut scratch));
+                if self.cache_enabled {
+                    self.cache.insert(&request.query, Arc::clone(&response), epoch);
                 }
-            }
-            self.process(lane, requests, &mut scratch);
-        }
-    }
-
-    /// Serves one micro-batch: cache pass, then solve the misses.
-    fn process(&self, lane: &Lane, requests: Vec<Request>, scratch: &mut SolverScratch) {
-        let mut misses = Vec::with_capacity(requests.len());
-        for request in requests {
-            match self.cache_enabled.then(|| self.cache.get(&request.query)).flatten() {
-                Some(response) => {
-                    {
-                        let mut telemetry = lane.telemetry.lock().unwrap();
-                        telemetry.stats.solves += 1;
-                        telemetry.stats.absorb_delivered(&response);
-                    }
-                    lane.cache_hits.fetch_add(1, Ordering::SeqCst);
-                    self.finish(lane, request, response, true);
-                }
-                None => misses.push(request),
-            }
-        }
-        if misses.is_empty() {
-            return;
-        }
-        // The epoch is read before solving: an invalidation racing these
-        // solves tags their cache entries stale, so they can never be
-        // served after the bump.
-        let epoch = self.cache.epoch();
-        if misses.len() == 1 {
-            // Single miss: solve directly on this worker's long-lived
-            // scratch — no batch machinery, no channel.
-            let request = misses.pop().expect("one miss");
-            let response = Arc::new(self.solver.execute(&request.query, scratch));
-            if self.cache_enabled {
-                self.cache.insert(&request.query, Arc::clone(&response), epoch);
-            }
+                response
+            });
             {
                 let mut telemetry = lane.telemetry.lock().unwrap();
                 telemetry.stats.solves += 1;
-                telemetry.stats.unique_solves += 1;
-                telemetry.stats.absorb_unique(&response);
+                if !cached {
+                    telemetry.stats.unique_solves += 1;
+                    telemetry.stats.absorb_unique(&response);
+                }
                 telemetry.stats.absorb_delivered(&response);
             }
-            self.finish(lane, request, response, false);
-        } else {
-            // A real micro-batch: shared dedup + bounded streamed
-            // delivery through the query plane.
-            let queries: Vec<Query> = misses.iter().map(|r| r.query.clone()).collect();
-            let batch = QueryBatch::new(&queries);
-            let mut slots: Vec<Option<Request>> = misses.into_iter().map(Some).collect();
-            let stats =
-                batch.stream_bounded(self.solver, self.stream_capacity, |slot, response| {
-                    let request = slots[slot].take().expect("each slot delivered once");
-                    let response = Arc::new(response);
-                    if self.cache_enabled {
-                        self.cache.insert(&request.query, Arc::clone(&response), epoch);
-                    }
-                    self.finish(lane, request, response, false);
-                });
-            lane.telemetry.lock().unwrap().stats.merge(&stats);
+            if cached {
+                lane.cache_hits.fetch_add(1, Ordering::SeqCst);
+            }
+            self.finish(lane, request, response, cached);
         }
     }
 

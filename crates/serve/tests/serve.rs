@@ -6,6 +6,8 @@
 //!   entry, even for solves in flight across the bump;
 //! * capacity bounds hold (evictions, not growth);
 //! * admission lanes reject-with-hint when saturated and isolate shapes;
+//! * a lane's `workers` count bounds its concurrent solves, and a
+//!   duplicate queued behind its twin is answered from the cache;
 //! * shutdown drains: every admitted request is answered;
 //! * a seeded cached/uncached interleaving over mixed shapes matches
 //!   fresh executions reply-for-reply (the property-style sweep).
@@ -15,6 +17,7 @@
 //! must serve every test without deadlock.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -262,11 +265,10 @@ fn saturated_lane_rejects_with_hint_and_does_not_block_other_lanes() {
         inner: SolverBuilder::new(&g).build(),
         release: std::sync::Mutex::new(gate_rx),
     };
-    // Tiny point-to-point lane; generous single-source lane. batch_max 1
-    // so each gated request occupies the worker alone.
+    // Tiny point-to-point lane; generous single-source lane.
     let config = ServerConfig {
-        point_to_point: LaneConfig::new(2, 1, 1),
-        single_source: LaneConfig::new(8, 1, 1),
+        point_to_point: LaneConfig::new(2, 1),
+        single_source: LaneConfig::new(8, 1),
         ..ServerConfig::default()
     };
     let (_, stats) = serve(&solver, &config, |server| {
@@ -311,6 +313,96 @@ fn saturated_lane_rejects_with_hint_and_does_not_block_other_lanes() {
     assert_eq!(stats.completed(), stats.lanes.iter().map(|l| l.admitted).sum::<u64>());
 }
 
+/// Counts concurrent `execute` calls and keeps their peak; each call
+/// sleeps briefly so overlapping solves cannot miss each other.
+struct ProbeSolver<'g> {
+    inner: Box<dyn SsspSolver + 'g>,
+    running: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl SsspSolver for ProbeSolver<'_> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn graph(&self) -> &CsrGraph {
+        self.inner.graph()
+    }
+    fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> rs_core::QueryResponse {
+        let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let response = self.inner.execute(query, scratch);
+        self.running.fetch_sub(1, Ordering::SeqCst);
+        response
+    }
+}
+
+/// A lane's `workers` count is its solve concurrency: six distinct
+/// misses submitted at once to a one-worker lane never overlap, whatever
+/// the compute pool's size.
+#[test]
+fn one_worker_lane_runs_one_solve_at_a_time() {
+    let g = weighted(12);
+    let n = g.num_vertices() as u32;
+    let solver = ProbeSolver {
+        inner: SolverBuilder::new(&g).build(),
+        running: AtomicUsize::new(0),
+        peak: AtomicUsize::new(0),
+    };
+    let config = ServerConfig::uniform(LaneConfig::new(16, 1), 64);
+    let (_, stats) = serve(&solver, &config, |server| {
+        let (tx, rx) = mpsc::channel();
+        for i in 0..6u32 {
+            server.submit(Query::point_to_point(i, n - 1 - i), tx.clone()).unwrap();
+        }
+        for _ in 0..6 {
+            let reply = rx.recv_timeout(std::time::Duration::from_secs(30)).expect("answered");
+            assert!(!reply.cached, "distinct queries all miss");
+        }
+    });
+    assert_eq!(stats.totals.executed_solves, 6);
+    assert_eq!(solver.peak.load(Ordering::SeqCst), 1, "a one-worker lane overlapped solves");
+}
+
+/// A duplicate admitted right behind its twin waits while the twin
+/// solves, then hits the cache: one executed solve for two replies.
+/// With the cache disabled, both solve.
+#[test]
+fn duplicate_behind_its_twin_hits_the_cache() {
+    let g = weighted(13);
+    let n = g.num_vertices() as u32;
+    let q = Query::point_to_point(0, n - 1).with_paths();
+    for (cache_capacity, executed) in [(64, 1), (0, 2)] {
+        let (gate_tx, gate_rx) = mpsc::channel();
+        let solver = GatedSolver {
+            inner: SolverBuilder::new(&g).build(),
+            release: std::sync::Mutex::new(gate_rx),
+        };
+        let config = ServerConfig::uniform(LaneConfig::new(16, 1), cache_capacity);
+        let (replies, stats) = serve(&solver, &config, |server| {
+            let (tx, rx) = mpsc::channel();
+            let first = server.submit(q.clone(), tx.clone()).unwrap();
+            let second = server.submit(q.clone(), tx).unwrap();
+            // Enough tokens for both to solve; a cache hit leaves one over.
+            for _ in 0..2 {
+                gate_tx.send(()).unwrap();
+            }
+            let timeout = std::time::Duration::from_secs(30);
+            let a = rx.recv_timeout(timeout).expect("first reply");
+            let b = rx.recv_timeout(timeout).expect("second reply");
+            assert_eq!((a.id, b.id), (first, second), "one worker answers in order");
+            (a, b)
+        });
+        let (a, b) = replies;
+        assert!(!a.cached, "capacity {cache_capacity}: the first request solves");
+        assert_eq!(b.cached, cache_capacity > 0, "capacity {cache_capacity}");
+        assert_eq!(a.response.goal_path(), b.response.goal_path());
+        assert_eq!(stats.totals.executed_solves, executed, "capacity {cache_capacity}");
+        assert_eq!(stats.cache.hits, u64::from(cache_capacity > 0));
+    }
+}
+
 /// Submits after shutdown are refused as closed; everything admitted
 /// before is still answered (drain-then-join).
 #[test]
@@ -341,7 +433,7 @@ fn shutdown_drains_admitted_requests() {
 fn out_of_range_query_is_rejected_and_lane_keeps_serving() {
     let g = rs_graph::gen::grid2d(8, 8);
     let solver = SolverBuilder::new(&g).build();
-    let config = ServerConfig::uniform(LaneConfig::new(16, 1, 4), 64);
+    let config = ServerConfig::uniform(LaneConfig::new(16, 1), 64);
     let (_, stats) = serve(&*solver, &config, |server| {
         let (tx, rx) = mpsc::channel();
         let rejection = server
@@ -449,7 +541,7 @@ fn interleaved_cached_and_uncached_traffic_matches_fresh_executions() {
         assert_eq!(stats.cache.hits, cached);
         assert!(
             stats.totals.executed_solves < queries.len(),
-            "seed {seed}: cache + dedup must execute fewer solves ({}) than requests ({})",
+            "seed {seed}: the cache must execute fewer solves ({}) than requests ({})",
             stats.totals.executed_solves,
             queries.len()
         );

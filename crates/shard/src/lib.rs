@@ -22,11 +22,12 @@
 //! table — one [`rs_core::ShortcutExpander`] over global ids, the same
 //! table that unrolls the preprocessing's shortcut hops.
 //!
-//! The partition persists as an `RSP7` cache section
-//! ([`PartitionedGraph::save`] / [`PartitionedGraph::load_or_build`]),
-//! and a loaded skeleton is checked against the graph; RSP6
-//! preprocessing files, older RSP5 partitions, or anything else at the
-//! cache path rebuild transparently.
+//! The partition persists as an `RSP8` cache section
+//! ([`PartitionedGraph::save`] / [`PartitionedGraph::load_or_build`])
+//! whose header carries a payload checksum, and a loaded skeleton is
+//! checked against the graph; RSP6 preprocessing files, older RSP7 and
+//! RSP5 partitions, or anything else at the cache path rebuild
+//! transparently.
 //!
 //! ```
 //! use rs_core::solver::{Query, SsspSolver};

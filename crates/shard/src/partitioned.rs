@@ -1,15 +1,18 @@
 //! [`PartitionedGraph`]: the partition layer's product — part views, the
-//! boundary skeleton, and the vertex map — plus its RSP7 on-disk cache.
+//! boundary skeleton, and the vertex map — plus its RSP8 on-disk cache.
 //!
-//! The RSP7 file persists the partition's *identity* (input content hash,
+//! The RSP8 file persists the partition's *identity* (input content hash,
 //! knobs, the assignment array) and its *expensive artifacts* (skeleton
 //! nodes/arcs and the chain table, in the `ShortcutExpander` record
-//! layout the RSP6 preprocessing cache uses). Part views are cheap
-//! `O(m)` induced subgraphs and are rebuilt from the assignment on load,
-//! and the skeleton is checked against the graph before it is accepted.
-//! Any non-matching file — an RSP6 preprocessing cache, an RSP5 file of
-//! the older per-part chain layout, garbage, a stale hash, different
-//! knobs, a skeleton arc no input route realises — fails the load and
+//! layout the RSP6 preprocessing cache uses), behind a 12-byte header:
+//! the magic and an FNV-1a checksum of every byte after it. Part views
+//! are cheap `O(m)` induced subgraphs and are rebuilt from the assignment
+//! on load, and the skeleton is checked against the graph before it is
+//! accepted. The checksum catches what that check cannot see: an arc
+//! missing from the file. Any non-matching file — an RSP6 preprocessing
+//! cache, an RSP7 or RSP5 file of an older layout, garbage, a payload
+//! that fails its checksum, a stale hash, different knobs, a skeleton arc
+//! no input route realises — fails the load and
 //! [`PartitionedGraph::load_or_build`] transparently rebuilds and
 //! rewrites, mirroring the preprocessing cache's discipline in
 //! `rs_core::solver::resolve_preprocessed`.
@@ -227,15 +230,12 @@ impl PartitionedGraph {
         &self.build_stats
     }
 
-    /// Writes the RSP7 cache file (see the module docs for what is
+    /// Writes the RSP8 cache file (see the module docs for what is
     /// persisted vs rebuilt).
     pub fn save<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        // "RSP7": the sharding cache section, distinct from the "RSP6"
-        // preprocessing cache; "RSP5" held one chain table per part.
-        // Preprocessing (and older / foreign) files fail the magic check
-        // on load and are transparently rebuilt.
-        w.write_all(b"RSP7")?;
+        // The payload is assembled in memory so the header can carry its
+        // checksum.
+        let mut w = Vec::new();
         w.write_all(&self.input_hash.to_le_bytes())?;
         w.write_all(&(self.num_parts as u32).to_le_bytes())?;
         w.write_all(&[self.strategy_tag])?;
@@ -275,25 +275,40 @@ impl PartitionedGraph {
             w.write_all(&d.to_le_bytes())?;
         }
         skel.chains().write_to(&mut w)?;
-        w.flush()
+        let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
+        // "RSP8": the sharding cache section, distinct from the "RSP6"
+        // preprocessing cache; "RSP7" had no checksum and "RSP5" held one
+        // chain table per part. Preprocessing (and older / foreign) files
+        // fail the magic check on load and are transparently rebuilt.
+        file.write_all(b"RSP8")?;
+        file.write_all(&fnv1a(&w).to_le_bytes())?;
+        file.write_all(&w)?;
+        file.flush()
     }
 
-    /// Loads an RSP7 file written by [`PartitionedGraph::save`] and
+    /// Loads an RSP8 file written by [`PartitionedGraph::save`] and
     /// re-derives the part views from the persisted assignment. Fails
-    /// (for the caller to rebuild) on a bad magic, a content-hash
-    /// mismatch against `g`, any truncation or out-of-range field, or a
-    /// skeleton that does not match `g` (see the module docs).
+    /// (for the caller to rebuild) on a bad magic or payload checksum, a
+    /// content-hash mismatch against `g`, any truncation or out-of-range
+    /// field, or a skeleton that does not match `g` (see the module docs).
     pub fn load<P: AsRef<Path>>(path: P, g: &CsrGraph) -> std::io::Result<PartitionedGraph> {
         let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-        let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
+        let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
         let mut b1 = [0u8; 1];
         let mut b4 = [0u8; 4];
         let mut b8 = [0u8; 8];
         let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"RSP7" {
+        file.read_exact(&mut magic)?;
+        if &magic != b"RSP8" {
             return Err(bad("not a saved partition (e.g. an RSP6 preprocessing)"));
         }
+        file.read_exact(&mut b8)?;
+        let mut payload = Vec::new();
+        file.read_to_end(&mut payload)?;
+        if u64::from_le_bytes(b8) != fnv1a(&payload) {
+            return Err(bad("partition payload fails its checksum"));
+        }
+        let mut r: &[u8] = &payload;
         r.read_exact(&mut b8)?;
         let input_hash = u64::from_le_bytes(b8);
         if input_hash != g.content_hash() {
@@ -405,9 +420,9 @@ impl PartitionedGraph {
         ))
     }
 
-    /// Loads a compatible RSP7 cache from `path`, or partitions `g` from
+    /// Loads a compatible RSP8 cache from `path`, or partitions `g` from
     /// scratch and rewrites the cache (best-effort). "Compatible" means:
-    /// valid RSP7, matching content hash, and matching `cfg` knobs. A
+    /// valid RSP8, matching content hash, and matching `cfg` knobs. A
     /// preprocessing file (or anything else) at `path` rebuilds
     /// transparently.
     pub fn load_or_build<P: AsRef<Path>>(
@@ -428,4 +443,11 @@ impl PartitionedGraph {
         let _ = pg.save(&path);
         pg
     }
+}
+
+/// FNV-1a over the bytes after an RSP8 file's header: its checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }

@@ -4,7 +4,7 @@
 //! Both strategies are deterministic functions of the graph (and, for the
 //! spatial strategy, the coordinates): re-partitioning the same input
 //! always yields the same [`PartitionAssignment`], which is what lets the
-//! RSP7 cache treat the assignment array as the partition's identity.
+//! RSP8 cache treat the assignment array as the partition's identity.
 
 use std::collections::VecDeque;
 
@@ -67,7 +67,7 @@ pub enum PartitionStrategy {
 }
 
 impl PartitionStrategy {
-    /// Stable tag persisted in the RSP7 header.
+    /// Stable tag persisted in the RSP8 file.
     pub fn tag(&self) -> u8 {
         match self {
             PartitionStrategy::BfsGrowth => 0,

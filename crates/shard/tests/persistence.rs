@@ -1,10 +1,11 @@
-//! RSP7 partition-cache persistence: a saved [`PartitionedGraph`]
+//! RSP8 partition-cache persistence: a saved [`PartitionedGraph`]
 //! round-trips to an identical in-memory structure, and anything
 //! incompatible at the cache path — a preprocessing file (here an old
-//! `RSP4` header), an old `RSP5` partition, garbage, a stale graph hash,
-//! different partition knobs (a non-default shortcut heuristic
-//! included), oversized header counts, or a skeleton arc or chain link
-//! the graph does not realise — is refused at load and rebuilds
+//! `RSP4` header), an old `RSP5` or `RSP7` partition, garbage, a stale
+//! graph hash, different partition knobs (a non-default shortcut
+//! heuristic included), oversized header counts, a skeleton arc or chain
+//! link the graph does not realise, or a payload that fails its checksum
+//! (a dropped skeleton edge) — is refused at load and rebuilds
 //! transparently through [`PartitionedGraph::load_or_build`].
 
 use rs_core::preprocess::ShortcutHeuristic;
@@ -19,7 +20,7 @@ fn test_graph() -> CsrGraph {
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("rsp7-{name}-{}", std::process::id()));
+    p.push(format!("rsp8-{name}-{}", std::process::id()));
     p
 }
 
@@ -59,19 +60,25 @@ fn garbage_and_rsp4_magic_rebuild_transparently() {
     let g = test_graph();
     let cfg = PartitionConfig::new(3);
     let reference = Partitioner::with_config(cfg.clone()).partition(&g);
+    let saved = tmp_path("relabel");
+    reference.save(&saved).expect("save");
+    let mut rsp7 = std::fs::read(&saved).expect("read back");
+    std::fs::remove_file(&saved).ok();
+    rsp7[..4].copy_from_slice(b"RSP7");
 
     for (name, bytes) in [
         ("rsp4", b"RSP4 pretend preprocessing payload".to_vec()),
         ("rsp5", [b"RSP5".as_slice(), &[0; 64]].concat()),
+        ("rsp7", rsp7),
         ("garbage", vec![0xAB; 512]),
-        ("truncated", b"RSP7".to_vec()),
+        ("truncated", b"RSP8".to_vec()),
         ("empty", Vec::new()),
     ] {
         let path = tmp_path(name);
         std::fs::write(&path, &bytes).expect("fixture write");
         assert!(
             PartitionedGraph::load(&path, &g).is_err(),
-            "{name}: incompatible file must not parse as RSP7"
+            "{name}: incompatible file must not parse as RSP8"
         );
         let pg = PartitionedGraph::load_or_build(&g, &cfg, &path);
         assert_identical(&reference, &pg);
@@ -136,16 +143,29 @@ fn saved_8x8(name: &str) -> (CsrGraph, PartitionedGraph, std::path::PathBuf, Vec
     let path = tmp_path(name);
     pg.save(&path).expect("save");
     let bytes = std::fs::read(&path).expect("read back");
+    assert_eq!(reseal(bytes.clone()), bytes, "checksum layout");
     (g, pg, path, bytes)
 }
 
-/// Byte offsets in a file saved with default knobs (a 30-byte header
-/// ahead of the vertex count): the skeleton node count, the first arc
-/// weight, and the first chain-link record.
+/// Recomputes the FNV-1a payload checksum (header bytes 4..12) of an
+/// edited file, so that the loader's field and skeleton checks, not the
+/// checksum, have to refuse it.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let sum = bytes[12..]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    bytes[4..12].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Byte offsets in a file saved with default knobs (a 38-byte header —
+/// magic, checksum, graph hash and knobs — ahead of the vertex count):
+/// the skeleton node count, the first arc weight, and the first
+/// chain-link record.
 fn layout(pg: &PartitionedGraph) -> (usize, usize, usize) {
     let (n, nodes) = (pg.assignment().len(), pg.boundary().num_nodes());
     let arcs = pg.boundary().raw_parts().1.len();
-    let nodes_at = 30 + 8 + 4 * n;
+    let nodes_at = 38 + 8 + 4 * n;
     let weights_at = nodes_at + 8 + 4 * nodes + 8 + 8 * (nodes + 1) + 4 * arcs;
     (nodes_at, weights_at, weights_at + 8 * arcs + 8)
 }
@@ -178,10 +198,11 @@ fn load_refuses_oversized_header_counts() {
     assert_eq!(bytes[nodes_at..nodes_at + 8], nodes.to_le_bytes(), "node count layout");
     let mut huge_nodes = bytes.clone();
     huge_nodes[nodes_at..nodes_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-    assert_refused_and_rebuilt(&g, &pg, &path, &huge_nodes, "2^40 skeleton nodes");
+    assert_refused_and_rebuilt(&g, &pg, &path, &reseal(huge_nodes), "2^40 skeleton nodes");
     for parts in [0, u32::MAX] {
         let mut bad_parts = bytes.clone();
-        bad_parts[12..16].copy_from_slice(&parts.to_le_bytes());
+        bad_parts[20..24].copy_from_slice(&parts.to_le_bytes());
+        let bad_parts = reseal(bad_parts);
         assert_refused_and_rebuilt(&g, &pg, &path, &bad_parts, &format!("{parts} parts"));
     }
     std::fs::remove_file(&path).ok();
@@ -207,7 +228,7 @@ fn flipped_arc_weight_is_refused_and_rebuilt() {
         assert_eq!(bytes[at..at + 8], skel.raw_parts().2[i].to_le_bytes(), "{what} layout");
         let mut flipped = bytes.clone();
         flipped[weights_at + 8 * i] ^= 1;
-        assert_refused_and_rebuilt(&g, &pg, &path, &flipped, what);
+        assert_refused_and_rebuilt(&g, &pg, &path, &reseal(flipped), what);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -223,7 +244,43 @@ fn flipped_chain_byte_is_refused_and_rebuilt() {
     for byte in 12..20 {
         let mut flipped = bytes.clone();
         flipped[links_at + byte] ^= 1;
+        let flipped = reseal(flipped);
         assert_refused_and_rebuilt(&g, &pg, &path, &flipped, &format!("link byte {byte}"));
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn dropped_skeleton_edge_is_refused_and_rebuilt() {
+    // Every arc left in the file is real, so the skeleton check passes,
+    // but a missing within-part edge can overestimate a distance: only
+    // the payload checksum can tell. Each within-part edge is dropped in
+    // turn (both directions, with the arc count and offsets rewritten).
+    let (g, pg, path, bytes) = saved_8x8("dropped");
+    let (nodes_at, weights_at, _) = layout(&pg);
+    let skel = pg.boundary();
+    let (offsets, targets, weights) = skel.raw_parts();
+    let nodes = skel.num_nodes();
+    let arcs_at = nodes_at + 8 + 4 * nodes;
+    assert_eq!(bytes[arcs_at..arcs_at + 8], (targets.len() as u64).to_le_bytes(), "arc layout");
+    let arcs: Vec<(u32, u32)> = (0..nodes)
+        .flat_map(|u| targets[offsets[u]..offsets[u + 1]].iter().map(move |&t| (u as u32, t)))
+        .collect();
+    let part = |node: u32| pg.locate(skel.global_of_node(node)).0;
+    let within: Vec<_> = arcs.iter().filter(|&&(a, b)| a < b && part(a) == part(b)).collect();
+    assert!(!within.is_empty(), "the 8×8 skeleton has within-part edges");
+    for &&(a, b) in &within {
+        let kept: Vec<usize> =
+            (0..arcs.len()).filter(|&i| arcs[i] != (a, b) && arcs[i] != (b, a)).collect();
+        let mut file = bytes[..arcs_at].to_vec();
+        file.extend((kept.len() as u64).to_le_bytes());
+        for u in 0..=nodes {
+            file.extend((kept.partition_point(|&i| (arcs[i].0 as usize) < u) as u64).to_le_bytes());
+        }
+        file.extend(kept.iter().flat_map(|&i| targets[i].to_le_bytes()));
+        file.extend(kept.iter().flat_map(|&i| weights[i].to_le_bytes()));
+        file.extend(&bytes[weights_at + 8 * arcs.len()..]);
+        assert_refused_and_rebuilt(&g, &pg, &path, &file, &format!("dropped edge {a}-{b}"));
     }
     std::fs::remove_file(&path).ok();
 }

@@ -5,17 +5,15 @@
 //! then answers every request on reused state through the one entry point,
 //! `SsspSolver::execute`:
 //!
-//! * **Streamed mixed batches** go through `QueryBatch::stream`: realistic
+//! * **Mixed batches** go through `QueryBatch::execute`: realistic
 //!   traffic mixes point-to-point requests (origin → destination, often
 //!   with a path wanted), one-to-many fan-outs (one origin, many
 //!   candidate destinations — k goals for the price of one solve),
 //!   occasional many-to-many distance tables (dispatch matrices), and
 //!   single-source analytics solves. Duplicates — popular
 //!   origin/destination pairs, permuted goal sets — are answered once and
-//!   cloned (dedup by canonical query key); responses are **delivered as
-//!   each solve completes**, so a slow analytics query never blocks the
-//!   fast routing replies, and the per-shape latency report below comes
-//!   straight from the delivery stream.
+//!   cloned (dedup by canonical query key), and the unique queries fan
+//!   out over the pool with one warm scratch per pool task.
 //! * **Single requests** on a dedicated worker loop reuse one long-lived
 //!   scratch; `warm_scratch` pre-sizes it so even the *first* request runs
 //!   allocation-free, and goal-bounded requests settle only the region
@@ -50,7 +48,7 @@ fn main() {
     let solver = SolverBuilder::new(&g).preprocess(PreprocessConfig::new(1, 64)).build();
     println!("build ({}): {:.2}s\n", solver.name(), t.elapsed().as_secs_f64());
 
-    // --- Streamed mixed batch endpoint ----------------------------------
+    // --- Mixed batch endpoint -------------------------------------------
     // 256 requests, deliberately skewed like real query logs: a hot
     // origin/destination pair dominates the point-to-point traffic, ride
     // brokers fan one origin out to 8 candidate destinations, dispatchers
@@ -84,19 +82,13 @@ fn main() {
         batch.deduplicated()
     );
 
-    // Per-shape delivery telemetry, filled by the streaming sink as each
-    // solve completes: (label, delivered count, worst latency-to-delivery).
     let t = Instant::now();
-    let mut first_response_at: Option<f64> = None;
-    let mut shapes: [(&str, usize, f64); 4] = [
-        ("point-to-point", 0, 0.0),
-        ("one-to-many", 0, 0.0),
-        ("many-to-many", 0, 0.0),
-        ("single-source", 0, 0.0),
-    ];
-    let stats = batch.stream(&*solver, |_slot, resp| {
-        let at = t.elapsed().as_secs_f64();
-        first_response_at.get_or_insert(at);
+    let outcome = batch.execute(&*solver);
+    let total = t.elapsed().as_secs_f64();
+    // Answers per shape: (label, count).
+    let mut shapes: [(&str, usize); 4] =
+        [("point-to-point", 0), ("one-to-many", 0), ("many-to-many", 0), ("single-source", 0)];
+    for resp in &outcome.responses {
         let lane = match &resp.query.shape {
             QueryShape::PointToPoint { .. } => 0,
             QueryShape::OneToMany { .. } => 1,
@@ -104,15 +96,13 @@ fn main() {
             QueryShape::SingleSource { .. } => 3,
         };
         shapes[lane].1 += 1;
-        shapes[lane].2 = shapes[lane].2.max(at);
-    });
-    let total = t.elapsed().as_secs_f64();
+    }
+    let stats = &outcome.stats;
     println!(
-        "streamed in {total:.2}s on {} pool threads (first response after {:.3}s): \
+        "executed in {total:.2}s on {} pool threads: \
          {} physical solves for {} requests ({:.2} solves/request), \
          {} goals reached / {} requested, {} cold solves, {} warm reuses",
         par::num_threads(),
-        first_response_at.unwrap_or(total),
         stats.executed_solves,
         stats.solves,
         stats.mean_solves_per_query(),
@@ -121,8 +111,8 @@ fn main() {
         stats.cold_solves,
         stats.scratch_reuses,
     );
-    for (label, count, worst) in shapes {
-        println!("  {label:>14}: {count:3} delivered, last at {worst:.3}s");
+    for (label, count) in shapes {
+        println!("  {label:>14}: {count:3} answered");
     }
 
     // Paths from the preprocessed solver are exact input-graph routes:

@@ -66,8 +66,7 @@
 //! // Mixed-shape batches fan out across the thread pool: duplicates are
 //! // answered once (dedup by canonical query key — permuted goal sets
 //! // share a slot, observationally invisible), one pre-warmed
-//! // SolverScratch per pool worker, per-batch aggregates. Responses can
-//! // also be streamed as each solve completes: QueryBatch::stream(sink).
+//! // SolverScratch per pool worker, per-batch aggregates.
 //! let queries = [
 //!     Query::single_source(0),
 //!     Query::point_to_point(40, 1599),

@@ -219,40 +219,6 @@ proptest! {
         }
     }
 
-    // Streaming and materialised batch execution are bit-identical per
-    // slot (stats included) — the migration guarantee for
-    // `QueryBatch::execute` callers moving to `stream`.
-    #[test]
-    fn streaming_matches_materialised_batches(
-        g in arb_connected_graph(),
-        raw in arb_raw_queries(),
-    ) {
-        let n = g.num_vertices() as u32;
-        let queries = build_queries(&raw, n);
-        let solver = SolverBuilder::new(&g)
-            .algorithm(Algorithm::RadiusStepping {
-                radii: Radii::Constant(35),
-            })
-            .build();
-        let materialised = QueryBatch::new(&queries).execute(&*solver);
-        let mut streamed: Vec<Option<QueryResponse>> = vec![None; queries.len()];
-        let stats = QueryBatch::new(&queries).stream(&*solver, |slot, resp| {
-            assert!(streamed[slot].is_none(), "slot {slot} delivered twice");
-            streamed[slot] = Some(resp);
-        });
-        prop_assert_eq!(&stats, &materialised.stats);
-        for (slot, resp) in streamed.into_iter().enumerate() {
-            let resp = resp.expect("every slot delivered");
-            let reference = &materialised.responses[slot];
-            prop_assert_eq!(&resp.query, &reference.query);
-            prop_assert_eq!(resp.dist(), reference.dist());
-            prop_assert_eq!(
-                resp.result().parent.as_ref(),
-                reference.result().parent.as_ref()
-            );
-        }
-    }
-
     // One scratch, interleaved mixed queries: results stay bit-identical
     // to fresh executions no matter the order (stale-state fuzzing for the
     // goal-bounded path, the substep buffers and the epoch reset).

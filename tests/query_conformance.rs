@@ -668,86 +668,6 @@ fn preprocessed_and_builder_solver_answer_identically() {
     }
 }
 
-/// Wraps a solver to gate one slow query and count completed solves — the
-/// instrumentation behind the streaming acceptance test.
-struct GatedSolver<'g> {
-    inner: Box<dyn SsspSolver + 'g>,
-    slow_source: u32,
-    gate: std::sync::atomic::AtomicBool,
-    completed: std::sync::atomic::AtomicUsize,
-}
-
-impl SsspSolver for GatedSolver<'_> {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn graph(&self) -> &CsrGraph {
-        self.inner.graph()
-    }
-
-    fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
-        use std::sync::atomic::Ordering;
-        if query.source() == self.slow_source {
-            // The "slow" query finishes only after some other response has
-            // been DELIVERED — if the batch did not stream, this would
-            // deadlock (bounded by the timeout below).
-            let start = std::time::Instant::now();
-            while !self.gate.load(Ordering::SeqCst) {
-                assert!(
-                    start.elapsed() < std::time::Duration::from_secs(30),
-                    "no response was delivered while the slow solve ran: batch is not streaming"
-                );
-                std::thread::yield_now();
-            }
-        }
-        let response = self.inner.execute(query, scratch);
-        self.completed.fetch_add(1, Ordering::SeqCst);
-        response
-    }
-}
-
-/// Tentpole acceptance: a streaming batch delivers its first response
-/// before the final solve completes. One query is gated open only by the
-/// delivery of another response, so the test deterministically deadlocks
-/// (and times out loudly) if `stream` were to materialise the batch first.
-#[test]
-fn streaming_batch_delivers_before_final_solve_completes() {
-    use std::sync::atomic::Ordering;
-    let g = weighted(8);
-    let n = g.num_vertices() as u32;
-    let slow = n - 1;
-    let solver = GatedSolver {
-        inner: SolverBuilder::new(&g).build(),
-        slow_source: slow,
-        gate: std::sync::atomic::AtomicBool::new(false),
-        completed: std::sync::atomic::AtomicUsize::new(0),
-    };
-    // Fast queries first: even a fully sequential pool (RS_NUM_THREADS=1)
-    // completes and delivers them while the gated solve waits.
-    let queries = [
-        Query::single_source(0),
-        Query::point_to_point(1, n / 2),
-        Query::single_source(2),
-        Query::single_source(slow), // the gated solve, last in claim order
-    ];
-    let mut deliveries: Vec<(usize, usize)> = Vec::new(); // (slot, completed-at-delivery)
-    let stats = QueryBatch::new(&queries).stream(&solver, |slot, _resp| {
-        let done = solver.completed.load(Ordering::SeqCst);
-        if deliveries.is_empty() {
-            assert!(
-                done < queries.len(),
-                "first response delivered only after every solve completed"
-            );
-        }
-        deliveries.push((slot, done));
-        solver.gate.store(true, Ordering::SeqCst);
-    });
-    assert_eq!(deliveries.len(), queries.len(), "every slot delivered");
-    assert_eq!(stats.unique_solves, 4);
-    assert_eq!(solver.completed.load(Ordering::SeqCst), 4);
-}
-
 /// Mixed batches are exact per slot: every response equals a fresh
 /// execution of its query, across shapes and solvers.
 #[test]
@@ -800,115 +720,6 @@ fn mixed_query_batches_match_fresh_executions() {
             }
         }
     }
-}
-
-/// Wraps a solver to count completed executions — the producer-side probe
-/// for the backpressure tests.
-struct CountingSolver<'g> {
-    inner: Box<dyn SsspSolver + 'g>,
-    completed: std::sync::atomic::AtomicUsize,
-}
-
-impl SsspSolver for CountingSolver<'_> {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn graph(&self) -> &CsrGraph {
-        self.inner.graph()
-    }
-
-    fn execute(&self, query: &Query, scratch: &mut SolverScratch) -> QueryResponse {
-        let response = self.inner.execute(query, scratch);
-        self.completed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        response
-    }
-}
-
-/// Serving acceptance: a bounded stream holds peak in-flight responses at
-/// `O(capacity + threads)` regardless of batch length — a slow sink
-/// **blocks the solver workers** instead of letting finished responses
-/// pile up — and still delivers every response without deadlock. The
-/// invariant checked at every delivery: responses completed but not yet
-/// delivered ≤ channel capacity + one held in each blocked worker's
-/// `send` + the one being delivered. Runs in CI at `RS_NUM_THREADS=1` and
-/// nproc (the `queries` job) — the no-deadlock claim covers both.
-#[test]
-fn bounded_stream_applies_backpressure_without_deadlock() {
-    use std::sync::atomic::Ordering;
-    let g = weighted(55);
-    let n = g.num_vertices() as u32;
-    let solver = CountingSolver {
-        inner: SolverBuilder::new(&g).build(),
-        completed: std::sync::atomic::AtomicUsize::new(0),
-    };
-    // An analytics-shaped batch: 10k unique point-to-point rows (unique
-    // (source, goal) pairs — duplicates would dedup away and not execute).
-    let queries: Vec<Query> = (0..10_000u32).map(|i| Query::point_to_point(i / n, i % n)).collect();
-    let batch = QueryBatch::new(&queries);
-    assert_eq!(batch.unique_queries().len(), queries.len(), "all unique");
-
-    let capacity = 4;
-    let threads = par::num_threads();
-    let mut delivered = 0usize;
-    let mut peak_in_flight = 0usize;
-    let stats = batch.stream_bounded(&solver, capacity, |_slot, resp| {
-        delivered += 1;
-        let completed = solver.completed.load(Ordering::SeqCst);
-        let in_flight = completed - delivered;
-        peak_in_flight = peak_in_flight.max(in_flight);
-        assert!(
-            in_flight <= capacity + threads,
-            "memory bound violated: {in_flight} undelivered responses \
-             with capacity {capacity} and {threads} workers"
-        );
-        // A deliberately slow sink: without backpressure the producers
-        // would race ahead and buffer the whole batch.
-        if delivered.is_multiple_of(50) {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        drop(resp); // response freed before the next is accepted
-    });
-    assert_eq!(delivered, queries.len(), "every response delivered");
-    assert_eq!(stats.unique_solves, queries.len());
-    assert_eq!(solver.completed.load(Ordering::SeqCst), queries.len());
-    // The bound must actually bind: with 2k queries and a tiny channel,
-    // an unbounded implementation would show in-flight counts in the
-    // hundreds (this assertion fails against mpsc::channel).
-    assert!(
-        peak_in_flight <= capacity + threads,
-        "peak in-flight {peak_in_flight} exceeds capacity {capacity} + threads {threads}"
-    );
-}
-
-/// The default `stream` capacity is pool-sized and the bounded path is
-/// the only path: `stream` == `stream_bounded(default)` bit-for-bit.
-#[test]
-fn default_stream_is_bounded_and_identical() {
-    let g = weighted(56);
-    let n = g.num_vertices() as u32;
-    let solver = SolverBuilder::new(&g).build();
-    let queries: Vec<Query> =
-        (0..40u32).map(|i| Query::point_to_point(i % n, (i * 5 + 2) % n)).collect();
-    let batch = QueryBatch::new(&queries);
-
-    assert!(QueryBatch::default_stream_capacity() >= 4);
-    let mut via_default: Vec<Option<QueryResponse>> = vec![None; queries.len()];
-    let s1 = batch.stream(&*solver, |slot, r| via_default[slot] = Some(r));
-    let mut via_bounded: Vec<Option<QueryResponse>> = vec![None; queries.len()];
-    let s2 = batch.stream_bounded(&*solver, QueryBatch::default_stream_capacity(), |slot, r| {
-        via_bounded[slot] = Some(r)
-    });
-    assert_eq!(s1, s2);
-    for (a, b) in via_default.iter().zip(&via_bounded) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-        assert_eq!(a.query, b.query);
-        assert_eq!(a.dist(), b.dist());
-    }
-    // Degenerate capacities still complete (clamped to ≥ 1).
-    let mut count = 0;
-    batch.stream_bounded(&*solver, 0, |_, _| count += 1);
-    assert_eq!(count, queries.len());
 }
 
 /// Serving acceptance: repeated `ManyToMany` tables draw per-task
